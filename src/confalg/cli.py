@@ -31,10 +31,9 @@ from .errors import (
     UnknownIdentity,
     UnknownSymbol,
 )
-from .nc import DEFAULT_BUDGET
+from .nc import DEFAULT_BUDGET, MIN_BUDGET
 
 BUDGET_ENV = "CONFALG_REWRITE_BUDGET"
-MIN_BUDGET = 10**3
 
 _PARSE_ERRORS = (
     DslSyntaxError,
@@ -70,7 +69,6 @@ def _build_parser():
         help="restrict --identity to one index assignment, e.g. mu=1,nu=2",
     )
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--threads", type=int, default=1, help="0 means auto")
     run.add_argument("--budget", type=int, default=None)
 
     lst = sub.add_parser("list", help="print the identity catalogue")
@@ -138,11 +136,6 @@ def _shift_lines(ctx):
 
 def _cmd_run(args):
     budget = _resolve_budget(args.budget)
-    threads = args.threads
-    if threads < 0:
-        raise _UsageError("--threads takes a non-negative integer")
-    if threads == 0:
-        threads = os.cpu_count() or 1
 
     if args.identity is not None and args.suite is not None:
         raise _UsageError("--suite and --identity are mutually exclusive")
@@ -157,7 +150,7 @@ def _cmd_run(args):
         assignment = None
         if args.assignment is not None:
             assignment = _parse_assignment(args.assignment)
-            if assignment not in suites.identity_assignments(ident, None):
+            if assignment not in suites.identity_assignments(ident):
                 raise _UsageError(
                     f"{ident.id} has no assignment {args.assignment!r}"
                 )
@@ -174,9 +167,9 @@ def _cmd_run(args):
             )
         ctx = suites.get_context(budget)
         if tag == "all":
-            reports = suites.run_all(ctx, threads=threads)
+            reports = suites.run_all(ctx)
         else:
-            reports = [suites.run_suite(tag, ctx, threads=threads)]
+            reports = [suites.run_suite(tag, ctx)]
 
     ok = all(rep.passed for rep in reports)
     if args.format == "json":
@@ -198,7 +191,7 @@ def _cmd_list(args):
     for tag in tags:
         print(f"suite {tag}")
         for ident in sorted(suites.catalog_by_suite(tag), key=lambda i: i.id):
-            count = len(suites.identity_assignments(ident, None))
+            count = len(suites.identity_assignments(ident))
             print(f"  {ident.id}  [{count} assignment{'s' if count != 1 else ''}]")
             print(f"      {ident.describe}")
             print(f"      {ident.statement}")

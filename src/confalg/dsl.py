@@ -28,6 +28,7 @@ caller's assignment.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .conformal import eps4, eta
 from .errors import (
     ArityError,
     DslSyntaxError,
@@ -381,28 +382,6 @@ def parse(src):
 # elaboration
 # ---------------------------------------------------------------------------
 
-_EPS_CACHE = {}
-
-
-def _eps4(indices):
-    """Totally antisymmetric symbol on lower indices, value of (0,1,2,3) = +1."""
-    key = tuple(indices)
-    hit = _EPS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(set(key)) < 4:
-        sign = 0
-    else:
-        sign = 1
-        p = list(key)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if p[a] > p[b]:
-                    sign = -sign
-    _EPS_CACHE[key] = sign
-    return sign
-
-
 def _resolve(indices, assignment):
     vals = []
     for ix in indices:
@@ -506,14 +485,11 @@ def _build_J(obs, vals):
 
 
 def _build_eta(obs, vals):
-    mu, nu = vals
-    if mu != nu:
-        return obs.alg.zero()
-    return obs.alg.scalar(Fraction(1 if mu == 0 else -1))
+    return obs.alg.scalar(eta(*vals))
 
 
 def _build_eps(obs, vals):
-    return obs.alg.scalar(Fraction(_eps4(vals)))
+    return obs.alg.scalar(eps4(*vals))
 
 
 _SYMBOL_BUILDERS = {

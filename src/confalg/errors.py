@@ -26,7 +26,8 @@ class RewriteBudgetExceeded(ConfalgError):
 
 
 class ConsistencyFailure(ConfalgError):
-    """A supplied derivation rule contradicts the quadratic mass relation."""
+    """A self-check failed: a derivation rule contradicts the mass relation,
+    or a division the gcd algorithm guarantees to be exact is not."""
 
 
 # ---- algebra construction checks ----

@@ -22,7 +22,6 @@ D/J letters, so rewriting terminates; the budget guards against bugs, not
 against the mathematics.
 """
 
-import threading
 from fractions import Fraction
 
 from .errors import RewriteBudgetExceeded
@@ -179,26 +178,16 @@ class Algebra:
         self._deriv_memo = {}
         self._shift_memo = {}
         self._mono_memo = {}
-        self._tl = threading.local()
+        self._steps = 0
 
     # ---- fuel ----
 
-    def _enter(self):
-        depth = getattr(self._tl, "depth", 0)
-        if depth == 0:
-            self._tl.steps = 0
-        self._tl.depth = depth + 1
-
-    def _exit(self):
-        self._tl.depth -= 1
-
     def _tick(self):
-        steps = getattr(self._tl, "steps", 0) + 1
-        if steps > self.budget:
+        self._steps += 1
+        if self._steps > self.budget:
             raise RewriteBudgetExceeded(
                 f"normalization exceeded the rewrite budget of {self.budget} steps"
             )
-        self._tl.steps = steps
 
     # ---- constructors ----
 
@@ -420,14 +409,11 @@ class Algebra:
     # ---- public operations ----
 
     def mul(self, x, y):
-        self._enter()
-        try:
-            out = {}
-            for w, c in self._raw_mul_terms(x.terms, y.terms):
-                _acc(out, w, c)
-            return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
-        finally:
-            self._exit()
+        self._steps = 0
+        out = {}
+        for w, c in self._raw_mul_terms(x.terms, y.terms):
+            _acc(out, w, c)
+        return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
 
     def dot(self, x, y):
         """Symmetrized product (x*y + y*x) / 2."""
@@ -440,18 +426,12 @@ class Algebra:
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""
-        self._enter()
-        try:
-            out = {}
-            for u, f in x.terms.items():
-                for w, c in self._sort_word(u).items():
-                    _acc(out, w, f * c)
-            return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
-        finally:
-            self._exit()
-
-    def is_zero(self, x):
-        return self.normalize(x).is_zero()
+        self._steps = 0
+        out = {}
+        for u, f in x.terms.items():
+            for w, c in self._sort_word(u).items():
+                _acc(out, w, f * c)
+        return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
 
 
 def _acc(out, w, c):

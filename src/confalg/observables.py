@@ -58,7 +58,8 @@ class Observables:
 
     # ---- spin ----
 
-    def S_upper(self, mu):
+    def S_upper(self, mu, coeff_first=False):
+        """S^mu; coeff_first multiplies each P/M coefficient from the left."""
         def build():
             alg = self.alg
             total = alg.zero()
@@ -71,34 +72,16 @@ class Observables:
                             continue
                         s = s * eta(mu, mu) * eta(nu, nu) * eta(rho, rho) * eta(sig, sig)
                         j = alg.J(nu, rho)
-                        term = alg.mul(j, alg.scalar(_mom_over_q(sig)))
+                        p = alg.scalar(_mom_over_q(sig))
+                        term = alg.mul(p, j) if coeff_first else alg.mul(j, p)
                         total = total + term.scale(-half * s)
             return total
 
-        return self._get(("S^", mu), build)
-
-    def S_upper_reversed(self, mu):
-        """Same contraction with the coefficient multiplied from the left."""
-        def build():
-            alg = self.alg
-            total = alg.zero()
-            half = Fraction(1, 2)
-            for nu in range(4):
-                for rho in range(4):
-                    for sig in range(4):
-                        s = eps4(mu, nu, rho, sig)
-                        if not s:
-                            continue
-                        s = s * eta(mu, mu) * eta(nu, nu) * eta(rho, rho) * eta(sig, sig)
-                        term = alg.mul(alg.scalar(_mom_over_q(sig)), alg.J(nu, rho))
-                        total = total + term.scale(-half * s)
-            return total
-
-        return self._get(("S^rev", mu), build)
+        return self._get(("S^rev" if coeff_first else "S^", mu), build)
 
     def ordering_gap(self, mu):
         """Difference of the two orderings of S^mu; provably zero."""
-        return self.S_upper(mu) - self.S_upper_reversed(mu)
+        return self.S_upper(mu) - self.S_upper(mu, coeff_first=True)
 
     def S(self, mu):
         return self._get(("S", mu), lambda: self.S_upper(mu).scale(eta(mu, mu)))

@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from math import gcd as _igcd
 
+from .errors import ConsistencyFailure
+
 NVARS = 4
 
 _ZERO_EXP = (0, 0, 0, 0)
@@ -460,14 +462,8 @@ def _gcd_inner(f, g):
         _GCD_MEMO[key] = out
         _GCD_MEMO[(g, f)] = out
         return out
-    used = [v for v in range(NVARS) if f.degree_in(v) > 0 or g.degree_in(v) > 0]
-    if not used:
-        a = abs(f.as_const())
-        b = abs(g.as_const())
-        out = Polynomial.const(Fraction(_igcd(a.numerator, b.numerator)))
-        _GCD_MEMO[key] = out
-        return out
-    v = used[0]
+    # both inputs have two or more terms, so some symbol occurs
+    v = next(v for v in range(NVARS) if f.degree_in(v) > 0 or g.degree_in(v) > 0)
     F = _to_univar(f, v)
     G = _to_univar(g, v)
     cf = _content_of_list(F)
@@ -488,23 +484,20 @@ def _gcd_inner(f, g):
         if R:
             beta = gk * hk**delta
             if beta != _P_ONE:
-                divided = [exact_div(x, beta) for x in R]
-                if None in divided:
-                    # the known factor should always divide; fall back to a
-                    # plain content strip rather than propagate a bad gcd
-                    cr = _content_of_list(R)
-                    if cr != _P_ONE:
-                        R = [exact_div(x, cr) for x in R]
-                else:
-                    R = divided
+                R = [exact_div(x, beta) for x in R]
+                if None in R:
+                    raise ConsistencyFailure(
+                        "subresultant factor does not divide the pseudo-remainder"
+                    )
         lead = B[-1]
         A, B = B, R
         gk = lead
         if delta == 1:
             hk = gk
         elif delta > 1:
-            nhk = exact_div(gk**delta, hk ** (delta - 1))
-            hk = nhk if nhk is not None else _P_ONE
+            hk = exact_div(gk**delta, hk ** (delta - 1))
+            if hk is None:
+                raise ConsistencyFailure("subresultant scale factor is not exact")
     cA = _content_of_list(A)
     if cA != _P_ONE:
         A = [exact_div(x, cA) for x in A]

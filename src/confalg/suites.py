@@ -22,13 +22,12 @@ the expression language cannot do, and run registered sweeps instead.
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product
 
 from . import conformal, dsl
-from .conformal import GENERATORS, gen_expr, gen_name
+from .conformal import GENERATORS, eta, gen_expr, gen_name
 from .errors import ConfalgError, ConstructionFailure, UnknownIdentity
 from .nc import DEFAULT_BUDGET
 from .observables import Observables
@@ -252,10 +251,6 @@ def _gen_pairs():
 _GEN_BY_NAME = {gen_name(g): g for g in GENERATORS}
 
 
-def _antisym_assignments(ctx):
-    return _gen_pairs()
-
-
 def _antisym_residual(ctx, asg):
     a = _GEN_BY_NAME[asg["a"]]
     b = _GEN_BY_NAME[asg["b"]]
@@ -268,7 +263,7 @@ def _antisym_residual(ctx, asg):
     return conformal.table_expr(ctx.alg, total).pretty()
 
 
-def _jacobi_assignments(ctx):
+def _jacobi_assignments():
     names = [gen_name(g) for g in GENERATORS]
     return [{"a": na, "b": nb, "c": nc} for na in names for nb in names for nc in names]
 
@@ -300,7 +295,7 @@ def _matrix_oracle_residual(ctx, asg):
     return "; ".join(bad) if bad else None
 
 
-def _gen_assignments(ctx):
+def _gen_assignments():
     return [{"g": gen_name(g)} for g in GENERATORS]
 
 
@@ -313,7 +308,7 @@ def _cfactor_mass_residual(ctx, asg):
     return None if r.is_zero() else r.pretty()
 
 
-def _gen_munu_assignments(ctx):
+def _gen_munu_assignments():
     return [
         {"g": gen_name(g), "mu": mu, "nu": nu}
         for g in GENERATORS
@@ -339,12 +334,6 @@ def _shift_consistency_residual(ctx, asg):
     return None if r.is_zero() else r.pretty()
 
 
-def _eta_int(mu, nu):
-    if mu != nu:
-        return 0
-    return 1 if mu == 0 else -1
-
-
 def _cfactor_sym_momentum_residual(ctx, asg):
     alg, obs = ctx.alg, ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
@@ -353,7 +342,7 @@ def _cfactor_sym_momentum_residual(ctx, asg):
     lhs = alg.bracket(alg.bracket(ge, alg.momentum(mu)), obs.X(nu)) + alg.bracket(
         alg.bracket(ge, alg.momentum(nu)), obs.X(mu)
     )
-    r = lhs - obs.lambda_at_X(g).scale(2 * _eta_int(mu, nu))
+    r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()
 
 
@@ -365,11 +354,11 @@ def _cfactor_sym_position_residual(ctx, asg):
     lhs = alg.bracket(alg.bracket(ge, obs.X(nu)), alg.momentum(mu)) + alg.bracket(
         alg.bracket(ge, obs.X(mu)), alg.momentum(nu)
     )
-    r = lhs - obs.lambda_at_X(g).scale(2 * _eta_int(mu, nu))
+    r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()
 
 
-def _canonical_partials_assignments(ctx):
+def _canonical_partials_assignments():
     out = [{"check": f"dX[{mu}]/dtau"} for mu in range(4)]
     out += [
         {"check": f"dXi[{i}]/dP[{j}]"} for i in range(1, 4) for j in range(1, 4)
@@ -406,10 +395,10 @@ def _canonical_partials_residual(ctx, asg):
 
 
 _BUILTINS = {
-    "pair_antisymmetry": (_antisym_assignments, _antisym_residual),
+    "pair_antisymmetry": (_gen_pairs, _antisym_residual),
     "jacobi": (_jacobi_assignments, _jacobi_residual),
-    "vector_field_oracle": (_antisym_assignments, _vf_oracle_residual),
-    "matrix_oracle": (_antisym_assignments, _matrix_oracle_residual),
+    "vector_field_oracle": (_gen_pairs, _vf_oracle_residual),
+    "matrix_oracle": (_gen_pairs, _matrix_oracle_residual),
     "cfactor_mass": (_gen_assignments, _cfactor_mass_residual),
     "pair_invariance": (_gen_munu_assignments, _pair_invariance_residual),
     "shift_consistency": (_gen_munu_assignments, _shift_consistency_residual),
@@ -449,10 +438,10 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
 
-def identity_assignments(ident, ctx):
+def identity_assignments(ident):
     """The ordered list of assignment dicts an identity is checked over."""
     if ident.builtin is not None:
-        return _BUILTINS[ident.builtin][0](ctx)
+        return _BUILTINS[ident.builtin][0]()
     if not ident.free:
         return [{}]
     ranges = [dsl.index_range(name) for name in ident.free]
@@ -475,7 +464,7 @@ def run_identity(ident, ctx=None, assignment=None):
         ident = find_identity(ident)
     if ctx is None:
         ctx = get_context()
-    assignments = identity_assignments(ident, ctx)
+    assignments = identity_assignments(ident)
     if assignment is not None:
         if assignment not in assignments:
             raise ConstructionFailure(
@@ -501,59 +490,20 @@ def run_identity(ident, ctx=None, assignment=None):
     )
 
 
-def _run_one_task(ident, asg, ctx):
-    try:
-        return evaluate_assignment(ident, asg, ctx)
-    except ConfalgError as exc:
-        return f"error: {exc}"
-
-
-def run_suite(tag, ctx=None, threads=1):
+def run_suite(tag, ctx=None):
     """Every identity of one suite; deterministic result order."""
     if tag not in SUITE_TAGS:
         raise UnknownIdentity(f"no suite named {tag!r}")
     if ctx is None:
         ctx = get_context()
     idents = sorted(catalog_by_suite(tag), key=lambda i: i.id)
-    if threads <= 1:
-        return SuiteReport(suite=tag, results=[run_identity(i, ctx) for i in idents])
-    tasks = []
-    for ident in idents:
-        for k, asg in enumerate(identity_assignments(ident, ctx)):
-            tasks.append((ident, k, asg))
-    timings = {ident.id: 0.0 for ident in idents}
-    outcomes = {}
-
-    def work(task):
-        ident, k, asg = task
-        s = time.perf_counter()
-        residual = _run_one_task(ident, asg, ctx)
-        return (ident.id, k, asg, residual, (time.perf_counter() - s) * 1000.0)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for ident_id, k, asg, residual, ms in pool.map(work, tasks):
-            timings[ident_id] += ms
-            if residual is not None:
-                outcomes.setdefault(ident_id, []).append((k, asg, residual))
-    results = []
-    for ident in idents:
-        fails = sorted(outcomes.get(ident.id, []))
-        results.append(
-            IdentityResult(
-                id=ident.id,
-                statement=ident.statement,
-                assignments=len(identity_assignments(ident, ctx)),
-                failures=[(asg, residual) for _, asg, residual in fails],
-                millis=timings[ident.id],
-            )
-        )
-    return SuiteReport(suite=tag, results=results)
+    return SuiteReport(suite=tag, results=[run_identity(i, ctx) for i in idents])
 
 
-def run_all(ctx=None, threads=1):
+def run_all(ctx=None):
     if ctx is None:
         ctx = get_context()
-    return [run_suite(tag, ctx, threads) for tag in SUITE_TAGS]
+    return [run_suite(tag, ctx) for tag in SUITE_TAGS]
 
 
 # ---------------------------------------------------------------------------

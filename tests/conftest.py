@@ -22,20 +22,21 @@ def run_cli():
     returns the ``CompletedProcess`` with text stdout and stderr. The
     child inherits this environment, with the package root prepended to
     ``PYTHONPATH``; no ``confalg`` script on PATH is needed. ``launcher``
-    replaces the ``-m confalg.cli`` interpreter arguments.
+    replaces the ``-m confalg.cli`` interpreter arguments, and ``env`` is a
+    mapping merged over the inherited environment.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+    base_env = dict(os.environ)
+    base_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, base_env.get("PYTHONPATH")) if p
     )
 
-    def run(*argv, launcher=("-m", "confalg.cli"), timeout=600):
+    def run(*argv, launcher=("-m", "confalg.cli"), env=None, timeout=600):
         return subprocess.run(
             (sys.executable, *launcher, *argv),
             capture_output=True,
             text=True,
             timeout=timeout,
-            env=env,
+            env={**base_env, **(env or {})},
         )
 
     return run

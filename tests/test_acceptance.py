@@ -207,16 +207,16 @@ def test_engine_property_battery():
 # determinism (criterion 6)
 # ---------------------------------------------------------------------------
 
-def test_reports_byte_identical_across_thread_counts(run_cli):
-    def run(threads):
+def test_reports_byte_identical_across_processes(run_cli):
+    def run(hash_seed):
         return run_cli(
             "run", "--suite", "all", "--format", "json",
-            "--threads", str(threads),
+            env={"PYTHONHASHSEED": hash_seed},
             timeout=590,
         )
 
-    a = run(1)
-    b = run(4)
+    a = run("1")
+    b = run("2")
     assert a.returncode == 0, a.stderr
     assert b.returncode == 0, b.stderr
     assert a.stdout == b.stdout

@@ -80,11 +80,14 @@ def test_run_usage_errors(capsys):
         ["run", "--identity", "no-such-identity"],
         ["run", "--identity", "position-definition", "--assignment", "mu=9"],
         ["run", "--identity", "position-definition", "--assignment", "mu"],
-        ["run", "--threads", "-1"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("confalg: "), argv
+    # there is one sequential runner; argparse rejects a thread count
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_run_reports_failure_with_exit_one(monkeypatch, capsys):
@@ -155,7 +158,7 @@ def test_budget_env_exhaustion(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# installed entry point and cross-thread determinism
+# installed entry point and cross-process determinism
 # ---------------------------------------------------------------------------
 
 # what the console script generated from [project.scripts] does: import the
@@ -181,9 +184,10 @@ def test_console_script_runs(run_cli):
     assert r.stdout == "D*C[0] + C[0]\n"
 
 
-def test_json_bytes_identical_across_thread_counts(run_cli):
-    # the JSON report must not depend on how the work was scheduled
-    a = run_cli("run", "--suite", "structure", "--format", "json", "--threads", "1")
-    b = run_cli("run", "--suite", "structure", "--format", "json", "--threads", "3")
+def test_json_bytes_identical_across_processes(run_cli):
+    # the JSON report must not depend on the process, its hash seed included
+    argv = ("run", "--suite", "structure", "--format", "json")
+    a = run_cli(*argv, env={"PYTHONHASHSEED": "1"})
+    b = run_cli(*argv, env={"PYTHONHASHSEED": "2"})
     assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
     assert a.stdout == b.stdout

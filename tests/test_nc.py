@@ -154,6 +154,8 @@ def test_rewrite_budget_enforced():
     w = tuple(range(N_LETTERS - 1, -1, -1))
     with pytest.raises(RewriteBudgetExceeded):
         small.normalize(NCExpr(small, {w: FE_ONE}))
+    # the aborted operation leaves no spent fuel behind: a one-swap word fits
+    small.normalize(NCExpr(small, {(1, 0): FE_ONE}))
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,12 @@ def test_suite_tags_fixed():
     assert set(_EXPECTED) == set(SUITE_TAGS)
 
 
-def test_catalog_inventory(ctx):
+def test_catalog_inventory():
     all_ids = [i.id for i in catalog()]
     assert len(all_ids) == len(set(all_ids)), "duplicate identity id"
     for tag in SUITE_TAGS:
         idents = catalog_by_suite(tag)
-        got = {i.id: len(identity_assignments(i, ctx)) for i in idents}
+        got = {i.id: len(identity_assignments(i)) for i in idents}
         assert got == _EXPECTED[tag], tag
         assert sum(got.values()) == _EXPECTED_TOTALS[tag]
         assert all(i.tag == tag for i in idents)
@@ -134,14 +134,14 @@ def test_catalog_records_are_complete():
             assert ident.lhs_src is None and ident.rhs_src is None
 
 
-def test_free_variables_generate_assignments(ctx):
+def test_free_variables_generate_assignments():
     for ident in catalog():
         if ident.builtin is not None:
             continue
         expect = 1
         for name in ident.free:
             expect *= len(index_range(name))
-        asgs = identity_assignments(ident, ctx)
+        asgs = identity_assignments(ident)
         assert len(asgs) == expect, ident.id
         combos = {tuple(a[n] for n in ident.free) for a in asgs}
         assert combos == set(
@@ -176,9 +176,6 @@ def test_structure_suite_passes_and_is_deterministic(ctx):
     rep2 = run_suite("structure", ctx)
     assert rep1.passed
     assert report_json(rep1) == report_json(rep2)
-    # a threaded run must serialize to the identical bytes
-    rep4 = run_suite("structure", ctx, threads=4)
-    assert report_json(rep1) == report_json(rep4)
 
 
 def test_unknown_suite_rejected(ctx):
