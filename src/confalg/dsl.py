@@ -27,6 +27,7 @@ caller's assignment.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .conformal import eps4, eta
 from .errors import (
@@ -408,62 +409,90 @@ def elaborate(ast, assignment, obs):
     """Expand an AST into a normalized operator.
 
     assignment maps index-variable names to concrete values; obs is the
-    observable cache whose algebra receives the result.
+    observable cache whose algebra receives the result. Inside a sum, a
+    subtree that does not depend on every variable of its innermost
+    enclosing sum is elaborated once per value of the names it does depend
+    on; the memo lives for this call only.
     """
+    plan = {}
+    _dependencies(ast, None, plan)
+    return _elaborate(ast, assignment, obs, plan, {})
+
+
+def _dependencies(node, innermost, plan):
+    """Index names the value of node depends on.
+
+    innermost is the variable tuple of the innermost sum around node, or
+    None outside every sum. plan receives id(node) -> sorted dependency
+    names for each node that may repeat across that sum's iterations.
+    """
+    if isinstance(node, Sym):
+        deps = frozenset(ix for ix in node.indices if not isinstance(ix, int))
+    elif isinstance(node, (Add, Sub, Mul, Dot, Div, Br)):
+        deps = _dependencies(node.left, innermost, plan) | _dependencies(
+            node.right, innermost, plan
+        )
+    elif isinstance(node, Neg):
+        deps = _dependencies(node.arg, innermost, plan)
+    elif isinstance(node, Pow):
+        deps = _dependencies(node.base, innermost, plan)
+    elif isinstance(node, Sum):
+        deps = _dependencies(node.body, node.names, plan).difference(node.names)
+    else:
+        # Num, or not an AST node: _elaborate raises on the latter
+        deps = frozenset()
+    if innermost is not None and not deps.issuperset(innermost):
+        plan[id(node)] = tuple(sorted(deps))
+    return deps
+
+
+def _elaborate(node, scope, obs, plan, memo):
+    names = plan.get(id(node))
+    if names is not None:
+        key = (id(node), *[scope.get(n) for n in names])
+        out = memo.get(key)
+        if out is not None:
+            return out
     alg = obs.alg
-    if isinstance(ast, Num):
-        return alg.scalar(ast.value)
-    if isinstance(ast, Sym):
-        vals = _resolve(ast.indices, assignment)
-        _check_range(ast.name, vals)
-        return _SYMBOL_BUILDERS[ast.name](obs, vals)
-    if isinstance(ast, Add):
-        return elaborate(ast.left, assignment, obs) + elaborate(ast.right, assignment, obs)
-    if isinstance(ast, Sub):
-        return elaborate(ast.left, assignment, obs) - elaborate(ast.right, assignment, obs)
-    if isinstance(ast, Neg):
-        return -elaborate(ast.arg, assignment, obs)
-    if isinstance(ast, Mul):
-        return alg.mul(
-            elaborate(ast.left, assignment, obs), elaborate(ast.right, assignment, obs)
-        )
-    if isinstance(ast, Dot):
-        return alg.dot(
-            elaborate(ast.left, assignment, obs), elaborate(ast.right, assignment, obs)
-        )
-    if isinstance(ast, Div):
-        num = elaborate(ast.left, assignment, obs)
-        den = elaborate(ast.right, assignment, obs)
-        coeff = _as_coefficient(den)
-        return num.scale(coeff.inv())
-    if isinstance(ast, Pow):
-        base = elaborate(ast.base, assignment, obs)
+    if isinstance(node, Num):
+        out = alg.scalar(node.value)
+    elif isinstance(node, Sym):
+        vals = _resolve(node.indices, scope)
+        _check_range(node.name, vals)
+        out = _SYMBOL_BUILDERS[node.name](obs, vals)
+    elif isinstance(node, Sum):
+        out = alg.zero()
+        inner = dict(scope)
+        for values in product(*map(index_range, node.names)):
+            inner.update(zip(node.names, values))
+            out = out + _elaborate(node.body, inner, obs, plan, memo)
+    elif isinstance(node, Neg):
+        out = -_elaborate(node.arg, scope, obs, plan, memo)
+    elif isinstance(node, Pow):
+        base = _elaborate(node.base, scope, obs, plan, memo)
         out = base
-        for _ in range(ast.exponent - 1):
+        for _ in range(node.exponent - 1):
             out = alg.mul(out, base)
-        return out
-    if isinstance(ast, Br):
-        return alg.bracket(
-            elaborate(ast.left, assignment, obs), elaborate(ast.right, assignment, obs)
-        )
-    if isinstance(ast, Sum):
-        total = alg.zero()
-        scope = dict(assignment)
-
-        def expand(k):
-            nonlocal total
-            if k == len(ast.names):
-                total = total + elaborate(ast.body, scope, obs)
-                return
-            name = ast.names[k]
-            for v in index_range(name):
-                scope[name] = v
-                expand(k + 1)
-            del scope[name]
-
-        expand(0)
-        return total
-    raise TypeError(f"not an AST node: {ast!r}")
+    elif isinstance(node, (Add, Sub, Mul, Dot, Div, Br)):
+        left = _elaborate(node.left, scope, obs, plan, memo)
+        right = _elaborate(node.right, scope, obs, plan, memo)
+        if isinstance(node, Add):
+            out = left + right
+        elif isinstance(node, Sub):
+            out = left - right
+        elif isinstance(node, Mul):
+            out = alg.mul(left, right)
+        elif isinstance(node, Dot):
+            out = alg.dot(left, right)
+        elif isinstance(node, Div):
+            out = left.scale(_as_coefficient(right).inv())
+        else:
+            out = alg.bracket(left, right)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    if names is not None:
+        memo[key] = out
+    return out
 
 
 def _as_coefficient(expr):

@@ -1,10 +1,12 @@
 """Expression language: grammar, printing, and elaboration into the engine."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from confalg import dsl
 from confalg.conformal import build_algebra
 from confalg.dsl import (
     Add,
@@ -34,6 +36,7 @@ from confalg.errors import (
     UnknownSymbol,
 )
 from confalg.field import FE_M, FieldElem
+from confalg.suites import catalog_by_suite, identity_assignments
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +290,102 @@ def test_engine_output_round_trips_through_language(alg, obs):
     ]
     for s in samples:
         assert elaborate(parse(s.pretty()), {}, obs) == s
+
+
+# ---------------------------------------------------------------------------
+# the memoised elaborator against a plain tree walk
+# ---------------------------------------------------------------------------
+
+def _tree_walk(ast, assignment, obs):
+    """Reference elaborator: every node rebuilt on every visit, no memo."""
+    alg = obs.alg
+
+    def walk(node):
+        return _tree_walk(node, assignment, obs)
+
+    if isinstance(ast, Num):
+        return alg.scalar(ast.value)
+    if isinstance(ast, Sym):
+        vals = dsl._resolve(ast.indices, assignment)
+        dsl._check_range(ast.name, vals)
+        return dsl._SYMBOL_BUILDERS[ast.name](obs, vals)
+    if isinstance(ast, Add):
+        return walk(ast.left) + walk(ast.right)
+    if isinstance(ast, Sub):
+        return walk(ast.left) - walk(ast.right)
+    if isinstance(ast, Neg):
+        return -walk(ast.arg)
+    if isinstance(ast, Mul):
+        return alg.mul(walk(ast.left), walk(ast.right))
+    if isinstance(ast, Dot):
+        return alg.dot(walk(ast.left), walk(ast.right))
+    if isinstance(ast, Div):
+        num = walk(ast.left)
+        den = walk(ast.right)
+        return num.scale(dsl._as_coefficient(den).inv())
+    if isinstance(ast, Pow):
+        base = walk(ast.base)
+        out = base
+        for _ in range(ast.exponent - 1):
+            out = alg.mul(out, base)
+        return out
+    if isinstance(ast, Br):
+        return alg.bracket(walk(ast.left), walk(ast.right))
+    if isinstance(ast, Sum):
+        total = alg.zero()
+        scope = dict(assignment)
+
+        def expand(k):
+            nonlocal total
+            if k == len(ast.names):
+                total = total + _tree_walk(ast.body, scope, obs)
+                return
+            name = ast.names[k]
+            for v in index_range(name):
+                scope[name] = v
+                expand(k + 1)
+            del scope[name]
+
+        expand(0)
+        return total
+    raise TypeError(f"not an AST node: {ast!r}")
+
+
+def _catalogue_cases(tag):
+    for ident in catalog_by_suite(tag):
+        if ident.builtin is None:
+            asg = identity_assignments(ident)[0]
+            yield from ((f"{ident.id} lhs", ident.lhs_ast, asg),
+                        (f"{ident.id} rhs", ident.rhs_ast, asg))
+
+
+@pytest.mark.parametrize("tag", ["localisation", "canonical"])
+def test_elaborate_matches_tree_walk_on_catalogue(obs, tag):
+    cases = list(_catalogue_cases(tag))
+    assert cases
+    for what, ast, asg in cases:
+        assert elaborate(ast, asg, obs) == _tree_walk(ast, asg, obs), what
+
+
+def test_elaborate_errors_inside_sums(alg, obs):
+    # a memo never skips the first elaboration of a subtree, so every error
+    # still surfaces, whatever the factor it sits next to
+    with pytest.raises(IndexRangeError):
+        elaborate(parse("sum(mu : 0*Sigma[mu])"), {}, obs)
+    with pytest.raises(DivisionByZero):
+        elaborate(parse("sum(i : 0*(D/0))"), {}, obs)
+    with pytest.raises(UnboundIndex):
+        elaborate(parse("sum(i : P[i]*P[nu])"), {}, obs)
+    with pytest.raises(IndexRangeError):
+        elaborate(parse("sum(mu : eps[mu,0,1,2]*Xi[mu])"), {}, obs)
+    # a memo hit is still added once per iteration
+    assert elaborate(parse("sum(i : D)"), {}, obs) == alg.D().scale(3)
+
+
+def test_elaborate_leaves_no_garbage(obs):
+    # the memo is reachable from no reference cycle, so it is freed when the
+    # call returns rather than at the next collection
+    ast = parse("sum(nu, rho : eta[nu,rho]*(J[rho,mu] . (P[nu]/M^2)))")
+    gc.collect()
+    elaborate(ast, {"mu": 1}, obs)
+    assert gc.collect() == 0
