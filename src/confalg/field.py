@@ -47,15 +47,18 @@ def _canon(num, den):
         return num, Polynomial.one()
     cn = integer_content(num)
     cd = integer_content(den)
-    g = Fraction(
-        math.gcd(cn.numerator, cd.numerator),
-        math.lcm(cn.denominator, cd.denominator),
-    )
+    if type(cn) is int and type(cd) is int:
+        g = math.gcd(cn, cd)
+    else:
+        g = Fraction(
+            math.gcd(cn.numerator, cd.numerator),
+            math.lcm(cn.denominator, cd.denominator),
+        )
     _, lead = den.leading()
     if lead < 0:
         g = -g
     if g != 1:
-        inv = 1 / g
+        inv = -1 if g == -1 else Fraction(1, g)
         num = num * inv
         den = den * inv
     return num, den
@@ -131,10 +134,9 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if not other:
                 return RF_ZERO
-            num, den = _canon(self.num * q, self.den)
+            num, den = _canon(self.num * other, self.den)
             return RationalFunction(num, den, _reduced=True)
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO

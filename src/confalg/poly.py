@@ -3,8 +3,10 @@
 The same class serves two roles: polynomials in the four momentum components
 (the coefficient ring of the operator engine) and polynomials in the four
 spacetime coordinates (the classical vector-field oracle). A polynomial is a
-map from exponent vectors (e0, e1, e2, e3) to nonzero Fractions that are exact
-rationals; the zero polynomial is the empty map.
+map from exponent vectors (e0, e1, e2, e3) to nonzero exact rationals; the
+zero polynomial is the empty map. A coefficient is stored as an int when it
+is integral and as a Fraction only when it is not, so the integer-primitive
+polynomials of the coefficient field run on int arithmetic throughout.
 
 Monomials are ordered graded-lex with symbol 0 most significant. "Leading"
 below always means leading under that order.
@@ -13,7 +15,6 @@ below always means leading under that order.
 import math
 
 from fractions import Fraction
-from math import gcd as _igcd
 
 from .errors import ConsistencyFailure
 
@@ -26,16 +27,43 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _coeff(c):
+    """c as a stored coefficient: an int when integral, else a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(
+        f"polynomial coefficients are int or Fraction, not {type(c).__name__}"
+    )
+
+
+def _quo(a, b):
+    """a / b exactly; an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class Polynomial:
     """Immutable sparse polynomial over the rationals in four symbols.
 
     Do not mutate the term dict after construction; hashes are cached.
+    The constructor accepts int and Fraction coefficients and stores each
+    as an int when it is integral, so equal polynomials have equal terms
+    however their coefficients were spelled.
     """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        out = {e: c for e, c in terms.items() if c}
+        for c in out.values():
+            if type(c) is not int:
+                out = {e: _coeff(c) for e, c in out.items()}
+                break
+        self.terms = out
         self._hash = None
 
     # ---- constructors ----
@@ -59,7 +87,7 @@ class Polynomial:
     def var(cls, i, power=1):
         e = [0, 0, 0, 0]
         e[i] = power
-        return cls({tuple(e): Fraction(1)})
+        return cls({tuple(e): 1})
 
     # ---- predicates ----
 
@@ -70,11 +98,11 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
     def as_const(self):
-        """The value of a constant polynomial (raises if not constant)."""
+        """The value of a constant polynomial as a Fraction (raises if not constant)."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and _ZERO_EXP in self.terms:
-            return self.terms[_ZERO_EXP]
+            return Fraction(self.terms[_ZERO_EXP])
         raise ValueError("not a constant polynomial")
 
     def total_degree(self):
@@ -127,28 +155,26 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if not other:
                 return _P_ZERO
-            return Polynomial({e: c * q for e, c in self.terms.items()})
+            n, d = other.numerator, other.denominator
+            if d != 1:
+                return Polynomial({e: _quo(c * n, d) for e, c in self.terms.items()})
+            if n == 1:
+                return self
+            return Polynomial({e: c * n for e, c in self.terms.items()})
         a, b = self.terms, other.terms
         if not a or not b:
             return _P_ZERO
         if len(a) > len(b):
             a, b = b, a
+        b = b.items()
         out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                s = out.get(e)
-                if s is None:
-                    out[e] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+        get = out.get
+        for (a0, a1, a2, a3), ca in a.items():
+            for (b0, b1, b2, b3), cb in b:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[e] = get(e, 0) + ca * cb
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -227,7 +253,7 @@ def _frac_str(q):
 
 
 _P_ZERO = Polynomial({})
-_P_ONE = Polynomial({_ZERO_EXP: Fraction(1)})
+_P_ONE = Polynomial({_ZERO_EXP: 1})
 
 
 #####################################################################
@@ -239,29 +265,33 @@ def exact_div(f, d):
 
     Single-divisor reduction under graded-lex: when d | f every reduction
     step finds a divisible leading term, so a failed step proves
-    indivisibility.
+    indivisibility. Both sides are keyed by (total degree, e0, e1, e2, e3)
+    while reducing, so the leading term of the remainder is a plain max.
     """
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return _P_ZERO
-    ed, cd = d.leading()
+    div = {(sum(e),) + e: c for e, c in d.terms.items()}
+    ed = max(div)
+    dg, d0, d1, d2, d3 = ed
+    cd = div[ed]
+    rem = {(sum(e),) + e: c for e, c in f.terms.items()}
     quot = {}
-    rem = dict(f.terms)
     while rem:
-        er = max(rem, key=_grlex_key)
-        cr = rem[er]
-        eq = tuple(er[i] - ed[i] for i in range(NVARS))
-        if any(x < 0 for x in eq):
+        er = max(rem)
+        rg, r0, r1, r2, r3 = er
+        if r0 < d0 or r1 < d1 or r2 < d2 or r3 < d3:
             return None
-        cq = cr / cd
-        quot[eq] = cq
-        for e2, c2 in d.terms.items():
-            e = tuple(eq[i] + e2[i] for i in range(NVARS))
-            s = rem.get(e, Fraction(0)) - cq * c2
+        qg, q0, q1, q2, q3 = rg - dg, r0 - d0, r1 - d1, r2 - d2, r3 - d3
+        cq = _quo(rem[er], cd)
+        quot[(q0, q1, q2, q3)] = cq
+        for (xg, x0, x1, x2, x3), c2 in div.items():
+            e = (qg + xg, q0 + x0, q1 + x1, q2 + x2, q3 + x3)
+            s = rem.get(e, 0) - cq * c2
             if s:
                 rem[e] = s
-            elif e in rem:
+            else:
                 del rem[e]
     return Polynomial(quot)
 
@@ -269,15 +299,21 @@ def exact_div(f, d):
 def integer_content(p):
     """Positive rational c such that p / c has coprime integer coefficients.
 
-    Zero polynomial has content 1 by convention.
+    An int when p has integer coefficients, else a Fraction. The zero
+    polynomial has content 1 by convention.
     """
     if p.is_zero():
-        return Fraction(1)
+        return 1
+    coeffs = p.terms.values()
+    try:
+        return math.gcd(*coeffs)
+    except TypeError:  # a Fraction coefficient
+        pass
     num = 0
     den = 1
-    for c in p.terms.values():
-        num = _igcd(num, abs(c.numerator))
-        den = den * c.denominator // _igcd(den, c.denominator)
+    for c in coeffs:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
     return Fraction(num, den)
 
 
@@ -285,7 +321,8 @@ def _int_primitive(p):
     """p scaled to coprime integer coefficients (zero stays zero)."""
     if p.is_zero():
         return p
-    return p * (1 / integer_content(p))
+    c = integer_content(p)
+    return p * (1 if c == 1 else Fraction(1, c))
 
 
 def _positive_leading(p):
@@ -354,48 +391,50 @@ _SPECIALIZE_POINTS = ((2, 3, 5), (3, 5, 7), (5, 7, 11), (2, 9, 31))
 
 
 def _eval_coeff(poly, v, point):
-    """Value at an integer point of a coefficient polynomial free of v."""
+    """Value at an integer point of an integer polynomial free of v."""
     others = [u for u in range(NVARS) if u != v]
-    sub = dict(zip(others, point))
-    total = Fraction(0)
+    total = 0
     for e, c in poly.terms.items():
-        val = c
-        for u in others:
+        for u, x in zip(others, point):
             if e[u]:
-                val = val * sub[u] ** e[u]
-        total += val
+                c = c * x ** e[u]
+        total += c
     return total
 
 
 def _univar_rem(a, b):
+    """A nonzero integer multiple of the remainder of a by b (int lists).
+
+    Each step scales the running remainder by lb / gcd(top, lb) instead of
+    dividing by lb, so the degrees, which are all the caller reads, are
+    those of the remainder over the rationals.
+    """
     db = len(b) - 1
     lb = b[-1]
     r = list(a)
     while len(r) - 1 >= db:
         k = len(r) - 1 - db
-        q = r[-1] / lb
+        top = r.pop()
+        g = math.gcd(top, lb)
+        s, t = lb // g, top // g
+        if s != 1:
+            r = [x * s for x in r]
         for i in range(db):
-            r[i + k] -= q * b[i]
-        r.pop()
+            r[i + k] -= t * b[i]
         while r and r[-1] == 0:
             r.pop()
     return r
 
 
 def _univar_primitive(r):
-    """Divide a nonempty Fraction coefficient list by its rational content.
+    """Divide a nonempty int coefficient list by its content.
 
-    Plain Euclid over the rationals doubles coefficient digits per step;
-    stripping the content after every remainder keeps them near the size of
-    the inputs, which is what makes the specialization check cheap.
+    Plain Euclid doubles coefficient digits per step; stripping the content
+    after every remainder keeps them near the size of the inputs, which is
+    what makes the specialization check cheap.
     """
-    num = 0
-    den = 1
-    for c in r:
-        num = math.gcd(num, c.numerator)
-        den = math.lcm(den, c.denominator)
-    scale = Fraction(den, num)
-    return [c * scale for c in r]
+    g = math.gcd(*r)
+    return r if g == 1 else [c // g for c in r]
 
 
 def _coprime_by_specialization(F, G, v):
@@ -429,13 +468,8 @@ _GCD_MEMO = {}
 
 def _monomial_gcd(f, g):
     """gcd when either side is a single term: min exponents, integer content."""
-    mins = None
-    ci = 0
-    for p in (f, g):
-        for e, cc in p.terms.items():
-            ci = _igcd(ci, abs(cc.numerator))
-            mins = e if mins is None else tuple(map(min, mins, e))
-    return Polynomial({mins: Fraction(ci)})
+    mins = tuple(map(min, *f.terms, *g.terms))
+    return Polynomial({mins: math.gcd(*f.terms.values(), *g.terms.values())})
 
 
 def _gcd_inner(f, g):

@@ -323,3 +323,66 @@ def test_canonical_zero_many_paths():
         assert d.is_zero()
         assert d == FE_ZERO
         assert hash(d) == hash(FE_ZERO)
+
+
+# ---------------------------------------------------------------------------
+# exactness of stored coefficients
+# ---------------------------------------------------------------------------
+
+def _assert_exact_poly(p):
+    # an int when integral, a Fraction only when not: never a float, a bool
+    # or an integral Fraction, whichever operation produced the polynomial
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (
+            p.terms
+        )
+
+
+def _assert_exact_fe(x):
+    for part in (x.a.num, x.a.den, x.b.num, x.b.den):
+        _assert_exact_poly(part)
+
+
+def test_stored_coefficients_are_int_or_nonintegral_fraction():
+    rng = random.Random(20260828)
+    for _ in range(150):
+        p, q = _rand_poly(rng), _rand_poly(rng)
+        for r in (p, q, p + q, p - q, p * q, -p, p * 2, p * frac(2, 3), p * frac(3)):
+            _assert_exact_poly(r)
+        if not q.is_zero():
+            r = exact_div(p * q, q)
+            _assert_exact_poly(r)
+            _assert_exact_poly(poly_gcd(p, q))
+        x, y = _rand_fe(rng), _rand_fe(rng)
+        for z in (x + y, x - y, x * y, -x, x * 3, x * frac(1, 2), x * FE_M):
+            _assert_exact_fe(z)
+        if not x.is_zero():
+            _assert_exact_fe(x.inv())
+        for part in x.as_quotient():
+            _assert_exact_poly(part)
+        rf = _rand_rf(rng)
+        for r in (rf, rf * rf, rf + rf, rf * 4):
+            _assert_exact_poly(r.num)
+            _assert_exact_poly(r.den)
+        if not rf.is_zero():
+            _assert_exact_poly(rf.inv().num)
+            _assert_exact_poly(rf.inv().den)
+
+
+def test_constructor_normalizes_and_rejects_inexact_coefficients():
+    e = (1, 0, 0, 0)
+    p = Polynomial({e: Fraction(6, 2), (0, 1, 0, 0): Fraction(1, 2), (0, 0, 0, 0): True})
+    assert type(p.terms[e]) is int and p.terms[e] == 3
+    assert type(p.terms[(0, 0, 0, 0)]) is int
+    assert p.terms[(0, 1, 0, 0)] == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Polynomial({e: 0.5})
+
+
+def test_constants_read_back_as_fractions():
+    # a Fraction, not an int, so that 1 / value stays exact for every caller
+    assert type(Polynomial.const(2).as_const()) is Fraction
+    assert type(ZERO.as_const()) is Fraction
+    assert type(RationalFunction.const(3).as_const()) is Fraction
+    assert RationalFunction(ONE * 3, ONE * 6).as_const() == Fraction(1, 2)
+    assert type(FieldElem.const(4).as_fraction()) is Fraction

@@ -1,11 +1,22 @@
 """Sparse exact polynomials: ring laws, division, gcd normal form."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from confalg.poly import Polynomial, exact_div, integer_content, poly_gcd
+from confalg.field import RationalFunction
+from confalg.poly import (
+    _GCD_MEMO,
+    NVARS,
+    Polynomial,
+    _grlex_key,
+    _univar_rem,
+    exact_div,
+    integer_content,
+    poly_gcd,
+)
 
 P0 = Polynomial.var(0)
 P1 = Polynomial.var(1)
@@ -15,10 +26,10 @@ ONE = Polynomial.one()
 ZERO = Polynomial.zero()
 
 
-def _rand_poly(rng, nterms=4, maxdeg=2, span=6):
+def _rand_poly(rng, nterms=4, maxdeg=2, span=6, maxden=3):
     out = ZERO
     for _ in range(rng.randint(1, nterms)):
-        term = ONE * Fraction(rng.randint(-span, span), rng.randint(1, 3))
+        term = ONE * Fraction(rng.randint(-span, span), rng.randint(1, maxden))
         for v in range(4):
             term = term * Polynomial.var(v, rng.randint(0, maxdeg)) if rng.random() < 0.6 else term
         out = out + term
@@ -239,3 +250,177 @@ def test_gcd_is_associative_enough():
         b = _COPRIME[rng.randrange(len(_COPRIME))] * h
         c = _COPRIME[rng.randrange(len(_COPRIME))] * h
         assert poly_gcd(poly_gcd(a, b), c) == poly_gcd(a, poly_gcd(b, c))
+
+
+# ---------------------------------------------------------------------------
+# the integer fast paths against the Fraction-only code they replaced
+# ---------------------------------------------------------------------------
+
+def _exact_div_reference(f, d):
+    """exact_div as it was with Fraction coefficients throughout (test-only)."""
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if f.is_zero():
+        return ZERO
+    ed, cd = d.leading()
+    cd = Fraction(cd)
+    quot = {}
+    rem = dict(f.terms)
+    while rem:
+        er = max(rem, key=_grlex_key)
+        cr = rem[er]
+        eq = tuple(er[i] - ed[i] for i in range(NVARS))
+        if any(x < 0 for x in eq):
+            return None
+        cq = cr / cd
+        quot[eq] = cq
+        for e2, c2 in d.terms.items():
+            e = tuple(eq[i] + e2[i] for i in range(NVARS))
+            s = rem.get(e, Fraction(0)) - cq * c2
+            if s:
+                rem[e] = s
+            elif e in rem:
+                del rem[e]
+    return Polynomial(quot)
+
+
+def _integer_content_reference(p):
+    """integer_content as it was, always a Fraction (test-only)."""
+    if p.is_zero():
+        return Fraction(1)
+    num = 0
+    den = 1
+    for c in p.terms.values():
+        c = Fraction(c)
+        num = math.gcd(num, abs(c.numerator))
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return Fraction(num, den)
+
+
+def _fraction_rem_reference(a, b):
+    """Remainder of a by b over the rationals, as Fractions (test-only)."""
+    r = [Fraction(x) for x in a]
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        q = r[-1] / b[-1]
+        for i in range(len(b) - 1):
+            r[i + k] -= q * b[i]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _rand_pairs(rng):
+    # integer and rational coefficients, divisible and indivisible pairs
+    for k in range(240):
+        maxden = 1 if k % 2 else 3
+        f = _rand_poly(rng, maxden=maxden)
+        g = _rand_poly(rng, nterms=3, maxden=maxden)
+        if g.is_zero():
+            continue
+        yield f, g
+        yield f * g, g
+        yield f * g * Fraction(1, rng.randint(2, 5)), g * rng.randint(2, 4)
+
+
+def test_exact_div_matches_fraction_reference():
+    rng = random.Random(20260927)
+    indivisible = 0
+    for f, g in _rand_pairs(rng):
+        got = exact_div(f, g)
+        want = _exact_div_reference(f, g)
+        assert got == want, (f.pretty(), g.pretty())
+        indivisible += got is None
+    assert indivisible > 50
+
+
+def test_exact_div_nonintegral_quotient():
+    assert exact_div(P0 + ONE, P0 * 2 + ONE * 2) == Polynomial.const(Fraction(1, 2))
+    q = exact_div(P0 * 3 + P1 * 2, ONE * 4)
+    assert q.terms == {(1, 0, 0, 0): Fraction(3, 4), (0, 1, 0, 0): Fraction(1, 2)}
+    assert exact_div(P0 * P1 * 2 - P1, P0 * 4 - ONE * 2) == P1 * Fraction(1, 2)
+    assert exact_div(P0 * 2 + ONE, P0 * 2) is None
+
+
+def test_integer_content_matches_fraction_reference():
+    rng = random.Random(20260928)
+    for f, g in _rand_pairs(rng):
+        for p in (f, g):
+            got = integer_content(p)
+            assert got == _integer_content_reference(p)
+            assert type(got) is (int if got.denominator == 1 else Fraction)
+
+
+def test_gcd_of_scaled_inputs():
+    # rational scalings of either side never change the canonical gcd
+    rng = random.Random(20260929)
+    for _ in range(80):
+        h = _FACTORS[rng.randrange(len(_FACTORS))]
+        f = _rand_poly(rng, nterms=3, maxdeg=1) * h
+        g = _rand_poly(rng, nterms=3, maxdeg=1) * h
+        if f.is_zero() or g.is_zero():
+            continue
+        d = poly_gcd(f, g)
+        for k, m in ((2, 3), (Fraction(1, 6), 5), (Fraction(-4, 9), Fraction(7, 2))):
+            assert poly_gcd(f * k, g * m) == d
+        assert _exact_div_reference(f, d) is not None
+        assert _exact_div_reference(g, d) is not None
+
+
+def test_univariate_remainder_is_a_multiple_of_the_rational_one():
+    rng = random.Random(20260930)
+    for _ in range(400):
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+        if b[-1] == 0:
+            continue
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(len(b), 7))]
+        got = _univar_rem(a, b)
+        want = _fraction_rem_reference(a, b)
+        assert len(got) == len(want)
+        if want:
+            ratio = got[-1] / want[-1]
+            assert ratio and all(x == ratio * y for x, y in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# one normal form however the coefficients were spelled
+# ---------------------------------------------------------------------------
+
+def test_fraction_and_int_spellings_are_one_polynomial():
+    e = (1, 2, 0, 1)
+    a = Polynomial({e: Fraction(3)})
+    b = Polynomial({e: 3})
+    assert a == b and hash(a) == hash(b)
+    assert a.terms == b.terms
+    assert type(a.terms[e]) is type(b.terms[e]) is int
+
+
+def test_fraction_and_int_spellings_are_one_rational_function():
+    def parts(spell):
+        num = Polynomial({(1, 0, 0, 0): spell(4), (0, 1, 0, 0): spell(-6)})
+        den = Polynomial({(0, 0, 1, 0): spell(8), (0, 0, 0, 0): spell(2)})
+        return num, den
+
+    x = RationalFunction(*parts(Fraction))
+    y = RationalFunction(*parts(int))
+    assert x == y and hash(x) == hash(y)
+    assert x.num.terms == y.num.terms and x.den.terms == y.den.terms
+    assert all(type(c) is int for c in (*x.num.terms.values(), *x.den.terms.values()))
+
+
+def test_fraction_and_int_spellings_share_one_gcd_memo_entry():
+    spelled = {
+        (5, 0, 1, 0): 7, (0, 3, 0, 2): -5, (0, 0, 0, 0): 1,
+    }
+    other = {(5, 0, 1, 0): 7, (0, 0, 4, 1): 11}
+    f_frac = Polynomial({e: Fraction(c) for e, c in spelled.items()})
+    g_frac = Polynomial({e: Fraction(c) for e, c in other.items()})
+    f_int, g_int = Polynomial(spelled), Polynomial(other)
+    before = len(_GCD_MEMO)
+    d = poly_gcd(f_frac, g_frac)
+    size = len(_GCD_MEMO)
+    assert size > before
+    assert poly_gcd(f_int, g_int) == d
+    assert len(_GCD_MEMO) == size
+    assert _GCD_MEMO[(f_frac, g_frac)] is _GCD_MEMO[(f_int, g_int)]
