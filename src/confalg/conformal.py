@@ -180,7 +180,7 @@ def _gen_word(g):
     return (_LETTER_OF_GEN[g],)
 
 
-def _letter_table():
+def letter_table():
     table = {}
     for a, ga in _LETTER_GENS:
         for b, gb in _LETTER_GENS:
@@ -193,7 +193,7 @@ def _letter_table():
     return table
 
 
-def _momentum_rules():
+def momentum_rules():
     rules = {}
     for code, g in _LETTER_GENS:
         for mu in range(4):
@@ -233,39 +233,37 @@ def mass_rule_residual(alg, code):
     return lhs - rhs
 
 
-def build_algebra(budget=DEFAULT_BUDGET, schedule_rng=None, check=True):
-    """Construct the full rewrite engine for the algebra.
+def complete_mass_rules(alg):
+    """Install every letter's mass rule in an engine built without them.
 
-    Two phases: the D/J rules come straight from the table; the C mass rule
-    is the normal form of 2 * M.X[mu], built with the D/J-only engine (that
-    computation never touches a C letter), then every letter's mass rule is
-    validated against the quadratic relation M^2 = Q.
+    (D, M) = M and (J, M) = 0, as D scales Q = P.P and J preserves it. The C
+    rule is the normal form of 2 * M.X[mu], built with this D/J-only engine
+    (that computation never touches a C letter). Then every letter's rule is
+    checked against M^2 = Q.
     """
-    mass_rules = {LETTER_D: {(): FE_M}}
+    alg.mass_rules[LETTER_D] = {(): FE_M}
     for mu in range(4):
         for nu in range(mu + 1, 4):
-            mass_rules[letter_J(mu, nu)] = {}
-    alg = Algebra(
-        _letter_table(),
-        _momentum_rules(),
-        mass_rules,
-        budget=budget,
-        schedule_rng=schedule_rng,
-    )
+            alg.mass_rules[letter_J(mu, nu)] = {}
     m = alg.mass()
     for mu in range(4):
         x = build_X(alg, mu)
         rule = alg.dot(m, x).scale(2)
-        mass_rules[letter_C(mu)] = dict(rule.terms)
-    if check:
-        for code in LETTER_CODES:
-            residual = mass_rule_residual(alg, code)
-            if not residual.is_zero():
-                raise ConsistencyFailure(
-                    f"mass rule for letter {code} breaks M^2 = Q: "
-                    f"{residual.pretty()}"
-                )
+        alg.mass_rules[letter_C(mu)] = dict(rule.terms)
+    for code in LETTER_CODES:
+        residual = mass_rule_residual(alg, code)
+        if not residual.is_zero():
+            raise ConsistencyFailure(
+                f"mass rule for letter {code} breaks M^2 = Q: "
+                f"{residual.pretty()}"
+            )
     return alg
+
+
+def build_algebra(budget=DEFAULT_BUDGET):
+    """The full rewrite engine; complete_mass_rules's self-check always runs."""
+    alg = Algebra(letter_table(), momentum_rules(), {}, budget=budget)
+    return complete_mass_rules(alg)
 
 
 def gen_expr(alg, g):
@@ -284,10 +282,11 @@ def table_expr(alg, coeffs):
 
 
 def jacobi_residual(alg, a, b, c, pair_cache=None):
-    """((a,b),c) - (a,(b,c)) + (b,(a,c)) evaluated in the engine."""
+    """((a,b),c) - (a,(b,c)) + (b,(a,c)); pair_cache keeps brackets across calls."""
+    if pair_cache is None:
+        pair_cache = {}
+
     def pair(x, y):
-        if pair_cache is None:
-            return alg.bracket(gen_expr(alg, x), gen_expr(alg, y))
         key = (x, y)
         hit = pair_cache.get(key)
         if hit is None:

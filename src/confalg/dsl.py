@@ -170,9 +170,9 @@ def _tokenize(src):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit(), which accepts '²'
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             out.append(_Token("int", src[i:j], line, col))
             col += j - i

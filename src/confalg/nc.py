@@ -20,6 +20,10 @@ raises RewriteBudgetExceeded past its budget. Letter words close under the
 letter table (D/J/C span a subalgebra) and derivations only ever introduce
 D/J letters, so rewriting terminates; the budget guards against bugs, not
 against the mathematics.
+
+Confluence is certified, not sampled: tests/test_nc.py resolves every overlap
+of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
+schedule and memoizes every rewrite; randomized schedules live only in tests.
 """
 
 from fractions import Fraction
@@ -106,7 +110,7 @@ class NCExpr:
 
     def scale(self, c):
         if not isinstance(c, FieldElem):
-            c = FieldElem.const(Fraction(c))
+            c = FieldElem.const(c)
         if c.is_zero():
             return NCExpr(self.alg, {})
         if c == FE_ONE:
@@ -161,19 +165,17 @@ class Algebra:
     letter_table maps ordered letter pairs (a, b), a != b, to the bracket
     (a, b) as {word: Fraction} with words of length <= 1. momentum_rules maps
     (letter, mu) to the derivation (letter, P[mu]) and mass_rules maps a
-    letter to (letter, M), both as {word: FieldElem}. The mass rules for the
-    C letters are installed after construction (they are built with this very
-    engine); until then any rewrite needing them raises KeyError, which no
-    D/J-only computation ever does.
+    letter to (letter, M), both as {word: FieldElem}. The mass rules are
+    installed after construction by conformal.complete_mass_rules (the C
+    rules are built with this very engine).
     """
 
     def __init__(self, letter_table, momentum_rules, mass_rules,
-                 budget=DEFAULT_BUDGET, schedule_rng=None):
+                 budget=DEFAULT_BUDGET):
         self.letter_table = letter_table
         self.momentum_rules = momentum_rules
         self.mass_rules = mass_rules
         self.budget = budget
-        self.schedule_rng = schedule_rng
         self._word_memo = {}
         self._deriv_memo = {}
         self._shift_memo = {}
@@ -196,7 +198,7 @@ class Algebra:
 
     def scalar(self, c):
         if not isinstance(c, FieldElem):
-            c = FieldElem.const(Fraction(c))
+            c = FieldElem.const(c)
         if c.is_zero():
             return NCExpr(self, {})
         return NCExpr(self, {(): c})
@@ -231,21 +233,14 @@ class Algebra:
 
     def _sort_word(self, w):
         """Normal-order a pure letter word: {word: Fraction}."""
-        memo = None if self.schedule_rng is not None else self._word_memo
-        if memo is not None:
-            hit = memo.get(w)
-            if hit is not None:
-                return hit
-        inversions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not inversions:
+        hit = self._word_memo.get(w)
+        if hit is not None:
+            return hit
+        i = self._inversion(w)
+        if i is None:
             out = {w: Fraction(1)}
-            if memo is not None:
-                memo[w] = out
+            self._word_memo[w] = out
             return out
-        if self.schedule_rng is not None:
-            i = self.schedule_rng.choice(inversions)
-        else:
-            i = inversions[0]
         self._tick()
         a, b = w[i], w[i + 1]
         out = {}
@@ -261,9 +256,12 @@ class Algebra:
                 elif z in out:
                     del out[z]
         out = {z: c for z, c in out.items() if c}
-        if memo is not None:
-            memo[w] = out
+        self._word_memo[w] = out
         return out
+
+    def _inversion(self, w):
+        """Where to swap next: the first adjacent pair out of order, or None."""
+        return next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
 
     # ---- derivation of a letter on a coefficient ----
 
@@ -276,21 +274,16 @@ class Algebra:
     def _deriv_mono(self, a, exps, with_m):
         """(a, monomial) for a unit-coefficient monomial, Leibniz left-to-right."""
         key = (a, exps, with_m)
-        memo = None if self.schedule_rng is not None else self._mono_memo
-        if memo is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        hit = self._mono_memo.get(key)
+        if hit is not None:
+            return hit
         factors = []
         for v in range(4):
             factors.extend([("P", v)] * exps[v])
         if with_m:
             factors.append(("M", 0))
-        if self.schedule_rng is not None:
-            self.schedule_rng.shuffle(factors)
         out = self._deriv_factors(a, tuple(factors))
-        if memo is not None:
-            memo[key] = out
+        self._mono_memo[key] = out
         return out
 
     def _deriv_factors(self, a, factors):
@@ -320,11 +313,9 @@ class Algebra:
         if g.is_rational():
             return {}
         key = (a, g)
-        memo = None if self.schedule_rng is not None else self._deriv_memo
-        if memo is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        hit = self._deriv_memo.get(key)
+        if hit is not None:
+            return hit
         A, B, d = g.as_quotient()
         num = {}
         for exps, c in A.terms.items():
@@ -359,8 +350,7 @@ class Algebra:
                 for w, c in mid.items():
                     _acc(out, w, -(g * c))
             out = {w: c for w, c in out.items() if not c.is_zero()}
-        if memo is not None:
-            memo[key] = out
+        self._deriv_memo[key] = out
         return out
 
     # ---- coefficient movement and products ----
@@ -372,11 +362,9 @@ class Algebra:
         if g.is_rational():
             return {u: g}
         key = (u, g)
-        memo = None if self.schedule_rng is not None else self._shift_memo
-        if memo is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        hit = self._shift_memo.get(key)
+        if hit is not None:
+            return hit
         self._tick()
         head, a = u[:-1], u[-1]
         out = {}
@@ -388,8 +376,7 @@ class Algebra:
                 for zw, c in self._sort_word(z2 + zd).items():
                     _acc(out, zw, h2 * c)
         out = {w: c for w, c in out.items() if not c.is_zero()}
-        if memo is not None:
-            memo[key] = out
+        self._shift_memo[key] = out
         return out
 
     def _raw_mul_terms(self, xterms, yterms):

@@ -50,15 +50,17 @@ class Polynomial:
     """Immutable sparse polynomial over the rationals in four symbols.
 
     Do not mutate the term dict after construction; hashes are cached.
-    The constructor accepts int and Fraction coefficients and stores each
-    as an int when it is integral, so equal polynomials have equal terms
-    however their coefficients were spelled.
+    The constructor accepts int and Fraction coefficients, zero or not, and
+    stores each as an int when it is integral, so equal polynomials have equal
+    terms however their coefficients were spelled; anything else, a float
+    included, raises TypeError.
     """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms):
-        out = {e: c for e, c in terms.items() if c}
+        # a zero is dropped only once _coeff accepts it, so 0.0 is rejected too
+        out = {e: c for e, c in terms.items() if c or _coeff(c)}
         for c in out.values():
             if type(c) is not int:
                 out = {e: _coeff(c) for e, c in out.items()}
@@ -78,10 +80,8 @@ class Polynomial:
 
     @classmethod
     def const(cls, value):
-        q = Fraction(value)
-        if q == 0:
-            return _P_ZERO
-        return cls({_ZERO_EXP: q})
+        p = cls({_ZERO_EXP: value})
+        return p if p.terms else _P_ZERO
 
     @classmethod
     def var(cls, i, power=1):

@@ -127,7 +127,7 @@ def _rand_expr(alg, pool, rng, depth=2):
     )
 
 
-def test_engine_property_battery():
+def test_engine_property_battery(random_schedule_algebra):
     failures = []
 
     # bracket antisymmetry, 1000 random expression pairs
@@ -153,9 +153,9 @@ def test_engine_property_battery():
             failures.append(f"leibniz case {k}")
             break
 
-    # normalization confluence: 100 random rule schedules, 10 random
-    # expressions each, every schedule must map the expression to the same
-    # normal form the default schedule produces
+    # normalization confluence: 100 random memo-less rule schedules, 10
+    # random expressions each, every schedule must map the expression to the
+    # same normal form the default schedule produces
     def confluence_exprs(algebra):
         rng_c = random.Random(20260912)
         pool_c = _expr_pool(algebra)
@@ -165,7 +165,7 @@ def test_engine_property_battery():
     sched_rng = random.Random(20260915)
     for _ in range(100):
         seed = sched_rng.randrange(10**9)
-        a2 = build_algebra(schedule_rng=random.Random(seed))
+        a2 = random_schedule_algebra(seed)
         got = [e.pretty() for e in confluence_exprs(a2)]
         if got != refs:
             failures.append(f"confluence schedule {seed}")

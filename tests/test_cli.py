@@ -31,8 +31,10 @@ def test_normalize_rejects_bad_expression(capsys):
     assert main(["normalize", "Q"]) == 2
     err = capsys.readouterr().err
     assert "UnknownSymbol" in err
-    assert main(["normalize", "P[0] +"]) == 2
-    assert "DslSyntaxError" in capsys.readouterr().err
+    # '²' passes str.isdigit() but is no ASCII digit, so it is no integer
+    for text in ("P[0] +", "D^²", "²*D"):
+        assert main(["normalize", text]) == 2
+        assert "DslSyntaxError" in capsys.readouterr().err
 
 
 def test_engine_error_exits_three(capsys):

@@ -377,6 +377,20 @@ def test_constructor_normalizes_and_rejects_inexact_coefficients():
     assert p.terms[(0, 1, 0, 0)] == Fraction(1, 2)
     with pytest.raises(TypeError):
         Polynomial({e: 0.5})
+    with pytest.raises(TypeError):
+        Polynomial({e: 0.0})
+    assert Polynomial({e: 0, (0, 0, 0, 0): Fraction(0)}) == ZERO
+
+
+def test_constants_reject_floats():
+    # const goes through the constructor's check instead of storing the
+    # binary fraction of the float
+    for make in (Polynomial.const, RationalFunction.const, FieldElem.const):
+        with pytest.raises(TypeError):
+            make(0.1)
+    assert Polynomial.const(0) is ZERO
+    assert Polynomial.const(Fraction(0)) is ZERO
+    assert FieldElem.const(Fraction(6, 2)) == FieldElem.const(3)
 
 
 def test_constants_read_back_as_fractions():

@@ -1,14 +1,21 @@
 """Word rewriting over the extension field: canonical ordering, products,
-brackets, derivations, and the rewrite budget."""
+brackets, derivations, the rewrite budget, and the confluence certificate."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from confalg.conformal import build_algebra, mass_rule_residual
+from confalg.conformal import (
+    build_algebra,
+    letter_table,
+    mass_rule_residual,
+    momentum_rules,
+)
 from confalg.errors import RewriteBudgetExceeded
-from confalg.field import FE_ONE
-from confalg.nc import N_LETTERS, NCExpr, letter_name
+from confalg.field import FE_M, FE_ONE, FieldElem
+from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +92,14 @@ def test_bracket_examples(alg):
     assert alg.bracket(alg.J(0, 1), alg.momentum(1)) == -alg.momentum(0)
 
 
+def test_scalars_reject_floats(alg):
+    with pytest.raises(TypeError):
+        alg.scalar(0.5)
+    with pytest.raises(TypeError):
+        alg.D().scale(0.1)
+    assert alg.D().scale(Fraction(1, 2)) == alg.mul(alg.scalar(Fraction(1, 2)), alg.D())
+
+
 def test_dot_symmetrizes(alg):
     # dot(x, y) = (x*y + y*x)/2, so dot(D, P[0]) = P[0]*D + P[0]/2
     got = alg.dot(alg.D(), alg.momentum(0))
@@ -133,9 +148,9 @@ def test_bracket_jacobi(alg):
 # rewrite scheduling and fuel
 # ---------------------------------------------------------------------------
 
-def test_schedule_confluence():
+def test_schedule_confluence(random_schedule_algebra):
     # the normal form must not depend on the order rewrite opportunities are
-    # taken; a randomized schedule has to land on the same answer
+    # taken; a randomized, memo-less schedule has to land on the same answer
     def build_and_normalize(algebra):
         x = algebra.mul(
             algebra.mul(algebra.C(0), algebra.J(0, 1)),
@@ -145,17 +160,130 @@ def test_schedule_confluence():
 
     reference = build_and_normalize(build_algebra())
     for seed in (11, 12, 13):
-        shuffled = build_algebra(schedule_rng=random.Random(seed))
+        shuffled = random_schedule_algebra(seed)
         assert build_and_normalize(shuffled) == reference
+        # the schedule really was drawn, and nothing was memoized
+        assert shuffled.rng.getstate() != random.Random(seed).getstate()
+        assert not shuffled._word_memo and not shuffled._shift_memo
+    # the engine methods that the random schedule overrides still exist
+    assert {"_inversion", "_deriv_mono"} <= set(vars(Algebra))
 
 
 def test_rewrite_budget_enforced():
-    small = build_algebra(budget=10, check=False)
+    small = build_algebra()
+    small.budget = 10
     w = tuple(range(N_LETTERS - 1, -1, -1))
     with pytest.raises(RewriteBudgetExceeded):
         small.normalize(NCExpr(small, {w: FE_ONE}))
     # the aborted operation leaves no spent fuel behind: a one-swap word fits
     small.normalize(NCExpr(small, {(1, 0): FE_ONE}))
+
+
+# ---------------------------------------------------------------------------
+# confluence certificate
+# ---------------------------------------------------------------------------
+#
+# Every rule rewrites a word of length two: b*a -> a*b + (b, a) for letters
+# b > a; a*g -> g*a + (a, g) for a letter a and a coefficient generator g,
+# one of P[0..3] and M; and, inside the coefficient field, h*g -> g*h and
+# M*M -> Q. Rewriting terminates, so by Bergman's diamond lemma (Adv. Math.
+# 29, 1978) normal forms are unique once every overlap of two left-hand sides
+# is resolvable. _overlaps applies the two one-step reductions of each and
+# normal-orders both results with the engine; they must be equal. The rule
+# of a letter on a rational coefficient follows from the generators' rules
+# by the Leibniz rule, which the letter-coefficient-coefficient overlaps pin.
+
+_COEFF_GENS = (("P", 0), ("P", 1), ("P", 2), ("P", 3), ("M", None))
+
+
+def _gen_name(g):
+    return "M" if g[0] == "M" else f"P[{g[1]}]"
+
+
+def _gen_value(g):
+    return FE_M if g[0] == "M" else FieldElem.momentum(g[1])
+
+
+def _swapped(alg, b, a, before=(), after=()):
+    """before*b*a*after, b > a, with b*a rewritten once; words left unsorted."""
+    terms = {before + (a, b) + after: FE_ONE}
+    for mid, c in alg.letter_table[(b, a)].items():
+        terms[before + mid + after] = FieldElem.const(c)
+    return NCExpr(alg, terms)
+
+
+def _moved(alg, a, g):
+    """a*g with the letter a moved once past the coefficient generator g."""
+    if g[0] == "M":
+        rule = alg.mass_rules[a]
+    else:
+        rule = alg.momentum_rules[(a, g[1])]
+    return NCExpr(alg, {(a,): _gen_value(g)}) + NCExpr(alg, dict(rule))
+
+
+def _overlaps(alg):
+    """Yield (name, one side, other side) for every overlap ambiguity."""
+    down = range(N_LETTERS - 1, -1, -1)
+    for c, b, a in itertools.combinations(down, 3):
+        yield (
+            f"{letter_name(c)} {letter_name(b)} {letter_name(a)}",
+            alg.normalize(_swapped(alg, c, b, after=(a,))),
+            alg.normalize(_swapped(alg, b, a, before=(c,))),
+        )
+    for a, b in itertools.combinations(down, 2):
+        for g in _COEFF_GENS:
+            yield (
+                f"{letter_name(a)} {letter_name(b)} {_gen_name(g)}",
+                alg.mul(_swapped(alg, a, b), alg.scalar(_gen_value(g))),
+                alg.mul(alg.letter(a), _moved(alg, b, g)),
+            )
+    # every ordered pair: g*h -> h*g (g > h) and M*M -> Q are the true
+    # overlaps; the others pin the engine's Leibniz expansion of a*(g*h)
+    for a in range(N_LETTERS):
+        for g, h in itertools.product(_COEFF_GENS, repeat=2):
+            yield (
+                f"{letter_name(a)} {_gen_name(g)} {_gen_name(h)}",
+                alg.mul(_moved(alg, a, g), alg.scalar(_gen_value(h))),
+                alg.mul(alg.letter(a), alg.scalar(_gen_value(g) * _gen_value(h))),
+            )
+    for a in range(N_LETTERS):
+        yield f"{letter_name(a)} M^2 = Q", mass_rule_residual(alg, a), alg.zero()
+
+
+def test_overlaps_resolve():
+    alg = build_algebra()
+    names, unresolved = [], []
+    for name, x, y in _overlaps(alg):
+        names.append(name)
+        if x != y:
+            unresolved.append(name)
+    assert len(names) == 165 + 275 + 275 + N_LETTERS
+    assert len(set(names)) == len(names)
+    assert not unresolved
+
+
+def _perturbations():
+    """Every nonzero letter-table entry (a > b) and momentum rule, doubled."""
+    for (a, b), entry in letter_table().items():
+        if a > b and entry:
+            yield "letter", (a, b), {w: c * 2 for w, c in entry.items()}
+    for key, rule in momentum_rules().items():
+        if rule:
+            yield "momentum", key, {w: c * 2 for w, c in rule.items()}
+
+
+def test_overlaps_catch_each_perturbed_rule(alg):
+    # the certificate is not vacuous: doubling any single rule breaks it
+    kinds = [kind for kind, _, _ in _perturbations()]
+    assert (kinds.count("letter"), kinds.count("momentum")) == (28, 32)
+    missed = []
+    for kind, key, entry in _perturbations():
+        letters, momenta = letter_table(), momentum_rules()
+        (letters if kind == "letter" else momenta)[key] = entry
+        bad = Algebra(letters, momenta, alg.mass_rules)
+        if all(x == y for _, x, y in _overlaps(bad)):
+            missed.append((kind, key))
+    assert not missed
 
 
 # ---------------------------------------------------------------------------
