@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 usage or
 parse or configuration error, 3 engine error (rewrite budget exhausted,
-division by a non-invertible coefficient, or a failed self-check).
+division by a non-invertible coefficient, or a failed self-check), 141 the
+reader closed standard output early (as in `confalg list | head -1`), the
+code a shell gives a command killed by SIGPIPE; no traceback is printed.
 
 The rewrite budget defaults to 10^6 steps and can be set with --budget or
 the CONFALG_REWRITE_BUDGET environment variable; the flag wins when both
@@ -34,6 +36,7 @@ from .errors import (
 from .nc import DEFAULT_BUDGET, MIN_BUDGET
 
 BUDGET_ENV = "CONFALG_REWRITE_BUDGET"
+EXIT_BROKEN_PIPE = 141
 
 _PARSE_ERRORS = (
     DslSyntaxError,
@@ -224,7 +227,15 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed pipe shows on the write of buffered output, so flush here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"confalg: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,13 @@ stands to the left of its word and every word is sorted; moving a coefficient
 through a letter uses g*f = f*g + (g, f) where (g, f) is the registry
 derivation, and swapping adjacent letters uses the registry letter table.
 
-The bracket (x, y) is the commutator x*y - y*x of normalized products; with
-the scaling baked into the registry tables its structure constants are the
-rational ones of the operator algebra, so no imaginary unit ever appears.
+The bracket (x, y) is the commutator x*y - y*x, formed term by term: for
+terms f*u and g*w, (f*u, g*w) = f*g*(uw - wu) + f*R(u, g)*w - g*R(w, f)*u,
+where R(u, g) = u*g - g*u is what moving g through u adds. The word part
+uw - wu is memoized over the rationals, so the terms that cancel between
+x*y and y*x are never formed. With the scaling baked into the registry
+tables its structure constants are the rational ones of the operator
+algebra, so no imaginary unit ever appears.
 
 All rewriting is fueled: an Algebra counts steps per top-level operation and
 raises RewriteBudgetExceeded past its budget. Letter words close under the
@@ -180,6 +184,7 @@ class Algebra:
         self._deriv_memo = {}
         self._shift_memo = {}
         self._mono_memo = {}
+        self._comm_memo = {}
         self._steps = 0
 
     # ---- fuel ----
@@ -408,8 +413,54 @@ class Algebra:
         return (self.mul(x, y) + self.mul(y, x)).scale(half)
 
     def bracket(self, x, y):
-        """The scaled commutator; rational structure constants throughout."""
-        return self.mul(x, y) - self.mul(y, x)
+        """The scaled commutator x*y - y*x, formed term by term (see the
+        module docstring); one top-level operation, so one fuel reset."""
+        self._steps = 0
+        out = {}
+        for u, f in x.terms.items():
+            for w, g in y.terms.items():
+                comm = self._comm(u, w)
+                if comm:
+                    fg = f * g
+                    for z, c in comm.items():
+                        _acc(out, z, fg * c)
+                if u and not g.is_rational():
+                    self._acc_moved(out, f, u, g, w)
+                if w and not f.is_rational():
+                    self._acc_moved(out, -g, w, f, u)
+        return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
+
+    def _comm(self, u, w):
+        """uw - wu for sorted words u, w: {word: Fraction}, shared, read-only."""
+        if not u or not w:
+            return {}
+        key = (u, w)
+        hit = self._comm_memo.get(key)
+        if hit is not None:
+            return hit
+        out = dict(self._sort_word(u + w))
+        for z, c in self._sort_word(w + u).items():
+            s = out.get(z, 0) - c
+            if s:
+                out[z] = s
+            else:
+                out.pop(z, None)
+        self._comm_memo[key] = out
+        return out
+
+    def _acc_moved(self, out, f, u, g, w):
+        """Add f*R(u, g)*w to out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
+        for z, h in self._shift(u, g).items():
+            if z == u:
+                if h == g:
+                    continue
+                h = h - g
+            fh = f * h
+            if not w:
+                _acc(out, z, fh)
+            else:
+                for zw, c in self._sort_word(z + w).items():
+                    _acc(out, zw, fh * c)
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""

@@ -25,18 +25,21 @@ def run_cli():
     returns the ``CompletedProcess`` with text stdout and stderr. The
     child inherits this environment, with the package root prepended to
     ``PYTHONPATH``; no ``confalg`` script on PATH is needed. ``launcher``
-    replaces the ``-m confalg.cli`` interpreter arguments, and ``env`` is a
-    mapping merged over the inherited environment.
+    replaces the ``-m confalg.cli`` interpreter arguments, ``env`` is a
+    mapping merged over the inherited environment, and ``stdout`` (a file
+    descriptor) replaces the captured standard output.
     """
     base_env = dict(os.environ)
     base_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, base_env.get("PYTHONPATH")) if p
     )
 
-    def run(*argv, launcher=("-m", "confalg.cli"), env=None, timeout=600):
+    def run(*argv, launcher=("-m", "confalg.cli"), env=None, timeout=600,
+            stdout=subprocess.PIPE):
         return subprocess.run(
             (sys.executable, *launcher, *argv),
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             text=True,
             timeout=timeout,
             env={**base_env, **(env or {})},

@@ -1,6 +1,7 @@
 """Command-line contract: output bytes, exit codes, budget handling."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,14 @@ def test_run_reports_failure_with_exit_one(monkeypatch, capsys):
     assert "overall: FAIL" in out
 
 
+def test_run_canonical_within_min_budget(run_cli):
+    # each bracket is one fuelled operation; the heaviest of the canonical
+    # suite still fits the smallest budget the command line accepts
+    r = run_cli("run", "--suite", "canonical", "--budget", "1000")
+    assert r.returncode == 0, r.stderr
+    assert "overall: pass" in r.stdout
+
+
 # ---------------------------------------------------------------------------
 # list command
 # ---------------------------------------------------------------------------
@@ -193,3 +202,18 @@ def test_json_bytes_identical_across_processes(run_cli):
     b = run_cli(*argv, env={"PYTHONHASHSEED": "2"})
     assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
     assert a.stdout == b.stdout
+
+
+def test_closed_stdout_pipe_is_no_failure(run_cli):
+    # the reader of the pipe is gone before the first line is written, as
+    # when `head -1` has exited: the first write fails, whether it happens
+    # mid-command (list overflows the buffer) or at the final flush (run)
+    for argv in (("list",), ("run", "--suite", "structure", "--format", "json")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = run_cli(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 141, (argv, r.stderr)
+        assert r.stderr == "", argv

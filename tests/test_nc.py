@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from confalg.conformal import (
+    GENERATORS,
     build_algebra,
+    gen_expr,
     letter_table,
     mass_rule_residual,
     momentum_rules,
@@ -16,6 +18,7 @@ from confalg.conformal import (
 from confalg.errors import RewriteBudgetExceeded
 from confalg.field import FE_M, FE_ONE, FieldElem
 from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name
+from confalg.observables import Observables
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,104 @@ def test_bracket_jacobi(alg):
 
 
 # ---------------------------------------------------------------------------
+# the direct bracket against the two products it replaced
+# ---------------------------------------------------------------------------
+
+def _commutator(alg, x, y):
+    """x*y - y*x from two full products: the slow path, kept as a reference."""
+    return alg.mul(x, y) - alg.mul(y, x)
+
+
+def _roster(alg):
+    """The generators, the mass, and the observables at a few indices."""
+    obs = Observables(alg)
+    return (
+        [gen_expr(alg, g) for g in GENERATORS]
+        + [alg.mass(), obs.X(2), obs.S(1), obs.sigma(1), obs.xi(2)]
+        + [obs.tau(), obs.V(3)]
+    )
+
+
+def _rand_tree(alg, pool, rng, depth=3):
+    """A random sum/product tree over the pool, scaled leaves included."""
+    if depth == 0 or rng.random() < 0.35:
+        e = pool[rng.randrange(len(pool))]
+        if rng.random() < 0.3:
+            e = e.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return e
+    x = _rand_tree(alg, pool, rng, depth - 1)
+    y = _rand_tree(alg, pool, rng, depth - 1)
+    return alg.mul(x, y) if rng.random() < 0.55 else x + y
+
+
+def test_bracket_matches_products_on_roster(alg):
+    roster = _roster(alg)
+    assert len(roster) == 22
+    mismatched = [
+        (i, j)
+        for i, x in enumerate(roster)
+        for j, y in enumerate(roster)
+        if alg.bracket(x, y) != _commutator(alg, x, y)
+    ]
+    assert not mismatched
+
+
+def test_bracket_matches_products_on_random_pool(random_schedule_algebra):
+    # the memo-less algebra runs the direct bracket without its commutator
+    # memo; depth-3 trees have a heavy tail (one 9 x 49-term pair takes 6 s
+    # each way), so pairs of more than 40 term pairs are left out
+    for algebra, count in ((build_algebra(), 60), (random_schedule_algebra(5), 20)):
+        rng = random.Random(20261018)
+        pool = [
+            algebra.D(), algebra.J(0, 1), algebra.J(1, 3), algebra.J(2, 3),
+            algebra.C(0), algebra.C(2), algebra.momentum(1),
+            algebra.momentum(3), algebra.mass(),
+        ]
+        compared = 0
+        for k in range(count):
+            x = _rand_tree(algebra, pool, rng)
+            y = _rand_tree(algebra, pool, rng)
+            if len(x.terms) * len(y.terms) > 40:
+                continue
+            assert algebra.bracket(x, y) == _commutator(algebra, x, y), k
+            compared += 1
+        assert compared >= count * 3 // 4
+    assert not algebra._comm_memo
+
+
+def test_bracket_edge_operands(alg):
+    p0, p1 = FieldElem.momentum(0), FieldElem.momentum(1)
+    word = alg.mul(alg.C(0), alg.J(1, 2))
+    cases = [
+        (alg.zero(), alg.zero()),
+        (alg.zero(), word),
+        # a pure scalar against a word: the empty word on the left
+        (alg.scalar(p1 * (p0 + FE_M).inv()), word),
+        (alg.scalar(Fraction(3, 2)), word),
+        # a rational multiple of a word against a momentum
+        (alg.C(1).scale(Fraction(-2, 3)), alg.momentum(1)),
+        (word, word),
+    ]
+    for x, y in cases:
+        for a, b in ((x, y), (y, x)):
+            assert alg.bracket(a, b) == _commutator(alg, a, b), (a, b)
+    assert alg.bracket(alg.zero(), word).is_zero()
+    assert alg.bracket(alg.scalar(Fraction(3, 2)), word).is_zero()
+
+
+def test_bracket_cold_and_warm_agree(alg):
+    # warm: the module algebra after the tests above; cold: a fresh build
+    warm = _roster(alg)
+    cold_alg = build_algebra()
+    cold = _roster(cold_alg)
+    # (X[2], Xi[2]), (Tau, S[1]), (P[2], V[3]), (C[3], Sigma[1])
+    for i, j in ((16, 19), (20, 17), (2, 21), (14, 18)):
+        got = cold_alg.bracket(cold[i], cold[j])
+        assert got == alg.bracket(warm[i], warm[j]), (i, j)
+        assert got == _commutator(alg, warm[i], warm[j]), (i, j)
+
+
+# ---------------------------------------------------------------------------
 # rewrite scheduling and fuel
 # ---------------------------------------------------------------------------
 
@@ -177,6 +278,32 @@ def test_rewrite_budget_enforced():
         small.normalize(NCExpr(small, {w: FE_ONE}))
     # the aborted operation leaves no spent fuel behind: a one-swap word fits
     small.normalize(NCExpr(small, {(1, 0): FE_ONE}))
+
+
+def test_bracket_is_one_fuelled_operation():
+    p0, p1, p2 = (FieldElem.momentum(mu) for mu in range(3))
+    # both operands carry a word and a non-rational coefficient, so both
+    # coefficients are moved through the other operand's word
+    x_src = lambda a: a.mul(a.scalar(p1 * p0.inv()), a.C(0))
+    y_src = lambda a: a.mul(a.scalar(p2 * (p0 + FE_M).inv()), a.J(0, 1))
+    # every step of a bracket counts against one budget: no reset midway
+    counted = build_algebra()
+    x, y = x_src(counted), y_src(counted)
+    ticks = []
+    tick = counted._tick
+    counted._tick = lambda: (ticks.append(1), tick())
+    counted.bracket(x, y)
+    assert counted._steps == len(ticks) > 10
+    small = build_algebra()
+    x, y = x_src(small), y_src(small)
+    small.budget = 10
+    with pytest.raises(
+        RewriteBudgetExceeded,
+        match=r"^normalization exceeded the rewrite budget of 10 steps$",
+    ):
+        small.bracket(x, y)
+    # the next operation starts with a full budget: a one-swap bracket fits
+    assert small.bracket(small.C(0), small.D()) == small.C(0)
 
 
 # ---------------------------------------------------------------------------
