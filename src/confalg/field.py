@@ -13,19 +13,42 @@ power above one. Inversion uses the conjugate: (a + b*M)^-1 =
 Q is not a square in the rational-function field, but the degenerate branch is
 still reported as NotInvertible rather than silently misbehaving.
 
-Canonical form: RationalFunction stores a gcd-reduced numerator/denominator
+Canonical form: RationalFunction stores a reduced numerator/denominator
 pair with integer coefficients, coprime contents, and a positive-leading
 denominator under graded lex, so equal values compare equal structurally.
 All types are immutable and hashable.
+
+Factored denominators: beside den, a RationalFunction keeps its factor list
+(m, {f: e}), den = m * prod f^e, over pairwise coprime primitive
+positive-leading factors. An operation builds its result's list from its
+operands' lists: a product adds exponents, a sum takes the largest ones and
+multiplies each numerator by the expanded cofactor. Reducing a numerator
+against its denominator is then trial division by the few factors that can
+divide it. A factor is either a certified prime, proved irreducible by
+poly.certify_or_split and kept in _PRIMES for the whole process, or
+uncertified; only an uncertified factor is ever passed to poly_gcd, and only
+together with the numerator or the factors it meets in one operation (factor
+refinement: Bach, Driscoll & Shallit, J. Algorithms 15, 1993). A new
+denominator, from the constructor or inv, is admitted by trial division by
+the certified primes, and its cofactor is certified or split.
 """
 
 import math
 from fractions import Fraction
+from operator import ge
 
 from .errors import DivisionByZero, NotInvertible
-from .poly import Polynomial, exact_div, integer_content, poly_gcd
+from .poly import (
+    NVARS,
+    Polynomial,
+    certify_or_split,
+    exact_div,
+    integer_content,
+    poly_gcd,
+)
 
 _POLY_ONE = Polynomial.one()
+_POLY_ZERO = Polynomial.zero()
 
 #: the square of the mass symbol, P[0]^2 - P[1]^2 - P[2]^2 - P[3]^2
 Q_POLY = (
@@ -34,6 +57,17 @@ Q_POLY = (
     - Polynomial.var(2) * Polynomial.var(2)
     - Polynomial.var(3) * Polynomial.var(3)
 )
+
+#: certified prime factor -> its probe (see _probe)
+_PRIMES = {}
+#: frozenset of (factor, exponent) pairs -> the expanded product
+_PRODUCTS = {}
+#: _PRODUCTS is emptied when it reaches this many entries
+_PRODUCTS_CAP = 4096
+#: the integer point of the probe; far apart values, so that no short linear
+#: form with small coefficients vanishes there
+_POINT = (113, 1013, 10007, 100003)
+_UNIT = (1, {})
 
 
 def _canon(num, den):
@@ -64,30 +98,284 @@ def _canon(num, den):
     return num, den
 
 
+# ---- factor lists ----
+
+def _probe(p):
+    """(degree in each symbol, value at _POINT) of a nonzero integer polynomial.
+
+    A factor f can divide p only if no degree of f exceeds that of p and,
+    by Gauss's lemma, f(pt) divides p(pt) (the quotient has integer
+    coefficients).
+    """
+    x0, x1, x2, x3 = _POINT
+    val = sum(
+        c * x0**e0 * x1**e1 * x2**e2 * x3**e3
+        for (e0, e1, e2, e3), c in p.terms.items()
+    )
+    return tuple(map(max, zip(*p.terms))), val
+
+
+def _trial_divide(p, probe, f, fprobe, limit):
+    """(k, p / f^k, its probe) for the largest k <= limit with f^k | p."""
+    k = 0
+    degs, val = probe
+    fdegs, fval = fprobe
+    while (
+        k < limit
+        and (val % fval == 0 if fval else val == 0)
+        and all(map(ge, degs, fdegs))
+    ):
+        q = exact_div(p, f)
+        if q is None:
+            break
+        p, k = q, k + 1
+        degs = tuple(a - b for a, b in zip(degs, fdegs))
+        val = val // fval if fval else _probe(p)[1]
+    return k, p, (degs, val)
+
+
+def _multiplicity(p, f):
+    """Largest k with f^k | p."""
+    k = 0
+    while (p := exact_div(p, f)) is not None:
+        k += 1
+    return k
+
+
+def _pieces(p):
+    """{piece: exponent}: pairwise coprime pieces, prod piece^exponent = p.
+
+    certify_or_split(p), with its certified primes entered in _PRIMES and
+    each other piece that has a repeated factor (a common factor with its
+    derivative) refined along it.
+    """
+    out = {}
+    for piece, prime in certify_or_split(p):
+        if prime:
+            _PRIMES[piece] = _probe(piece)
+            out[piece] = 1
+            continue
+        v = next(v for v in range(NVARS) if piece.degree_in(v))
+        g = poly_gcd(piece, piece.derivative(v))
+        if g.is_const():
+            out[piece] = 1
+            continue
+        for b in _coprime_base(_pieces(g), [exact_div(piece, g)]):
+            out[b] = _multiplicity(piece, b)
+    return out
+
+
+def _factor(d):
+    """Factor list {f: e} of a non-constant primitive positive-leading d.
+
+    The certified primes are trial-divided out first; the cofactor is
+    certified or split (_pieces), and its pieces are coprime to each other
+    and to those primes.
+    """
+    out = {}
+    probe = _probe(d)
+    val = probe[1]
+    # the value test alone, in one pass, narrows the many primes a long
+    # run can collect to the few worth a trial division
+    for f in [f for f, (_, fv) in _PRIMES.items() if (val % fv if fv else val) == 0]:
+        k, d, probe = _trial_divide(d, probe, f, _PRIMES[f], math.inf)
+        if k:
+            out[f] = k
+            if d.is_const():
+                return out
+    out.update(_pieces(d))
+    return out
+
+
+def _common_factor(f, g):
+    """A non-constant common factor of two distinct factors, or None."""
+    if f in _PRIMES:
+        if g in _PRIMES or exact_div(g, f) is None:
+            return None
+        return f
+    if g in _PRIMES:
+        return g if exact_div(f, g) is not None else None
+    h = poly_gcd(f, g)
+    return None if h.is_const() else h
+
+
+def _coprime_base(base, polys):
+    """Factor refinement: a pairwise coprime list of which each member of
+    base (already pairwise coprime) and of polys is a product of powers.
+
+    Two members with a common factor g are replaced by g and their
+    cofactors until no two share one; the total degree falls with every
+    replacement. A member of polys that meets no common factor joins as it
+    is; a piece made here is certified or split before it joins.
+    """
+    base = list(base)
+    todo = [(f, False) for f in polys]
+    while todo:
+        f, fresh = todo.pop()
+        for i, b in enumerate(base):
+            if b == f:
+                break
+            g = _common_factor(f, b)
+            if g is not None:
+                del base[i]
+                todo += [
+                    (x, True)
+                    for x in (g, exact_div(b, g), exact_div(f, g))
+                    if not x.is_const()
+                ]
+                break
+        else:
+            base += _pieces(f) if fresh and f not in _PRIMES else [f]
+    return base
+
+
+def _common_base(F1, F2):
+    """Two factor lists rewritten over one coprime base.
+
+    Certified primes are equal or coprime, and the factors within one list
+    are coprime, so the lists are returned as they are unless an
+    uncertified factor of one is missing from the other.
+    """
+    if all(f in _PRIMES or f in F2 for f in F1) and all(
+        f in _PRIMES or f in F1 for f in F2
+    ):
+        return F1, F2
+    base = _coprime_base(F1, F2)
+    return tuple(
+        {
+            b: k
+            for b in base
+            if (k := sum(e * _multiplicity(f, b) for f, e in F.items()))
+        }
+        for F in (F1, F2)
+    )
+
+
+def _lcm(F1, F2):
+    """(L, L / F1, L / F2) for two factor lists over one coprime base."""
+    L = dict(F1)
+    for f, e in F2.items():
+        if e > L.get(f, 0):
+            L[f] = e
+    cof1 = {f: e - F1.get(f, 0) for f, e in L.items() if e > F1.get(f, 0)}
+    cof2 = {f: e - F2.get(f, 0) for f, e in L.items() if e > F2.get(f, 0)}
+    return L, cof1, cof2
+
+
+def _expand(F):
+    """prod f^e over a factor list, cached."""
+    if not F:
+        return _POLY_ONE
+    key = frozenset(F.items())
+    p = _PRODUCTS.get(key)
+    if p is None:
+        p = _POLY_ONE
+        for f, e in F.items():
+            p = p * f**e
+        if len(_PRODUCTS) >= _PRODUCTS_CAP:
+            _PRODUCTS.clear()
+        _PRODUCTS[key] = p
+    return p
+
+
+def _scaled(p, k, F):
+    """p * k * prod f^e over F."""
+    p = p * k
+    return p * _expand(F) if F else p
+
+
+def _cancel(num, F, cands):
+    """num divided by the largest divisor of prod f^F[f], f in cands.
+
+    F, owned by the caller, keeps the exponents left. Each factor is
+    trial-divided once the probe allows it. Only an uncertified factor can
+    still share a proper part with what is left of num; a gcd finds that
+    part, and the factor is refined along it in F.
+    """
+    probe = None
+    todo = list(cands)
+    while todo:
+        f = todo.pop()
+        e = F.get(f)
+        if not e:
+            continue
+        if probe is None:
+            probe = _probe(num)
+        fprobe = _PRIMES.get(f)
+        certified = fprobe is not None
+        k, num, probe = _trial_divide(num, probe, f, fprobe or _probe(f), e)
+        if k == e:
+            del F[f]
+            continue
+        F[f] = e - k
+        if certified:
+            continue
+        g = poly_gcd(num, f)
+        if g.is_const():
+            continue
+        del F[f]
+        for b in _coprime_base(_pieces(g), [f]):
+            F[b] = (e - k) * _multiplicity(f, b)
+            todo.append(b)
+    return num
+
+
+def _lowest_terms(num, m, F):
+    """(num, den, factor list) of num / (m * prod f^e over F).
+
+    num must be coprime to every factor of F; this only makes the integer
+    contents of numerator and denominator coprime.
+    """
+    if num.is_zero():
+        return _POLY_ZERO, _POLY_ONE, _UNIT
+    cn = integer_content(num)
+    if type(cn) is int:
+        g = math.gcd(cn, m)
+    else:
+        g = Fraction(math.gcd(cn.numerator, m), cn.denominator)
+    if g != 1:
+        num = num * (1 / Fraction(g))
+        m = int(m / Fraction(g))
+    den = _expand(F)
+    return num, den * m if m != 1 else den, (m, F)
+
+
+def _den_factors(den):
+    """The factor list (m, {f: e}) of a positive-leading integer den."""
+    m = integer_content(den)
+    return m, {} if den.is_const() else _factor(den * Fraction(1, m))
+
+
+def _admit(num, den):
+    """(num, den, factor list) of the reduced quotient of two polynomials."""
+    num, den = _canon(num, den)
+    m, F = _den_factors(den)
+    if not F:
+        return num, den, (m, F)
+    return _lowest_terms(_cancel(num, F, list(F)), m, F)
+
+
 class RationalFunction:
     """Reduced quotient of two momentum polynomials."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_fac", "_hash")
 
-    def __init__(self, num, den, _reduced=False):
+    def __init__(self, num, den, _reduced=False, _fac=None):
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if not _reduced:
-            if num.is_zero():
-                den = Polynomial.one()
-            elif not den.is_const():
-                q = exact_div(num, den)
-                if q is not None:
-                    num, den = q, Polynomial.one()
-                else:
-                    g = poly_gcd(num, den)
-                    if not g.is_const():
-                        num = exact_div(num, g)
-                        den = exact_div(den, g)
-            num, den = _canon(num, den)
+        if _fac is None and not _reduced:
+            num, den, _fac = _admit(num, den)
         self.num = num
         self.den = den
+        # the factor list (m, {f: e}); None until first asked for when the
+        # caller passed a reduced pair without it
+        self._fac = _fac
         self._hash = None
+
+    def _factors(self):
+        if self._fac is None:
+            self._fac = _den_factors(self.den)
+        return self._fac
 
     @classmethod
     def from_poly(cls, p):
@@ -115,46 +403,45 @@ class RationalFunction:
             return other
         if other.num.is_zero():
             return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.is_const():
-            num = self.num * other.den + other.num * self.den
-            return RationalFunction(num, self.den * other.den)
-        d1 = exact_div(self.den, g)
-        d2 = exact_div(other.den, g)
-        num = self.num * d2 + other.num * d1
-        return RationalFunction(num, self.den * d2)
+        (m1, F1), (m2, F2) = self._factors(), other._factors()
+        F1, F2 = _common_base(F1, F2)
+        m = math.lcm(m1, m2)
+        L, cof1, cof2 = _lcm(F1, F2)
+        num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, m // m2, cof2)
+        if num.is_zero():
+            return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+        # a factor with unequal exponents in the two terms divides just one
+        # of them, and neither numerator, so only the others can cancel
+        num = _cancel(num, L, [f for f, e in L.items() if F1.get(f) == F2.get(f)])
+        num, den, fac = _lowest_terms(num, m, L)
+        return RationalFunction(num, den, _fac=fac)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
+        return RationalFunction(-self.num, self.den, _reduced=True, _fac=self._fac)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RF_ZERO
-            num, den = _canon(self.num * other, self.den)
-            return RationalFunction(num, den, _reduced=True)
+            m, F = self._factors()
+            num, den, fac = _lowest_terms(self.num * other, m, F)
+            return RationalFunction(num, den, _fac=fac)
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO
-        # cross-cancellation keeps every gcd call small and leaves the
-        # result fully reduced (the inputs are reduced, so the surviving
-        # factors are pairwise coprime)
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        g1 = poly_gcd(a, d)
-        if not g1.is_const():
-            a = exact_div(a, g1)
-            d = exact_div(d, g1)
-        g2 = poly_gcd(c, b)
-        if not g2.is_const():
-            c = exact_div(c, g2)
-            b = exact_div(b, g2)
-        num, den = _canon(a * c, b * d)
-        return RationalFunction(num, den, _reduced=True)
+        # cross-cancellation: each numerator is coprime to its own
+        # denominator, so it can only share factors the other one brings
+        (m1, F1), (m2, F2) = self._factors(), other._factors()
+        F1, F2 = _common_base(F1, F2)
+        F = dict(F1)
+        for f, e in F2.items():
+            F[f] = F.get(f, 0) + e
+        a = _cancel(self.num, F, [f for f in F2 if f not in F1])
+        c = _cancel(other.num, F, [f for f in F1 if f not in F2])
+        num, den, fac = _lowest_terms(a * c, m1 * m2, F)
+        return RationalFunction(num, den, _fac=fac)
 
     __rmul__ = __mul__
 
@@ -162,7 +449,7 @@ class RationalFunction:
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
         num, den = _canon(self.den, self.num)
-        return RationalFunction(num, den, _reduced=True)
+        return RationalFunction(num, den, _fac=_den_factors(den))
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -308,15 +595,16 @@ class FieldElem:
 
     def as_quotient(self):
         """(A, B, d) with the element equal to (A + B*M)/d over one denominator."""
-        ad, bd = self.a.den, self.b.den
-        if ad == bd:
-            return self.a.num, self.b.num, ad
-        g = poly_gcd(ad, bd)
-        if g.is_const():
-            return self.a.num * bd, self.b.num * ad, ad * bd
-        bd_r = exact_div(bd, g)
-        ad_r = exact_div(ad, g)
-        return self.a.num * bd_r, self.b.num * ad_r, ad * bd_r
+        a, b = self.a, self.b
+        if a.den == b.den:
+            return a.num, b.num, a.den
+        (ma, Fa), (mb, Fb) = a._factors(), b._factors()
+        L, cofa, cofb = _lcm(*_common_base(Fa, Fb))
+        return (
+            _scaled(a.num, mb, cofa),
+            _scaled(b.num, ma, cofb),
+            _scaled(_POLY_ONE, ma * mb, L),
+        )
 
     def pretty(self):
         if self.b.is_zero():

@@ -463,7 +463,19 @@ def _coprime_by_specialization(F, G, v):
     return False
 
 
-_GCD_MEMO = {}
+def _coprime(f, g):
+    """True when integer polynomials f, g are provably coprime.
+
+    A common divisor of nonzero f and g has positive degree in some symbol
+    that both contain; _coprime_by_specialization rules that out symbol by
+    symbol, with no content split (a content factor free of v has degree 0
+    in v anyway).
+    """
+    return bool(f.terms and g.terms) and all(
+        _coprime_by_specialization(_to_univar(f, v), _to_univar(g, v), v)
+        for v in range(NVARS)
+        if f.degree_in(v) > 0 and g.degree_in(v) > 0
+    )
 
 
 def _monomial_gcd(f, g):
@@ -480,22 +492,13 @@ def _gcd_inner(f, g):
     the univariate coefficient lists, run the Euclidean loop on
     pseudo-remainders, dividing each one by the factor the subresultant
     theory guarantees (so the loop itself never computes a content).
-    Results are memoized globally; the same denominators show up over and
-    over once coefficient fields get rationalized.
     """
     if f.is_zero():
         return _positive_leading(g)
     if g.is_zero():
         return _positive_leading(f)
-    key = (f, g)
-    hit = _GCD_MEMO.get(key)
-    if hit is not None:
-        return hit
     if len(f.terms) == 1 or len(g.terms) == 1:
-        out = _monomial_gcd(f, g)
-        _GCD_MEMO[key] = out
-        _GCD_MEMO[(g, f)] = out
-        return out
+        return _monomial_gcd(f, g)
     # both inputs have two or more terms, so some symbol occurs
     v = next(v for v in range(NVARS) if f.degree_in(v) > 0 or g.degree_in(v) > 0)
     F = _to_univar(f, v)
@@ -506,8 +509,6 @@ def _gcd_inner(f, g):
     ppG = G if cg == _P_ONE else [exact_div(c, cg) for c in G]
     c = _gcd_inner(cf, cg)
     if _coprime_by_specialization(ppF, ppG, v):
-        _GCD_MEMO[key] = c
-        _GCD_MEMO[(g, f)] = c
         return c
     A, B = (ppF, ppG) if len(ppF) >= len(ppG) else (ppG, ppF)
     gk = _P_ONE
@@ -536,10 +537,7 @@ def _gcd_inner(f, g):
     if cA != _P_ONE:
         A = [exact_div(x, cA) for x in A]
     gcd_pp = _from_univar(A, v)
-    out = _positive_leading(_int_primitive(gcd_pp) * c)
-    _GCD_MEMO[key] = out
-    _GCD_MEMO[(g, f)] = out
-    return out
+    return _positive_leading(_int_primitive(gcd_pp) * c)
 
 
 def poly_gcd(f, g):
@@ -552,5 +550,47 @@ def poly_gcd(f, g):
         return _P_ZERO
     fi = _int_primitive(f)
     gi = _int_primitive(g)
+    if _coprime(fi, gi):
+        return _P_ONE
     out = _gcd_inner(fi, gi)
     return _positive_leading(_int_primitive(out))
+
+
+def certify_or_split(p):
+    """Pieces of a non-constant primitive positive-leading integer polynomial.
+
+    Returns [(piece, prime), ...]: pairwise coprime primitive positive-leading
+    pieces whose product is p, prime being True when the piece is proved
+    irreducible. A piece is split along its content in each symbol; content
+    and primitive part are coprime, because a common factor would divide the
+    primitive part's content. With unit content in v, a piece of degree 1 in
+    v is prime, since a factor free of v would divide that content. So is a
+    piece a*v^2 + b*v + c whose discriminant b^2 - 4ac is not a square at
+    some integer point: a split (r*v + s)(t*v + u) makes the discriminant
+    (r*u - s*t)^2 identically. Any other piece comes back with prime False,
+    whether or not it is irreducible.
+    """
+    for v in range(NVARS):
+        deg = p.degree_in(v)
+        if not deg:
+            continue
+        coeffs = _to_univar(p, v)
+        # two coprime coefficients prove a unit content without a gcd
+        short = sorted((x for x in coeffs if x.terms), key=lambda x: len(x.terms))
+        if len(short) < 2 or not _coprime(short[0], short[1]):
+            c = _content_of_list(short)
+            if not c.is_const():
+                return certify_or_split(c) + certify_or_split(exact_div(p, c))
+        if deg == 1 or deg == 2 and any(
+            not _is_square(b * b - 4 * a * c0)
+            for c0, b, a in (
+                [_eval_coeff(x, v, point) for x in coeffs]
+                for point in _SPECIALIZE_POINTS
+            )
+        ):
+            return [(p, True)]
+    return [(p, False)]
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n

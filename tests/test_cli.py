@@ -121,6 +121,17 @@ def test_run_canonical_within_min_budget(run_cli):
     assert "overall: pass" in r.stdout
 
 
+def test_run_position_spin_alone_within_min_budget(run_cli):
+    # run alone, with cold memos, this identity has the catalogue's largest
+    # per-operation peak (949 steps), above the 855 steps of the warm run
+    # the suite-level test above covers
+    r = run_cli(
+        "run", "--identity", "canonical-position-spin", "--budget", "1000"
+    )
+    assert r.returncode == 0, r.stderr
+    assert "overall: pass" in r.stdout
+
+
 # ---------------------------------------------------------------------------
 # list command
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: polynomials, reduced rational functions,
 and the quadratic extension by the mass symbol."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,13 @@ from confalg.field import (
     FieldElem,
     RationalFunction,
 )
-from confalg.poly import Polynomial, exact_div, integer_content, poly_gcd
+from confalg.poly import (
+    Polynomial,
+    certify_or_split,
+    exact_div,
+    integer_content,
+    poly_gcd,
+)
 
 P0 = Polynomial.var(0)
 P1 = Polynomial.var(1)
@@ -400,3 +407,252 @@ def test_constants_read_back_as_fractions():
     assert type(RationalFunction.const(3).as_const()) is Fraction
     assert RationalFunction(ONE * 3, ONE * 6).as_const() == Fraction(1, 2)
     assert type(FieldElem.const(4).as_fraction()) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# factored denominators against the gcd-based arithmetic they replace
+# ---------------------------------------------------------------------------
+
+def _ref_canon(num, den):
+    """Integer parts with coprime contents, positive-leading denominator."""
+    if num.is_zero():
+        return ZERO, ONE
+    cn, cd = integer_content(num), integer_content(den)
+    g = Fraction(
+        math.gcd(Fraction(cn).numerator, Fraction(cd).numerator),
+        math.lcm(Fraction(cn).denominator, Fraction(cd).denominator),
+    )
+    if den.leading()[1] < 0:
+        g = -g
+    return num * (1 / g), den * (1 / g)
+
+
+def _ref_new(num, den):
+    """RationalFunction(num, den) as the gcd-based field reduced it (test-only)."""
+    if num.is_zero():
+        return ZERO, ONE
+    if not den.is_const():
+        q = exact_div(num, den)
+        if q is not None:
+            num, den = q, ONE
+        else:
+            g = poly_gcd(num, den)
+            if not g.is_const():
+                num, den = exact_div(num, g), exact_div(den, g)
+    return _ref_canon(num, den)
+
+
+def _ref_add(x, y):
+    (a, b), (c, d) = x, y
+    if a.is_zero():
+        return y
+    if c.is_zero():
+        return x
+    if b == d:
+        return _ref_new(a + c, b)
+    g = poly_gcd(b, d)
+    d1, d2 = exact_div(b, g), exact_div(d, g)
+    return _ref_new(a * d2 + c * d1, b * d2)
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    if a.is_zero() or c.is_zero():
+        return ZERO, ONE
+    g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
+    a, d = exact_div(a, g1), exact_div(d, g1)
+    c, b = exact_div(c, g2), exact_div(b, g2)
+    return _ref_canon(a * c, b * d)
+
+
+def _ref_inv(x):
+    return _ref_canon(x[1], x[0])
+
+
+def _ref_as_quotient(x, y):
+    """The common-denominator form (A, B, d) of x + y*M."""
+    (a, ad), (b, bd) = x, y
+    if ad == bd:
+        return a, b, ad
+    g = poly_gcd(ad, bd)
+    bd_r, ad_r = exact_div(bd, g), exact_div(ad, g)
+    return a * bd_r, b * ad_r, ad * bd_r
+
+
+def _parts(r):
+    return r.num, r.den
+
+
+def _lin(*coeffs):
+    """c0*P0 + c1*P1 + c2*P2 + c3*P3 + c4."""
+    return Polynomial(
+        {e: c for e, c in zip(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                               (0, 0, 0, 1), (0, 0, 0, 0)), coeffs) if c}
+    )
+
+
+S_POLY = P1 * P1 + P2 * P2 + P3 * P3
+
+# forms no other test uses, so that the first thing that meets them below is
+# a product: each pair is admitted as one composite denominator
+_FRESH_SPLIT = (_lin(3, 0, 5, 0, -7), _lin(0, 7, 0, -2, 11))
+# two forms in the same two symbols: no content split separates them, and
+# their product has a square discriminant, so it stays uncertified
+_FRESH_SHARED = (_lin(1, 2, 0, 0, 13), _lin(3, -1, 0, 0, 17))
+# cubic in both symbols they contain: no certificate covers them
+_FRESH_CUBIC = (
+    P0 ** 3 + P1 ** 3 + ONE * 2,
+    P0 ** 3 - P1 ** 3 + P1 * 5 + ONE * 3,
+)
+
+
+def test_factored_arithmetic_matches_gcd_reference():
+    from confalg import field
+
+    for f in (*_FRESH_SPLIT, *_FRESH_SHARED, *_FRESH_CUBIC):
+        assert f not in field._PRIMES
+    split = RationalFunction(P2, _FRESH_SPLIT[0] * _FRESH_SPLIT[1] * 6)
+    assert split.den == _FRESH_SPLIT[0] * _FRESH_SPLIT[1] * 6
+    assert all(f in field._PRIMES for f in _FRESH_SPLIT)
+    shared = _FRESH_SHARED[0] * _FRESH_SHARED[1]
+    cubic = _FRESH_CUBIC[0] * _FRESH_CUBIC[1]
+    for composite in (shared, cubic):
+        x = RationalFunction(P3, composite)
+        assert composite in x._factors()[1]
+        assert composite not in field._PRIMES
+
+    # a numerator that holds one form of an uncertified product refines it:
+    # in a product, into two certified primes here
+    x = RationalFunction(P3, shared) * RationalFunction.from_poly(_FRESH_SHARED[0])
+    assert _parts(x) == (P3, _FRESH_SHARED[1])
+    assert all(f in field._PRIMES for f in _FRESH_SHARED)
+    # and in a sum, where both terms carry the product with one exponent;
+    # the cubics stay uncertified
+    y = RationalFunction(P3, cubic) + RationalFunction(_FRESH_CUBIC[0] - P3, cubic)
+    assert _parts(y) == (ONE, _FRESH_CUBIC[1])
+    assert y._factors()[1] == {_FRESH_CUBIC[1]: 1}
+    y = RationalFunction(ONE, cubic) * RationalFunction.from_poly(_FRESH_CUBIC[1])
+    assert _parts(y) == (ONE, _FRESH_CUBIC[0])
+    assert not any(f in field._PRIMES for f in _FRESH_CUBIC)
+    # one operand has the uncertified product, the other one of its factors:
+    # the two lists are refined onto one base first
+    x, c0 = (P3, cubic), (ONE, _FRESH_CUBIC[0])
+    rx, rc0 = RationalFunction(*x), RationalFunction(*c0)
+    assert _parts(rx + rc0) == _ref_add(x, c0)
+    assert _parts(rx * rc0.inv()) == _ref_mul(x, _ref_inv(c0))
+    assert FieldElem(rx, rc0).as_quotient() == _ref_as_quotient(x, c0)
+
+    atoms = (
+        P0, P1, P2, P3, Q_POLY, S_POLY, P0 + P1, P0 - P3, _lin(2, 0, -1, 0, 1),
+        *_FRESH_SPLIT, *_FRESH_SHARED, *_FRESH_CUBIC, shared, cubic,
+    )
+    rng = random.Random(20261019)
+
+    def rand_den():
+        d = ONE * rng.randint(1, 3)
+        for _ in range(rng.randint(0, 3)):
+            atom = atoms[rng.randrange(len(atoms))]
+            d = d * atom ** (rng.randint(1, 2) if atom.total_degree() == 1 else 1)
+        return d
+
+    def rand_num():
+        # sometimes a multiple of a denominator atom, so that it cancels
+        p = _rand_poly(rng, max_terms=2)
+        if rng.random() < 0.4:
+            p = (p + ONE) * atoms[rng.randrange(len(atoms))]
+        return p
+
+    def rand_pair():
+        num, den = rand_num(), rand_den()
+        return RationalFunction(num, den), _ref_new(num, den)
+
+    pool = [rand_pair() for _ in range(12)]
+    for _ in range(300):
+        (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(5)
+        if op == 0:
+            z, rz = x + y, _ref_add(rx, ry)
+        elif op == 1:
+            z, rz = x - y, _ref_add(rx, _ref_canon(-ry[0], ry[1]))
+        elif op == 2:
+            z, rz = x * y, _ref_mul(rx, ry)
+        elif op == 3 and not x.is_zero():
+            z, rz = x.inv(), _ref_inv(rx)
+        else:
+            assert FieldElem(x, y).as_quotient() == _ref_as_quotient(rx, ry)
+            continue
+        assert _parts(z) == rz, (x, y, op)
+        m, F = z._factors()
+        assert _scaled_product(m, F) == z.den
+        if z.den.total_degree() < 7:
+            pool[rng.randrange(len(pool))] = (z, rz)
+        if rng.random() < 0.1:
+            pool[rng.randrange(len(pool))] = rand_pair()
+
+
+def _scaled_product(m, F):
+    p = ONE * m
+    for f, e in F.items():
+        p = p * f ** e
+    return p
+
+
+def test_factor_lists_are_coprime_and_expand_to_the_denominator():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        x = _rand_fe(rng) * _rand_fe(rng) + _rand_fe(rng)
+        for r in (x.a, x.b):
+            m, F = r._factors()
+            assert _scaled_product(m, F) == r.den
+            assert integer_content(r.den) == m
+            fs = list(F)
+            for i, f in enumerate(fs):
+                assert integer_content(f) == 1 and f.leading()[1] > 0
+                assert not f.is_const() and F[f] > 0
+                for g in fs[i + 1:]:
+                    assert poly_gcd(f, g) == ONE
+
+
+# ---------------------------------------------------------------------------
+# the irreducibility certificate
+# ---------------------------------------------------------------------------
+
+def _primitive(p):
+    p = p * (1 / Fraction(integer_content(p)))
+    return -p if p.leading()[1] < 0 else p
+
+
+def test_certificate_covers_the_mass_shell_factors():
+    for p in (P0, P1, P3, Q_POLY, S_POLY, _lin(2, 0, -1, 0, 1), _lin(0, 3, 0, 5, 0),
+              P0 * P1 + P2 * P3, P0 * P0 + P1 * P1):
+        assert certify_or_split(p) == [(p, True)], p.pretty()
+    assert certify_or_split(P0 * P0 - P1 * P1) == [(P0 * P0 - P1 * P1, False)]
+    assert certify_or_split(_FRESH_CUBIC[0]) == [(_FRESH_CUBIC[0], False)]
+
+
+def test_certificate_never_certifies_a_product():
+    rng = random.Random(20261021)
+    done = 0
+    while done < 300:
+        f, g = _rand_poly(rng), _rand_poly(rng)
+        if f.is_const() or g.is_const():
+            continue
+        f, g = _primitive(f), _primitive(g)
+        p = f * g
+        pieces = certify_or_split(p)
+        assert (p, True) not in pieces
+        prod = ONE
+        for i, (piece, prime) in enumerate(pieces):
+            assert not piece.is_const()
+            assert integer_content(piece) == 1 and piece.leading()[1] > 0
+            prod = prod * piece
+            for other, _ in pieces[i + 1:]:
+                assert poly_gcd(piece, other) == ONE
+            if prime:
+                # an irreducible factor of f*g divides f or g
+                assert (
+                    exact_div(f, piece) is not None
+                    or exact_div(g, piece) is not None
+                )
+        assert prod == p
+        done += 1
