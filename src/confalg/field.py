@@ -19,18 +19,20 @@ denominator under graded lex, so equal values compare equal structurally.
 All types are immutable and hashable.
 
 Factored denominators: beside den, a RationalFunction keeps its factor list
-(m, {f: e}), den = m * prod f^e, over pairwise coprime primitive
-positive-leading factors. An operation builds its result's list from its
-operands' lists: a product adds exponents, a sum takes the largest ones and
-multiplies each numerator by the expanded cofactor. Reducing a numerator
-against its denominator is then trial division by the few factors that can
-divide it. A factor is either a certified prime, proved irreducible by
+(m, {f: e}), den = m * prod f^e, over primitive positive-leading non-constant
+factors. An operation builds its result's list from its operands' lists: a
+product adds exponents, a sum takes the larger ones and multiplies each
+numerator by the expanded cofactor. Reducing a numerator against its
+denominator is then trial division by the few factors that can divide it.
+A factor is either a certified prime, proved irreducible by
 poly.certify_or_split and kept in _PRIMES for the whole process, or
-uncertified; only an uncertified factor is ever passed to poly_gcd, and only
-together with the numerator or the factors it meets in one operation (factor
-refinement: Bach, Driscoll & Shallit, J. Algorithms 15, 1993). A new
-denominator, from the constructor or inv, is admitted by trial division by
-the certified primes, and its cofactor is certified or split.
+uncertified. Distinct certified primes are coprime without any work. An
+uncertified factor may share a factor with another one, or hide a certified
+prime; every uncertified factor that could divide a numerator is therefore
+a candidate of _cancel, where poly_gcd against the numerator settles it and
+splits it. A new denominator, from the constructor or inv, is admitted by
+trial division by the certified primes, and its cofactor is certified or
+split.
 """
 
 import math
@@ -39,7 +41,6 @@ from operator import ge
 
 from .errors import DivisionByZero, NotInvertible
 from .poly import (
-    NVARS,
     Polynomial,
     certify_or_split,
     exact_div,
@@ -134,43 +135,13 @@ def _trial_divide(p, probe, f, fprobe, limit):
     return k, p, (degs, val)
 
 
-def _multiplicity(p, f):
-    """Largest k with f^k | p."""
-    k = 0
-    while (p := exact_div(p, f)) is not None:
-        k += 1
-    return k
-
-
-def _pieces(p):
-    """{piece: exponent}: pairwise coprime pieces, prod piece^exponent = p.
-
-    certify_or_split(p), with its certified primes entered in _PRIMES and
-    each other piece that has a repeated factor (a common factor with its
-    derivative) refined along it.
-    """
-    out = {}
-    for piece, prime in certify_or_split(p):
-        if prime:
-            _PRIMES[piece] = _probe(piece)
-            out[piece] = 1
-            continue
-        v = next(v for v in range(NVARS) if piece.degree_in(v))
-        g = poly_gcd(piece, piece.derivative(v))
-        if g.is_const():
-            out[piece] = 1
-            continue
-        for b in _coprime_base(_pieces(g), [exact_div(piece, g)]):
-            out[b] = _multiplicity(piece, b)
-    return out
-
-
 def _factor(d):
     """Factor list {f: e} of a non-constant primitive positive-leading d.
 
-    The certified primes are trial-divided out first; the cofactor is
-    certified or split (_pieces), and its pieces are coprime to each other
-    and to those primes.
+    The certified primes are trial-divided out first. The cofactor is
+    certified or split by poly.certify_or_split, and the primes it certifies
+    join _PRIMES. An uncertified piece is kept as it is, whether or not it
+    has a repeated factor or a factor that is certified later.
     """
     out = {}
     probe = _probe(d)
@@ -183,76 +154,19 @@ def _factor(d):
             out[f] = k
             if d.is_const():
                 return out
-    out.update(_pieces(d))
+    for piece, prime in certify_or_split(d):
+        if prime:
+            _PRIMES[piece] = _probe(piece)
+        out[piece] = 1
     return out
 
 
-def _common_factor(f, g):
-    """A non-constant common factor of two distinct factors, or None."""
-    if f in _PRIMES:
-        if g in _PRIMES or exact_div(g, f) is None:
-            return None
-        return f
-    if g in _PRIMES:
-        return g if exact_div(f, g) is not None else None
-    h = poly_gcd(f, g)
-    return None if h.is_const() else h
-
-
-def _coprime_base(base, polys):
-    """Factor refinement: a pairwise coprime list of which each member of
-    base (already pairwise coprime) and of polys is a product of powers.
-
-    Two members with a common factor g are replaced by g and their
-    cofactors until no two share one; the total degree falls with every
-    replacement. A member of polys that meets no common factor joins as it
-    is; a piece made here is certified or split before it joins.
-    """
-    base = list(base)
-    todo = [(f, False) for f in polys]
-    while todo:
-        f, fresh = todo.pop()
-        for i, b in enumerate(base):
-            if b == f:
-                break
-            g = _common_factor(f, b)
-            if g is not None:
-                del base[i]
-                todo += [
-                    (x, True)
-                    for x in (g, exact_div(b, g), exact_div(f, g))
-                    if not x.is_const()
-                ]
-                break
-        else:
-            base += _pieces(f) if fresh and f not in _PRIMES else [f]
-    return base
-
-
-def _common_base(F1, F2):
-    """Two factor lists rewritten over one coprime base.
-
-    Certified primes are equal or coprime, and the factors within one list
-    are coprime, so the lists are returned as they are unless an
-    uncertified factor of one is missing from the other.
-    """
-    if all(f in _PRIMES or f in F2 for f in F1) and all(
-        f in _PRIMES or f in F1 for f in F2
-    ):
-        return F1, F2
-    base = _coprime_base(F1, F2)
-    return tuple(
-        {
-            b: k
-            for b in base
-            if (k := sum(e * _multiplicity(f, b) for f, e in F.items()))
-        }
-        for F in (F1, F2)
-    )
-
-
 def _lcm(F1, F2):
-    """(L, L / F1, L / F2) for two factor lists over one coprime base."""
+    """(L, L / F1, L / F2) for two factor lists.
+
+    L takes the larger exponent of each factor, so prod L is a common
+    multiple of both; it is the least one when every factor is certified.
+    """
     L = dict(F1)
     for f, e in F2.items():
         if e > L.get(f, 0):
@@ -285,12 +199,15 @@ def _scaled(p, k, F):
 
 
 def _cancel(num, F, cands):
-    """num divided by the largest divisor of prod f^F[f], f in cands.
+    """num divided by the largest divisor of prod f^F[f] that it has.
 
+    Every factor of F that can share a factor with num must be in cands.
     F, owned by the caller, keeps the exponents left. Each factor is
-    trial-divided once the probe allows it. Only an uncertified factor can
-    still share a proper part with what is left of num; a gcd finds that
-    part, and the factor is refined along it in F.
+    trial-divided once the probe allows it. An uncertified factor f can
+    still share a proper part g with what is left of num, so a gcd follows:
+    f is replaced by the factors of g and f / g, which become candidates.
+    The gcd runs even when f^e has gone, because g can hold a certified
+    prime that f hid and that F also lists on its own.
     """
     probe = None
     todo = list(cands)
@@ -302,21 +219,25 @@ def _cancel(num, F, cands):
         if probe is None:
             probe = _probe(num)
         fprobe = _PRIMES.get(f)
-        certified = fprobe is not None
         k, num, probe = _trial_divide(num, probe, f, fprobe or _probe(f), e)
-        if k == e:
+        e -= k
+        if e:
+            F[f] = e
+        else:
             del F[f]
-            continue
-        F[f] = e - k
-        if certified:
+        if fprobe is not None:
             continue
         g = poly_gcd(num, f)
         if g.is_const():
             continue
-        del F[f]
-        for b in _coprime_base(_pieces(g), [f]):
-            F[b] = (e - k) * _multiplicity(f, b)
-            todo.append(b)
+        F.pop(f, None)
+        for part in (g, exact_div(f, g)):
+            if part.is_const():
+                continue
+            for b, x in _factor(part).items():
+                if e:
+                    F[b] = F.get(b, 0) + e * x
+                todo.append(b)
     return num
 
 
@@ -360,22 +281,16 @@ class RationalFunction:
 
     __slots__ = ("num", "den", "_fac", "_hash")
 
-    def __init__(self, num, den, _reduced=False, _fac=None):
+    def __init__(self, num, den, _fac=None):
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if _fac is None and not _reduced:
+        if _fac is None:
             num, den, _fac = _admit(num, den)
         self.num = num
         self.den = den
-        # the factor list (m, {f: e}); None until first asked for when the
-        # caller passed a reduced pair without it
+        # the factor list (m, {f: e}) of den
         self._fac = _fac
         self._hash = None
-
-    def _factors(self):
-        if self._fac is None:
-            self._fac = _den_factors(self.den)
-        return self._fac
 
     @classmethod
     def from_poly(cls, p):
@@ -403,16 +318,20 @@ class RationalFunction:
             return other
         if other.num.is_zero():
             return self
-        (m1, F1), (m2, F2) = self._factors(), other._factors()
-        F1, F2 = _common_base(F1, F2)
+        (m1, F1), (m2, F2) = self._fac, other._fac
         m = math.lcm(m1, m2)
         L, cof1, cof2 = _lcm(F1, F2)
         num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, m // m2, cof2)
         if num.is_zero():
             return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
-        # a factor with unequal exponents in the two terms divides just one
-        # of them, and neither numerator, so only the others can cancel
-        num = _cancel(num, L, [f for f, e in L.items() if F1.get(f) == F2.get(f)])
+        # a certified prime with unequal exponents in the two lists divides
+        # just one term, and neither numerator, so it cannot cancel unless an
+        # uncertified factor hides it; every uncertified factor is a candidate
+        num = _cancel(
+            num,
+            L,
+            [f for f in L if f not in _PRIMES or F1.get(f) == F2.get(f)],
+        )
         num, den, fac = _lowest_terms(num, m, L)
         return RationalFunction(num, den, _fac=fac)
 
@@ -420,21 +339,20 @@ class RationalFunction:
         return self + (-other)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True, _fac=self._fac)
+        return RationalFunction(-self.num, self.den, _fac=self._fac)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RF_ZERO
-            m, F = self._factors()
+            m, F = self._fac
             num, den, fac = _lowest_terms(self.num * other, m, F)
             return RationalFunction(num, den, _fac=fac)
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO
         # cross-cancellation: each numerator is coprime to its own
         # denominator, so it can only share factors the other one brings
-        (m1, F1), (m2, F2) = self._factors(), other._factors()
-        F1, F2 = _common_base(F1, F2)
+        (m1, F1), (m2, F2) = self._fac, other._fac
         F = dict(F1)
         for f, e in F2.items():
             F[f] = F.get(f, 0) + e
@@ -594,12 +512,16 @@ class FieldElem:
         return f"FieldElem({self.pretty()})"
 
     def as_quotient(self):
-        """(A, B, d) with the element equal to (A + B*M)/d over one denominator."""
+        """(A, B, d) with the element equal to (A + B*M)/d.
+
+        d is a common denominator of both parts, the least one when every
+        factor of their lists is certified.
+        """
         a, b = self.a, self.b
         if a.den == b.den:
             return a.num, b.num, a.den
-        (ma, Fa), (mb, Fb) = a._factors(), b._factors()
-        L, cofa, cofb = _lcm(*_common_base(Fa, Fb))
+        (ma, Fa), (mb, Fb) = a._fac, b._fac
+        L, cofa, cofb = _lcm(Fa, Fb)
         return (
             _scaled(a.num, mb, cofa),
             _scaled(b.num, ma, cofb),

@@ -22,14 +22,14 @@ from fractions import Fraction
 
 from .conformal import build_X, eps4, eta, gen_expr
 from .errors import DegreeError
-from .field import FE_M, FieldElem, Q_POLY, RationalFunction
+from .field import FE_M, RF_ZERO, FieldElem, Q_POLY, RationalFunction
 from .poly import Polynomial
 
 
 def _mom_over_q(sig, sign=1):
     """P[sig]*M/M^2 = P[sig]/M as a coefficient, optionally signed."""
     return FieldElem(
-        RationalFunction(Polynomial.zero(), Polynomial.one(), _reduced=True),
+        RF_ZERO,
         RationalFunction(Polynomial.var(sig) * sign, Q_POLY),
     )
 

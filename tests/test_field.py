@@ -518,10 +518,10 @@ def test_factored_arithmetic_matches_gcd_reference():
     cubic = _FRESH_CUBIC[0] * _FRESH_CUBIC[1]
     for composite in (shared, cubic):
         x = RationalFunction(P3, composite)
-        assert composite in x._factors()[1]
+        assert composite in x._fac[1]
         assert composite not in field._PRIMES
 
-    # a numerator that holds one form of an uncertified product refines it:
+    # a numerator that holds one form of an uncertified product splits it:
     # in a product, into two certified primes here
     x = RationalFunction(P3, shared) * RationalFunction.from_poly(_FRESH_SHARED[0])
     assert _parts(x) == (P3, _FRESH_SHARED[1])
@@ -530,17 +530,18 @@ def test_factored_arithmetic_matches_gcd_reference():
     # the cubics stay uncertified
     y = RationalFunction(P3, cubic) + RationalFunction(_FRESH_CUBIC[0] - P3, cubic)
     assert _parts(y) == (ONE, _FRESH_CUBIC[1])
-    assert y._factors()[1] == {_FRESH_CUBIC[1]: 1}
+    assert y._fac[1] == {_FRESH_CUBIC[1]: 1}
     y = RationalFunction(ONE, cubic) * RationalFunction.from_poly(_FRESH_CUBIC[1])
     assert _parts(y) == (ONE, _FRESH_CUBIC[0])
     assert not any(f in field._PRIMES for f in _FRESH_CUBIC)
     # one operand has the uncertified product, the other one of its factors:
-    # the two lists are refined onto one base first
+    # the sum cancels that factor, and the product splits the composite
+    # where the numerator meets it
     x, c0 = (P3, cubic), (ONE, _FRESH_CUBIC[0])
     rx, rc0 = RationalFunction(*x), RationalFunction(*c0)
     assert _parts(rx + rc0) == _ref_add(x, c0)
     assert _parts(rx * rc0.inv()) == _ref_mul(x, _ref_inv(c0))
-    assert FieldElem(rx, rc0).as_quotient() == _ref_as_quotient(x, c0)
+    _assert_quotient(FieldElem(rx, rc0), x, c0)
 
     atoms = (
         P0, P1, P2, P3, Q_POLY, S_POLY, P0 + P1, P0 - P3, _lin(2, 0, -1, 0, 1),
@@ -579,15 +580,66 @@ def test_factored_arithmetic_matches_gcd_reference():
         elif op == 3 and not x.is_zero():
             z, rz = x.inv(), _ref_inv(rx)
         else:
-            assert FieldElem(x, y).as_quotient() == _ref_as_quotient(rx, ry)
+            _assert_quotient(FieldElem(x, y), rx, ry)
             continue
         assert _parts(z) == rz, (x, y, op)
-        m, F = z._factors()
+        m, F = z._fac
         assert _scaled_product(m, F) == z.den
         if z.den.total_degree() < 7:
             pool[rng.randrange(len(pool))] = (z, rz)
         if rng.random() < 0.1:
             pool[rng.randrange(len(pool))] = rand_pair()
+
+
+def _assert_quotient(z, rx, ry):
+    """as_quotient of z = x + y*M gives a common denominator of x and y, the
+    gcd reference's one when every factor of their lists is certified."""
+    from confalg import field
+
+    A, B, d = z.as_quotient()
+    assert FieldElem(RationalFunction(A, d), RationalFunction(B, d)) == z
+    if all(f in field._PRIMES for r in (z.a, z.b) for f in r._fac[1]):
+        assert (A, B, d) == _ref_as_quotient(rx, ry)
+
+
+def test_prime_certified_after_a_product_that_holds_it():
+    from confalg import field
+
+    # fresh forms in the same two symbols: no certificate splits the product
+    f1, f2 = _lin(0, 2, 3, 0, 19), _lin(0, 5, -1, 0, 23)
+    x = RationalFunction(P3, f1 * f2)
+    assert x._fac[1] == {f1 * f2: 1}
+    assert not any(f in field._PRIMES for f in (f1, f2, f1 * f2))
+    y = RationalFunction(P0, f1)
+    assert f1 in field._PRIMES
+    # x's list still holds f1 inside the uncertified product, which the sum
+    # must split where the numerator meets it
+    rx, ry = _parts(x), _parts(y)
+    assert _parts(x + y) == _ref_add(rx, ry)
+    assert _parts(y + x) == _ref_add(ry, rx)
+    assert _parts(x * y.inv()) == _ref_mul(rx, _ref_inv(ry))
+    assert _parts(x * RationalFunction.from_poly(f2)) == _ref_mul(rx, (f2, ONE))
+    _assert_quotient(FieldElem(x, y), rx, ry)
+
+
+def test_prime_hidden_in_a_square_cancels_after_the_square():
+    from confalg import field
+
+    # a fresh form's square is admitted before the form is certified, so it
+    # stays one uncertified factor beside the certified form itself
+    f = _lin(0, 0, 7, 4, 29)
+    x = RationalFunction(ONE, f * f)
+    assert x._fac[1] == {f * f: 1}
+    RationalFunction(ONE, f)
+    assert f in field._PRIMES
+    y = RationalFunction(f - ONE, f * f)
+    assert y._fac[1] == {f: 2}
+    # the sum's numerator is f^3 over f^2 * f^2: trial division by the
+    # square takes f^2, and the f left over cancels only because the gcd
+    # after it reaches f, which is no candidate on its own
+    rx, ry = _parts(x), _parts(y)
+    assert _parts(x + y) == _ref_add(rx, ry) == (ONE, f)
+    assert _parts(y + x) == (ONE, f)
 
 
 def _scaled_product(m, F):
@@ -598,11 +650,13 @@ def _scaled_product(m, F):
 
 
 def test_factor_lists_are_coprime_and_expand_to_the_denominator():
+    # coprime because every factor here is a certified linear form: an
+    # uncertified factor may share a factor with another one
     rng = random.Random(20261020)
     for _ in range(200):
         x = _rand_fe(rng) * _rand_fe(rng) + _rand_fe(rng)
         for r in (x.a, x.b):
-            m, F = r._factors()
+            m, F = r._fac
             assert _scaled_product(m, F) == r.den
             assert integer_content(r.den) == m
             fs = list(F)
