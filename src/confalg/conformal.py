@@ -372,16 +372,18 @@ def classical_residual(a, b):
 
 # ---- exact matrix representation ------------------------------------------
 
-_G6 = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(-1), Fraction(-1), Fraction(1))
+# int entries: exact, and a non-integral structure constant still makes its
+# entry a Fraction
+_G6 = (1, -1, -1, -1, -1, 1)
 
 
 def _mat_zero():
-    return tuple(tuple(Fraction(0) for _ in range(6)) for _ in range(6))
+    return tuple(tuple(0 for _ in range(6)) for _ in range(6))
 
 
 def _mat_basis(a, b):
     """Rotation generator in the 4+2-dimensional metric (+,-,-,-,-,+)."""
-    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    rows = [[0] * 6 for _ in range(6)]
     rows[a][b] = _G6[b]
     rows[b][a] = -_G6[a]
     return tuple(tuple(r) for r in rows)

@@ -33,6 +33,13 @@ a candidate of _cancel, where poly_gcd against the numerator settles it and
 splits it. A new denominator, from the constructor or inv, is admitted by
 trial division by the certified primes, and its cofactor is certified or
 split.
+
+Unit lists: a list (1, {}) means den = 1 and a numerator with integer
+coefficients (_canon and _lowest_terms see to it). On two such operands the
+lcm, the cofactors, _cancel and _lowest_terms all reduce to the identity, so
+a sum or product of two polynomials is formed directly. A scalar 1, in
+RationalFunction or FieldElem, returns the operand itself, and so does any
+scalar times a zero, whose list is always (1, {}).
 """
 
 import math
@@ -207,8 +214,11 @@ def _cancel(num, F, cands):
     still share a proper part g with what is left of num, so a gcd follows:
     f is replaced by the factors of g and f / g, which become candidates.
     The gcd runs even when f^e has gone, because g can hold a certified
-    prime that f hid and that F also lists on its own.
+    prime that f hid and that F also lists on its own. A nonzero constant
+    num is returned at once: no non-constant factor divides it.
     """
+    if num.is_const():
+        return num
     probe = None
     todo = list(cands)
     while todo:
@@ -318,12 +328,17 @@ class RationalFunction:
             return other
         if other.num.is_zero():
             return self
+        if self._fac == _UNIT and other._fac == _UNIT:
+            num = self.num + other.num
+            if num.is_zero():
+                return RF_ZERO
+            return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
         (m1, F1), (m2, F2) = self._fac, other._fac
         m = math.lcm(m1, m2)
         L, cof1, cof2 = _lcm(F1, F2)
         num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, m // m2, cof2)
         if num.is_zero():
-            return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+            return RF_ZERO
         # a certified prime with unequal exponents in the two lists divides
         # just one term, and neither numerator, so it cannot cancel unless an
         # uncertified factor hides it; every uncertified factor is a candidate
@@ -345,11 +360,15 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RF_ZERO
+            if other == 1 or self.num.is_zero():
+                return self
             m, F = self._fac
             num, den, fac = _lowest_terms(self.num * other, m, F)
             return RationalFunction(num, den, _fac=fac)
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO
+        if self._fac == _UNIT and other._fac == _UNIT:
+            return RationalFunction(self.num * other.num, _POLY_ONE, _fac=_UNIT)
         # cross-cancellation: each numerator is coprime to its own
         # denominator, so it can only share factors the other one brings
         (m1, F1), (m2, F2) = self._fac, other._fac
@@ -472,6 +491,8 @@ class FieldElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             return FieldElem(self.a * other, self.b * other)
         a1, b1 = self.a, self.b
         a2, b2 = other.a, other.b

@@ -137,6 +137,31 @@ def test_matrix_oracle_every_pair():
         assert all(c == 0 for row in res for c in row), (gen_name(a), gen_name(b))
 
 
+def test_matrix_oracle_catches_a_wrong_table(monkeypatch):
+    # an extra 1/2 on one structure constant must show, exactly, in the
+    # residual of that pair and in the suite's failure text
+    from confalg import conformal, suites
+
+    table = conformal.table_bracket
+    bad = (gen_D(), gen_P(0))
+
+    def wrong_table(a, b):
+        out = table(a, b)
+        if (a, b) == bad:
+            out[gen_P(0)] += Fraction(1, 2)
+        return out
+
+    monkeypatch.setattr(conformal, "table_bracket", wrong_table)
+    res = matrix_residual(*bad)
+    entries = {c for row in res for c in row if c}
+    assert entries == {Fraction(1, 2), Fraction(-1, 2)}
+    assert all(type(c) is Fraction for row in res for c in row if c)
+    assert not any(c for row in matrix_residual(gen_D(), gen_P(1)) for c in row)
+    text = suites._matrix_oracle_residual(None, {"a": "D", "b": "P[0]"})
+    assert "1/2" in text
+    assert suites._matrix_oracle_residual(None, {"a": "D", "b": "P[1]"}) is None
+
+
 def test_matrix_rep_is_six_dimensional():
     reps = build_matrix_rep()
     assert len(reps) == 15

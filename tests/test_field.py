@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: polynomials, reduced rational functions,
 and the quadratic extension by the mass symbol."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -640,6 +641,67 @@ def test_prime_hidden_in_a_square_cancels_after_the_square():
     rx, ry = _parts(x), _parts(y)
     assert _parts(x + y) == _ref_add(rx, ry) == (ONE, f)
     assert _parts(y + x) == (ONE, f)
+
+
+def _assert_unit(z):
+    """z has the unit list: den 1 and an integer numerator."""
+    assert z._fac == (1, {}) and z.den == ONE
+    assert all(type(c) is int for c in z.num.terms.values())
+
+
+def test_unit_lists_and_unit_scalars_match_gcd_reference():
+    from confalg import field
+
+    cubic = _FRESH_CUBIC[0] * _FRESH_CUBIC[1]
+    rng = random.Random(20261022)
+    # integer polynomials and integer constants have the unit list (1, {})
+    pool = [(p, ONE) for p in (P0, P1 * P2 - ONE * 3, Q_POLY, ONE, ONE * -4)]
+    pool += [(_rand_poly(rng) * 6, ONE) for _ in range(6)]
+    pool += [(ONE * 5, ONE * 3), (ONE * -7, ONE * 2)]
+    pool += [(P3, cubic), (P0 + ONE, P1 * S_POLY * 2), (P1 * P2, Q_POLY)]
+    rfs = [RationalFunction(*x) for x in pool] + [field.RF_ZERO]
+    refs = [_ref_new(*x) for x in pool] + [(ZERO, ONE)]
+    units = [r._fac == (1, {}) for r in rfs]
+    assert sum(units) == 12
+
+    for i, j in itertools.product(range(len(rfs)), repeat=2):
+        (x, rx), (y, ry) = (rfs[i], refs[i]), (rfs[j], refs[j])
+        for z, rz in (
+            (x + y, _ref_add(rx, ry)),
+            (x - y, _ref_add(rx, _ref_canon(-ry[0], ry[1]))),
+            (x * y, _ref_mul(rx, ry)),
+        ):
+            assert _parts(z) == rz, (x, y)
+            if units[i] and units[j]:
+                _assert_unit(z)
+    for (x, rx), unit in zip(zip(rfs, refs), units):
+        for c in (0, 1, -1, Fraction(3, 2)):
+            z = x * c
+            assert _parts(z) == _ref_mul(rx, _ref_canon(ONE * c, ONE)), (x, c)
+            if unit and c != Fraction(3, 2):
+                _assert_unit(z)
+            fz = FieldElem(x, x) * c
+            assert (_parts(fz.a), _parts(fz.b)) == (_parts(z), _parts(z))
+
+
+def test_unit_operands_skip_the_factor_list_machinery(monkeypatch):
+    from confalg import field
+
+    a, b = P0 * P1 - ONE * 2, Q_POLY + P3 * 3
+    x, y = RationalFunction.from_poly(a), RationalFunction.from_poly(b)
+    fe = FieldElem(RationalFunction(P0, P1), x)
+
+    def general_path(*args):
+        raise AssertionError("unit operands took the factor-list path")
+
+    for name in ("_lcm", "_lowest_terms", "_cancel"):
+        monkeypatch.setattr(field, name, general_path)
+    assert _parts(x * y) == (a * b, ONE)
+    assert _parts(x + y) == (a + b, ONE)
+    assert (x - x).is_zero()
+    assert fe * 1 is fe
+    assert fe * Fraction(1) is fe
+    assert (field.RF_ZERO * Fraction(3)).is_zero()
 
 
 def _scaled_product(m, F):
