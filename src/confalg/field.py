@@ -37,9 +37,8 @@ split.
 Unit lists: a list (1, {}) means den = 1 and a numerator with integer
 coefficients (_canon and _lowest_terms see to it). On two such operands the
 lcm, the cofactors, _cancel and _lowest_terms all reduce to the identity, so
-a sum or product of two polynomials is formed directly. A scalar 1, in
-RationalFunction or FieldElem, returns the operand itself, and so does any
-scalar times a zero, whose list is always (1, {}).
+a sum or product of two polynomials is formed directly. FieldElem times a
+scalar 1 returns the operand itself.
 """
 
 import math
@@ -360,8 +359,6 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RF_ZERO
-            if other == 1 or self.num.is_zero():
-                return self
             m, F = self._fac
             num, den, fac = _lowest_terms(self.num * other, m, F)
             return RationalFunction(num, den, _fac=fac)
