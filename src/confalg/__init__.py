@@ -15,11 +15,9 @@ from .errors import (
     ConfalgError,
     ConsistencyFailure,
     ConstructionFailure,
-    DegreeError,
     DivisionByZero,
     DslSyntaxError,
     IndexRangeError,
-    MismatchError,
     NonCoefficientDivisor,
     NotInvertible,
     RewriteBudgetExceeded,
@@ -55,10 +53,10 @@ __all__ = [
     "GENERATORS", "build_algebra", "gen_expr", "gen_name",
     "ast_pretty", "elaborate", "parse",
     "ConfalgError", "DivisionByZero", "NotInvertible",
-    "RewriteBudgetExceeded", "ConsistencyFailure", "MismatchError",
+    "RewriteBudgetExceeded", "ConsistencyFailure",
     "ConstructionFailure", "DslSyntaxError", "UnknownSymbol", "ArityError",
     "UnboundIndex", "IndexRangeError", "NonCoefficientDivisor",
-    "DegreeError", "UnknownIdentity",
+    "UnknownIdentity",
     "FieldElem", "RationalFunction", "Polynomial",
     "DEFAULT_BUDGET", "Algebra", "NCExpr",
     "Observables",

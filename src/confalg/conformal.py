@@ -26,8 +26,8 @@ agreement is meaningful.
 
 from fractions import Fraction
 
-from .errors import ConsistencyFailure, ConstructionFailure
-from .field import FE_M, FE_ONE, FE_Q, FieldElem, Q_POLY, RationalFunction
+from .errors import ConsistencyFailure
+from .field import FE_M, FE_Q, FieldElem, Q_POLY, RationalFunction
 from .nc import (
     Algebra,
     DEFAULT_BUDGET,
@@ -339,16 +339,6 @@ def classical_deformation(g):
     return tuple(out)
 
 
-def conformal_factor(g):
-    """The classical conformal factor lambda(x) of a generator."""
-    kind = g[0]
-    if kind == "D":
-        return Polynomial.const(-1)
-    if kind == "C":
-        return _x_lower(g[1]) * Fraction(-2)
-    return Polynomial.zero()
-
-
 def vector_field_bracket(da, db):
     """Lie bracket of two deformation fields, component by component."""
     out = []
@@ -428,22 +418,3 @@ def matrix_residual(a, b):
     for g, c in table_bracket(a, b).items():
         expected = _mat_add(expected, _mat_scale(matrix_rep(g), c))
     return _mat_add(_mat_comm(matrix_rep(a), matrix_rep(b)), expected, sign=-1)
-
-
-def build_matrix_rep():
-    """All fifteen matrices, validated: traceless and table-faithful."""
-    reps = {}
-    for g in GENERATORS:
-        m = matrix_rep(g)
-        if sum(m[i][i] for i in range(6)) != 0:
-            raise ConstructionFailure(f"matrix for {gen_name(g)} has a trace")
-        reps[g] = m
-    for a in GENERATORS:
-        for b in GENERATORS:
-            r = matrix_residual(a, b)
-            if any(r[i][j] != 0 for i in range(6) for j in range(6)):
-                raise ConstructionFailure(
-                    f"matrix commutator of {gen_name(a)}, {gen_name(b)} "
-                    "disagrees with the table"
-                )
-    return reps

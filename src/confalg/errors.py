@@ -30,14 +30,10 @@ class ConsistencyFailure(ConfalgError):
     or a division the gcd algorithm guarantees to be exact is not."""
 
 
-# ---- algebra construction checks ----
-
-class MismatchError(ConfalgError):
-    """An oracle cross-check (classical or matrix) disagrees with the table."""
-
+# ---- identity catalogue ----
 
 class ConstructionFailure(ConfalgError):
-    """A built object failed its own validation (e.g. a non-traceless matrix)."""
+    """A malformed catalogue record, or an assignment its identity lacks."""
 
 
 # ---- expression language ----
@@ -69,10 +65,6 @@ class IndexRangeError(ConfalgError):
 
 class NonCoefficientDivisor(ConfalgError):
     """Attempt to divide by an expression that is not a pure coefficient."""
-
-
-class DegreeError(ConfalgError):
-    """Classical polynomial of degree > 1 where an affine one is required."""
 
 
 class UnknownIdentity(ConfalgError):

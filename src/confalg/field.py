@@ -315,11 +315,6 @@ class RationalFunction:
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
 
-    def as_const(self):
-        if self.den.is_const():
-            return self.num.as_const() / self.den.as_const()
-        raise ValueError("not a constant rational function")
-
     # ---- field operations ----
 
     def __add__(self, other):
@@ -384,9 +379,6 @@ class RationalFunction:
             raise DivisionByZero("inverse of the zero rational function")
         num, den = _canon(self.den, self.num)
         return RationalFunction(num, den, _fac=_den_factors(den))
-
-    def __truediv__(self, other):
-        return self * other.inv()
 
     def __eq__(self, other):
         return (
@@ -470,11 +462,6 @@ class FieldElem:
         """True when the element is a plain rational number."""
         return self.b.is_zero() and self.a.is_const()
 
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not a rational constant")
-        return self.a.as_const()
-
     # ---- field operations ----
 
     def __add__(self, other):
@@ -509,12 +496,6 @@ class FieldElem:
             raise NotInvertible("field element with vanishing conjugate norm")
         ninv = norm.inv()
         return FieldElem(self.a * ninv, -(self.b * ninv))
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def conjugate(self):
-        return FieldElem(self.a, -self.b)
 
     def __eq__(self, other):
         return isinstance(other, FieldElem) and self.a == other.a and self.b == other.b

@@ -102,16 +102,6 @@ class NCExpr:
     def __neg__(self):
         return NCExpr(self.alg, {w: -c for w, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, NCExpr):
-            return self.alg.mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with nothing in general, but scale() multiplies
-        # coefficients on the left, which is exactly what a left scalar does
-        return self.scale(other)
-
     def scale(self, c):
         if not isinstance(c, FieldElem):
             c = FieldElem.const(c)

@@ -14,14 +14,14 @@ Index convention: symbols carry lower indices; raising is an explicit metric
 contraction and the metric is its own inverse. Spatial indices run 1..3.
 
 The products in the spin definitions are written letter-first; the opposite
-order differs by terms that cancel under the antisymmetric contraction, and
-`ordering_gap` exposes the difference so tests can confirm it vanishes.
+order differs by terms that cancel under the antisymmetric contraction, so it
+gives the same S (the observables tests check this through the expression
+language).
 """
 
 from fractions import Fraction
 
 from .conformal import build_X, eps4, eta, gen_expr
-from .errors import DegreeError
 from .field import FE_M, RF_ZERO, FieldElem, Q_POLY, RationalFunction
 from .poly import Polynomial
 
@@ -53,13 +53,10 @@ class Observables:
     def X(self, mu):
         return self._get(("X", mu), lambda: build_X(self.alg, mu))
 
-    def X_upper(self, mu):
-        return self._get(("X^", mu), lambda: self.X(mu).scale(eta(mu, mu)))
-
     # ---- spin ----
 
-    def S_upper(self, mu, coeff_first=False):
-        """S^mu; coeff_first multiplies each P/M coefficient from the left."""
+    def S_upper(self, mu):
+        """S^mu, with each P/M coefficient multiplied from the right."""
         def build():
             alg = self.alg
             total = alg.zero()
@@ -73,15 +70,10 @@ class Observables:
                         s = s * eta(mu, mu) * eta(nu, nu) * eta(rho, rho) * eta(sig, sig)
                         j = alg.J(nu, rho)
                         p = alg.scalar(_mom_over_q(sig))
-                        term = alg.mul(p, j) if coeff_first else alg.mul(j, p)
-                        total = total + term.scale(-half * s)
+                        total = total + alg.mul(j, p).scale(-half * s)
             return total
 
-        return self._get(("S^rev" if coeff_first else "S^", mu), build)
-
-    def ordering_gap(self, mu):
-        """Difference of the two orderings of S^mu; provably zero."""
-        return self.S_upper(mu) - self.S_upper(mu, coeff_first=True)
+        return self._get(("S^", mu), build)
 
     def S(self, mu):
         return self._get(("S", mu), lambda: self.S_upper(mu).scale(eta(mu, mu)))
@@ -154,25 +146,6 @@ class Observables:
         if kind == "C":
             return self.X(g[1]).scale(-2)
         return self.alg.zero()
-
-    def eval_affine_at_X(self, poly):
-        """An affine classical polynomial (in the x variables) evaluated at X.
-
-        Constant term plus linear terms only; anything of higher degree has no
-        declared operator ordering and raises DegreeError.
-        """
-        if poly.total_degree() > 1:
-            raise DegreeError(
-                "only affine classical expressions can be evaluated on X"
-            )
-        total = self.alg.zero()
-        for exps, c in poly.terms.items():
-            if sum(exps) == 0:
-                total = total + self.alg.scalar(FieldElem.const(c))
-            else:
-                mu = exps.index(1)
-                total = total + self.X_upper(mu).scale(c)
-        return total
 
     # ---- canonical derivatives ----
 

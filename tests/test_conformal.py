@@ -10,7 +10,6 @@ import pytest
 from confalg.conformal import (
     GENERATORS,
     build_algebra,
-    build_matrix_rep,
     classical_residual,
     eps4,
     eta,
@@ -20,6 +19,7 @@ from confalg.conformal import (
     gen_name,
     gen_P,
     jacobi_residual,
+    matrix_rep,
     matrix_residual,
     table_bracket,
 )
@@ -163,12 +163,18 @@ def test_matrix_oracle_catches_a_wrong_table(monkeypatch):
 
 
 def test_matrix_rep_is_six_dimensional():
-    reps = build_matrix_rep()
-    assert len(reps) == 15
-    for g, m in reps.items():
+    assert len(GENERATORS) == 15
+    for g in GENERATORS:
+        m = matrix_rep(g)
         assert len(m) == 6
         assert all(len(row) == 6 for row in m)
         assert any(c != 0 for row in m for c in row), gen_name(g)
+        assert sum(m[i][i] for i in range(6)) == 0, gen_name(g)
+    # the matrix-oracle identity sweeps only the pairs a < b
+    for a in GENERATORS:
+        for b in GENERATORS:
+            r = matrix_residual(a, b)
+            assert not any(c for row in r for c in row), (gen_name(a), gen_name(b))
 
 
 def test_engine_brackets_match_table(alg):
