@@ -288,7 +288,7 @@ def _admit(num, den):
 class RationalFunction:
     """Reduced quotient of two momentum polynomials."""
 
-    __slots__ = ("num", "den", "_fac", "_hash")
+    __slots__ = ("num", "den", "_fac")
 
     def __init__(self, num, den, _fac=None):
         if den.is_zero():
@@ -299,7 +299,6 @@ class RationalFunction:
         self.den = den
         # the factor list (m, {f: e}) of den
         self._fac = _fac
-        self._hash = None
 
     @classmethod
     def from_poly(cls, p):
@@ -388,11 +387,7 @@ class RationalFunction:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            self._hash = h
-        return h
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RationalFunction({self.pretty()})"

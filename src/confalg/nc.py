@@ -27,7 +27,9 @@ against the mathematics.
 
 Confluence is certified, not sampled: tests/test_nc.py resolves every overlap
 of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
-schedule and memoizes every rewrite; randomized schedules live only in tests.
+schedule and memoizes its rewrites in the four Algebra memos; the derivation
+of a letter on a whole coefficient is recomputed from their parts each time.
+Randomized schedules live only in tests.
 """
 
 from fractions import Fraction
@@ -72,12 +74,11 @@ class NCExpr:
     word holds the pure-coefficient part; the empty map is zero.
     """
 
-    __slots__ = ("alg", "terms", "_hash")
+    __slots__ = ("alg", "terms")
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
-        self._hash = None
 
     def is_zero(self):
         return not self.terms
@@ -115,11 +116,7 @@ class NCExpr:
         return isinstance(other, NCExpr) and self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            self._hash = h
-        return h
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return f"NCExpr({self.pretty()})"
@@ -162,6 +159,11 @@ class Algebra:
     letter to (letter, M), both as {word: FieldElem}. The mass rules are
     installed after construction by conformal.complete_mass_rules (the C
     rules are built with this very engine).
+
+    Four memos live as long as the algebra: _word_memo (sorted letter
+    words), _shift_memo (u * g for a word u and coefficient g), _mono_memo
+    (a letter's derivation on a monomial) and _comm_memo (uw - wu). deriv
+    keeps none of its own; its results are rebuilt from the last three.
     """
 
     def __init__(self, letter_table, momentum_rules, mass_rules,
@@ -171,7 +173,6 @@ class Algebra:
         self.mass_rules = mass_rules
         self.budget = budget
         self._word_memo = {}
-        self._deriv_memo = {}
         self._shift_memo = {}
         self._mono_memo = {}
         self._comm_memo = {}
@@ -260,12 +261,6 @@ class Algebra:
 
     # ---- derivation of a letter on a coefficient ----
 
-    def _letter_single(self, a, kind, mu=0):
-        """Registry rule (a, P[mu]) or (a, M) as {word: FieldElem}."""
-        if kind == "P":
-            return self.momentum_rules[(a, mu)]
-        return self.mass_rules[a]
-
     def _deriv_mono(self, a, exps, with_m):
         """(a, monomial) for a unit-coefficient monomial, Leibniz left-to-right."""
         key = (a, exps, with_m)
@@ -287,7 +282,7 @@ class Algebra:
         self._tick()
         kind, v = factors[0]
         rest = factors[1:]
-        rule = self._letter_single(a, kind, v)
+        rule = self.momentum_rules[(a, v)] if kind == "P" else self.mass_rules[a]
         out = {}
         if rest:
             rest_fe = _factors_coeff(rest)
@@ -303,50 +298,35 @@ class Algebra:
                 _acc(out, w, c)
         return {w: c for w, c in out.items() if not c.is_zero()}
 
+    def _deriv_poly(self, a, p, with_m):
+        """(a, p) for a polynomial p, times M when with_m: {word: FieldElem}."""
+        out = {}
+        for exps, c in p.terms.items():
+            for w, h in self._deriv_mono(a, exps, with_m).items():
+                _acc(out, w, h * c)
+        return {w: c for w, c in out.items() if not c.is_zero()}
+
     def deriv(self, a, g):
         """(a, g) for letter a and coefficient g, as {word: FieldElem}."""
         if g.is_rational():
             return {}
-        key = (a, g)
-        hit = self._deriv_memo.get(key)
-        if hit is not None:
-            return hit
         A, B, d = g.as_quotient()
-        num = {}
-        for exps, c in A.terms.items():
-            for w, h in self._deriv_mono(a, exps, False).items():
-                _acc(num, w, h * c)
-        for exps, c in B.terms.items():
-            for w, h in self._deriv_mono(a, exps, True).items():
-                _acc(num, w, h * c)
+        num = self._deriv_poly(a, A, False)
+        for w, c in self._deriv_poly(a, B, True).items():
+            _acc(num, w, c)
         num = {w: c for w, c in num.items() if not c.is_zero()}
-        if d.is_const():
-            out = num
-            if d.as_const() != 1:
-                s = 1 / d.as_const()
-                out = {w: c * s for w, c in num.items()}
-        else:
-            dinv = FieldElem(RationalFunction(Polynomial.one(), d))
-            # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
-            #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1
-            # and N * d^-1 is g itself, a pure left coefficient.
-            out = {}
-            for w, c in self._raw_mul_terms(num, {(): dinv}):
-                _acc(out, w, c)
-            poly_rule = {}
-            for exps, c in d.terms.items():
-                for w, h in self._deriv_mono(a, exps, False).items():
-                    _acc(poly_rule, w, h * c)
-            poly_rule = {w: c for w, c in poly_rule.items() if not c.is_zero()}
-            if poly_rule:
-                mid = {}
-                for w, c in self._raw_mul_terms(poly_rule, {(): dinv}):
-                    _acc(mid, w, c)
-                for w, c in mid.items():
-                    _acc(out, w, -(g * c))
-            out = {w: c for w, c in out.items() if not c.is_zero()}
-        self._deriv_memo[key] = out
-        return out
+        if d == Polynomial.one():
+            return num
+        dinv = FieldElem(RationalFunction(Polynomial.one(), d))
+        # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
+        #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1
+        # and N * d^-1 is g itself, a pure left coefficient.
+        out = {}
+        for w, c in self._raw_mul_terms(num, {(): dinv}):
+            _acc(out, w, c)
+        for w, c in self._raw_mul_terms(self._deriv_poly(a, d, False), {(): dinv}):
+            _acc(out, w, -(g * c))
+        return {w: c for w, c in out.items() if not c.is_zero()}
 
     # ---- coefficient movement and products ----
 

@@ -97,19 +97,6 @@ class Polynomial:
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
-    def as_const(self):
-        """The value of a constant polynomial as a Fraction (raises if not constant)."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and _ZERO_EXP in self.terms:
-            return Fraction(self.terms[_ZERO_EXP])
-        raise ValueError("not a constant polynomial")
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, v):
         if not self.terms:
             return -1

@@ -401,10 +401,7 @@ def test_constants_reject_floats():
     assert FieldElem.const(Fraction(6, 2)) == FieldElem.const(3)
 
 
-def test_constants_read_back_as_fractions():
-    # a Fraction, not an int, so that 1 / value stays exact for every caller
-    assert type(Polynomial.const(2).as_const()) is Fraction
-    assert type(ZERO.as_const()) is Fraction
+def test_constant_quotients_reduce():
     assert RationalFunction(ONE * 3, ONE * 6) == RationalFunction.const(Fraction(1, 2))
 
 
@@ -482,6 +479,10 @@ def _parts(r):
     return r.num, r.den
 
 
+def _total_degree(p):
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def _lin(*coeffs):
     """c0*P0 + c1*P1 + c2*P2 + c3*P3 + c4."""
     return Polynomial(
@@ -552,7 +553,7 @@ def test_factored_arithmetic_matches_gcd_reference():
         d = ONE * rng.randint(1, 3)
         for _ in range(rng.randint(0, 3)):
             atom = atoms[rng.randrange(len(atoms))]
-            d = d * atom ** (rng.randint(1, 2) if atom.total_degree() == 1 else 1)
+            d = d * atom ** (rng.randint(1, 2) if _total_degree(atom) == 1 else 1)
         return d
 
     def rand_num():
@@ -584,7 +585,7 @@ def test_factored_arithmetic_matches_gcd_reference():
         assert _parts(z) == rz, (x, y, op)
         m, F = z._fac
         assert _scaled_product(m, F) == z.den
-        if z.den.total_degree() < 7:
+        if _total_degree(z.den) < 7:
             pool[rng.randrange(len(pool))] = (z, rz)
         if rng.random() < 0.1:
             pool[rng.randrange(len(pool))] = rand_pair()

@@ -19,6 +19,7 @@ from confalg.errors import RewriteBudgetExceeded
 from confalg.field import FE_M, FE_ONE, FieldElem
 from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name
 from confalg.observables import Observables
+from confalg.poly import Polynomial
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +428,21 @@ def test_mass_rules_consistent(alg):
     # letter's action on the mass-squared invariant
     for code in range(N_LETTERS):
         assert mass_rule_residual(alg, code).is_zero(), letter_name(code)
+
+
+def test_deriv_on_constant_denominators(alg):
+    # no catalogue coefficient has a constant denominator other than 1, so
+    # this is the only check of deriv's quotient rule on one: the derivation
+    # is linear, so (a, g/k) is (a, g) scaled by 1/k
+    P0, P1 = FieldElem.momentum(0), FieldElem.momentum(1)
+    for g in (P0 * P1, P0 * FE_M, P1 * P1 + FE_M):
+        for k in (Fraction(2), Fraction(-3, 5)):
+            gk = g * (1 / k)
+            d = gk.as_quotient()[2]
+            assert d.is_const() and d != Polynomial.one()
+            for a in range(N_LETTERS):
+                want = {w: c * (1 / k) for w, c in alg.deriv(a, g).items()}
+                assert alg.deriv(a, gk) == want, (letter_name(a), g, k)
 
 
 def test_letter_names_cover_all_codes():

@@ -47,7 +47,7 @@ def test_zero_terms_are_dropped():
 
 
 def test_constructors():
-    assert Polynomial.const(Fraction(5, 3)).as_const() == Fraction(5, 3)
+    assert Polynomial.const(Fraction(5, 3)).terms == {(0, 0, 0, 0): Fraction(5, 3)}
     assert Polynomial.var(2, 3) == P2 * P2 * P2
     assert ONE.is_const() and not P0.is_const()
 
@@ -73,10 +73,9 @@ def test_graded_lex_leading_term():
 
 def test_degrees():
     p = P0 * P1 * P1 + P3
-    assert p.total_degree() == 3
     assert p.degree_in(1) == 2
     assert p.degree_in(2) == 0
-    assert ZERO.total_degree() == -1
+    assert ZERO.degree_in(0) == -1
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""The package's import surface: no dead imports, no dangling exports.
+"""The package's import surface: no dead imports, no dangling exports, no
+dead definitions.
 
-No linter ships with the project, so these two checks stand in for one.
+No linter ships with the project, so these checks stand in for one.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
-_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "confalg"
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = _ROOT / "src" / "confalg"
 
 
 def _declared_all(tree):
@@ -49,3 +52,45 @@ def test_every_exported_name_resolves():
         if names:
             missing[module] = names
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def _mentions(node):
+    """How often each name appears under node as a Name, an Attribute or a
+    string constant; the last covers __all__ and the benchmark's trace points."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function, method or class is live only if src/ or perfbench/ names it
+    # outside its own definition; dunders are reached through the language
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for top in ("src", "perfbench")
+        for path in sorted((_ROOT / top).rglob("*.py"))
+    }
+    named = Counter()
+    for tree in trees.values():
+        named.update(_mentions(tree))
+    dead = []
+    for path, tree in trees.items():
+        if _PACKAGE not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if named[name] == _mentions(node)[name]:
+                dead.append(f"{path.name}:{name}")
+    assert not dead, f"defined but never named elsewhere: {dead}"
