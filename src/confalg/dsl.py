@@ -27,7 +27,6 @@ caller's assignment.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .conformal import eps4, eta
 from .errors import (
@@ -413,10 +412,26 @@ def elaborate(ast, assignment, obs):
     subtree that does not depend on every variable of its innermost
     enclosing sum is elaborated once per value of the names it does depend
     on; the memo lives for this call only.
+
+    Work that multiplies by zero is skipped where skipping cannot hide an
+    error. An operand is skippable when its elaboration can raise no
+    ConfalgError but RewriteBudgetExceeded for any value its names can take
+    in this call: every index is bound and in range for its symbol (a free
+    name at its assigned value, a sum name over index_range), every "/"
+    divides by a nonzero numeral, P[i], M or a power of these, and the
+    rest is built from such pieces with + - * . ^ br sum and unary minus.
+    A "*", "." or br whose left operand is zero returns that zero without
+    elaborating a skippable right operand, and so spends no fuel on it.
+    A sum whose body is a chain a*b*...*z (any mix of "*", "." and br,
+    associated left) of skippable factors binds its names in the order in
+    which the chain's prefixes first need them, and drops every tuple that
+    extends a binding whose prefix is zero. Any other sum runs its tuples
+    in declared order, so its errors surface as a plain tree walk's do.
     """
-    plan = {}
-    _dependencies(ast, None, plan)
-    return _elaborate(ast, assignment, obs, plan, {})
+    plan, gates = {}, {}
+    ranges = {n: (v,) for n, v in assignment.items() if v is not None}
+    _gates(ast, ranges, plan, gates)
+    return _elaborate(ast, assignment, obs, plan, gates, {})
 
 
 def _dependencies(node, innermost, plan):
@@ -446,7 +461,105 @@ def _dependencies(node, innermost, plan):
     return deps
 
 
-def _elaborate(node, scope, obs, plan, memo):
+def _gates(node, ranges, plan, gates):
+    """Whether node is skippable (see elaborate) when ranges maps each bound
+    index name to the values it can take.
+
+    gates receives id(node) -> whether the right operand is skippable for
+    each "*", "." or br node, and id(node) -> (chained, binding plan) for
+    each sum. A node object met at two places of the tree keeps the more
+    cautious decision. Each sum also fills plan (see _dependencies) for
+    its own subtree; outside every sum there is nothing to hoist.
+    """
+    if isinstance(node, (Add, Sub, Mul, Dot, Br)):
+        left = _gates(node.left, ranges, plan, gates)
+        right = _gates(node.right, ranges, plan, gates)
+        if not isinstance(node, (Add, Sub)):
+            right = gates[id(node)] = right and gates.get(id(node), True)
+        return left and right
+    if isinstance(node, Num):
+        return True
+    if isinstance(node, Sym):
+        return _in_range(node, ranges)
+    if isinstance(node, Div):
+        left = _gates(node.left, ranges, plan, gates)
+        _gates(node.right, ranges, plan, gates)
+        return left and _nonzero_divisor(node.right, ranges)
+    if isinstance(node, Neg):
+        return _gates(node.arg, ranges, plan, gates)
+    if isinstance(node, Pow):
+        return _gates(node.base, ranges, plan, gates)
+    if isinstance(node, Sum):
+        _dependencies(node, None, plan)
+        inner = dict(ranges)
+        inner.update((n, index_range(n)) for n in node.names)
+        ok = _gates(node.body, inner, plan, gates)
+        ok = ok and gates.get(id(node), (True,))[0]
+        gates[id(node)] = ok, _binding_plan(node, ok)
+        return ok
+    return False
+
+
+_LEGAL = frozenset((0, 1, 2, 3))
+_LEGAL_SPATIAL = frozenset((1, 2, 3))
+
+
+def _in_range(sym, ranges):
+    """Whether every value each index of sym can take is bound and legal."""
+    legal = _LEGAL_SPATIAL if sym.name in _SPATIAL_SYMBOLS else _LEGAL
+    for ix in sym.indices:
+        vals = (ix,) if isinstance(ix, int) else ranges.get(ix)
+        if vals is None or not legal.issuperset(vals):
+            return False
+    return True
+
+
+def _nonzero_divisor(node, ranges):
+    """A nonzero numeral, P[i], M, or a power of these, with legal indices."""
+    if isinstance(node, Pow):
+        return _nonzero_divisor(node.base, ranges)
+    if isinstance(node, Num):
+        return node.value != 0
+    if isinstance(node, Sym) and node.name in ("P", "M"):
+        return _in_range(node, ranges)
+    return False
+
+
+def _binding_plan(node, chained):
+    """(order, ranges, factors, links, due) for summing node.
+
+    With chained, factors are the operands of the body's left-nested "*",
+    "." and br chain, links[k] the chain node whose right operand is
+    factors[k], order the sum's names in the order in which the chain's
+    prefixes first need them, and due[d] the indices of the factors that
+    become computable once order[:d] is bound. Otherwise the body is the
+    one factor, due once every name is bound in declared order.
+    """
+    factors, links = [node.body], [None]
+    while chained and isinstance(factors[0], (Mul, Dot, Br)):
+        link = factors[0]
+        factors[0:1] = [link.left, link.right]
+        links[0:1] = [None, link]
+    if chained:
+        order, need = [], []
+        for f in factors:
+            used = _dependencies(f, None, {})
+            order += [n for n in node.names if n in used and n not in order]
+            need.append(len(order))
+        order += [n for n in node.names if n not in order]
+    else:
+        order, need = list(node.names), [len(node.names)]
+    due = [
+        tuple(k for k, d in enumerate(need) if d == level)
+        for level in range(len(order) + 1)
+    ]
+    return (
+        tuple(order), tuple(map(index_range, order)), tuple(factors),
+        tuple(links), tuple(due),
+    )
+
+
+def _elaborate(node, scope, obs, plan, gates, memo):
     names = plan.get(id(node))
     if names is not None:
         key = (id(node), *[scope.get(n) for n in names])
@@ -461,38 +574,68 @@ def _elaborate(node, scope, obs, plan, memo):
         _check_range(node.name, vals)
         out = _SYMBOL_BUILDERS[node.name](obs, vals)
     elif isinstance(node, Sum):
-        out = alg.zero()
-        inner = dict(scope)
-        for values in product(*map(index_range, node.names)):
-            inner.update(zip(node.names, values))
-            out = out + _elaborate(node.body, inner, obs, plan, memo)
+        out = _bind(0, None, alg.zero(), gates[id(node)][1], dict(scope), obs,
+                    plan, gates, memo)
     elif isinstance(node, Neg):
-        out = -_elaborate(node.arg, scope, obs, plan, memo)
+        out = -_elaborate(node.arg, scope, obs, plan, gates, memo)
     elif isinstance(node, Pow):
-        base = _elaborate(node.base, scope, obs, plan, memo)
+        base = _elaborate(node.base, scope, obs, plan, gates, memo)
         out = base
         for _ in range(node.exponent - 1):
             out = alg.mul(out, base)
-    elif isinstance(node, (Add, Sub, Mul, Dot, Div, Br)):
-        left = _elaborate(node.left, scope, obs, plan, memo)
-        right = _elaborate(node.right, scope, obs, plan, memo)
+    elif isinstance(node, (Mul, Dot, Br)):
+        left = _elaborate(node.left, scope, obs, plan, gates, memo)
+        if left.is_zero() and gates[id(node)]:
+            out = left
+        else:
+            right = _elaborate(node.right, scope, obs, plan, gates, memo)
+            out = _link(alg, node, left, right)
+    elif isinstance(node, (Add, Sub, Div)):
+        left = _elaborate(node.left, scope, obs, plan, gates, memo)
+        right = _elaborate(node.right, scope, obs, plan, gates, memo)
         if isinstance(node, Add):
             out = left + right
         elif isinstance(node, Sub):
             out = left - right
-        elif isinstance(node, Mul):
-            out = alg.mul(left, right)
-        elif isinstance(node, Dot):
-            out = alg.dot(left, right)
-        elif isinstance(node, Div):
-            out = left.scale(_as_coefficient(right).inv())
         else:
-            out = alg.bracket(left, right)
+            out = left.scale(_as_coefficient(right).inv())
     else:
         raise TypeError(f"not an AST node: {node!r}")
     if names is not None:
         memo[key] = out
     return out
+
+
+def _link(alg, node, left, right):
+    """The product that the "*", "." or br node names, of left and right."""
+    if isinstance(node, Mul):
+        return alg.mul(left, right)
+    if isinstance(node, Dot):
+        return alg.dot(left, right)
+    return alg.bracket(left, right)
+
+
+def _bind(level, prefix, total, binding, scope, obs, plan, gates, memo):
+    """total plus the sum's terms over the names from order[level] on.
+
+    order[:level] is bound in scope, and prefix is the product of the
+    factors due before this level (None while there is none). The factors
+    due at this level extend it; a zero prefix drops the whole block.
+    """
+    order, ranges, factors, links, due = binding
+    for k in due[level]:
+        right = _elaborate(factors[k], scope, obs, plan, gates, memo)
+        prefix = right if k == 0 else _link(obs.alg, links[k], prefix, right)
+        if prefix.is_zero():
+            return total
+    if level == len(order):
+        return total + prefix
+    name = order[level]
+    for v in ranges[level]:
+        scope[name] = v
+        total = _bind(level + 1, prefix, total, binding, scope, obs, plan,
+                      gates, memo)
+    return total
 
 
 def _as_coefficient(expr):

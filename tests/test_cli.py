@@ -43,6 +43,13 @@ def test_engine_error_exits_three(capsys):
     assert "RewriteBudgetExceeded" in capsys.readouterr().err
 
 
+def test_skipped_operand_spends_no_fuel(capsys):
+    # a zero left factor skips an operand that can raise nothing but the
+    # budget error, so the word's rewriting is never run
+    assert main(["normalize", f"0*({_REVERSED_WORD})", "--budget", "1000"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------

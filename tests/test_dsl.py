@@ -28,6 +28,7 @@ from confalg.dsl import (
 )
 from confalg.errors import (
     ArityError,
+    ConfalgError,
     DivisionByZero,
     DslSyntaxError,
     IndexRangeError,
@@ -351,25 +352,49 @@ def _tree_walk(ast, assignment, obs):
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def _catalogue_cases(tag):
+def _catalogue_cases(tag, obs):
+    # the first assignment of each identity; and for one with a sum, also
+    # the first at which its rhs is nonzero, so that a pruned sum is
+    # compared with a nonzero value (spin-tensor-definition's first
+    # assignment, mu=nu=0, sums to zero)
     for ident in catalog_by_suite(tag):
-        if ident.builtin is None:
-            asg = identity_assignments(ident)[0]
-            yield from ((f"{ident.id} lhs", ident.lhs_ast, asg),
-                        (f"{ident.id} rhs", ident.rhs_ast, asg))
+        if ident.builtin is not None:
+            continue
+        assignments = identity_assignments(ident)
+        chosen = [assignments[0]]
+        if ident.summed:
+            for asg in assignments:
+                if not _tree_walk(ident.rhs_ast, asg, obs).is_zero():
+                    if asg != assignments[0]:
+                        chosen.append(asg)
+                    break
+        for asg in chosen:
+            yield from ((f"{ident.id} lhs {asg}", ident.lhs_ast, asg),
+                        (f"{ident.id} rhs {asg}", ident.rhs_ast, asg))
 
 
 @pytest.mark.parametrize("tag", ["localisation", "canonical"])
 def test_elaborate_matches_tree_walk_on_catalogue(obs, tag):
-    cases = list(_catalogue_cases(tag))
+    cases = list(_catalogue_cases(tag, obs))
     assert cases
     for what, ast, asg in cases:
         assert elaborate(ast, asg, obs) == _tree_walk(ast, asg, obs), what
+    if tag == "localisation":
+        whats = [what for what, _, _ in cases]
+        assert "spin-tensor-definition rhs {'mu': 0, 'nu': 1}" in whats
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfalgError as exc:
+        return type(exc), str(exc)
 
 
 def test_elaborate_errors_inside_sums(alg, obs):
-    # a memo never skips the first elaboration of a subtree, so every error
-    # still surfaces, whatever the factor it sits next to
+    # a zero factor skips only an operand that cannot raise, and a sum is
+    # reordered only when no factor of its chain can; so every error still
+    # surfaces, whatever the factor it sits next to
     with pytest.raises(IndexRangeError):
         elaborate(parse("sum(mu : 0*Sigma[mu])"), {}, obs)
     with pytest.raises(DivisionByZero):
@@ -380,6 +405,105 @@ def test_elaborate_errors_inside_sums(alg, obs):
         elaborate(parse("sum(mu : eps[mu,0,1,2]*Xi[mu])"), {}, obs)
     # a memo hit is still added once per iteration
     assert elaborate(parse("sum(i : D)"), {}, obs) == alg.D().scale(3)
+    # value errors next to a zero factor
+    with pytest.raises(DivisionByZero):
+        elaborate(parse("0*(P[0]/eta[0,1])"), {}, obs)
+    with pytest.raises(NonCoefficientDivisor):
+        elaborate(parse("0*(D/D)"), {}, obs)
+    with pytest.raises(UnboundIndex):
+        elaborate(parse("0*P[nu]"), {}, obs)
+    with pytest.raises(IndexRangeError):
+        elaborate(parse("sum(mu : eta[mu,1]*Xi[mu])"), {}, obs)
+    # one factor that may not be skipped keeps the whole chain in declared
+    # order: Xi[0] raises before Sigma[0] would
+    ast = parse("sum(mu, nu : eta[nu,1]*Xi[mu]*Sigma[nu])")
+    got = _outcome(elaborate, ast, {}, obs)
+    assert got == _outcome(_tree_walk, ast, {}, obs)
+    assert got[0] is IndexRangeError and "for Xi" in got[1]
+    # a subtree object met both inside a sum and outside it, where mu is
+    # unbound, is skipped in neither place
+    shared = parse("0*P[mu]")
+    for tree in (Add(shared, Sum(("mu",), shared)),
+                 Add(Sum(("mu",), shared), shared)):
+        with pytest.raises(UnboundIndex):
+            elaborate(tree, {}, obs)
+
+
+# factors of a random chain: scalars (the metric, the alternating symbol,
+# momenta, the mass) and operators (rotations, spin, position)
+_CHAIN_SYMBOLS = ("eta", "eta", "eps", "P", "M", "J", "S", "X", "Xi")
+_CHAIN_NAMES = ("i", "j", "mu", "nu", "rho")
+_DIVISORS = ("M", "M^2", "P[{}]", "2", "0", "eta[{},1]", "D")
+
+
+def _rand_chain_sum(rng):
+    names = rng.sample(_CHAIN_NAMES, rng.randint(1, 3))
+    free = [n for n in _CHAIN_NAMES if n not in names]
+    pool = names * 3 + free[:1] + [str(v) for v in range(4)]
+    factors, operators = [], 0
+    for _ in range(rng.randint(2, 5)):
+        sym = rng.choice(_CHAIN_SYMBOLS)
+        if sym in ("J", "S", "X", "Xi"):
+            if operators == 1:
+                sym = "eta"
+            operators += 1
+        arity = SYMBOL_ARITY[sym]
+        factors.append(
+            f"{sym}[{','.join(rng.choice(pool) for _ in range(arity))}]"
+            if arity else sym
+        )
+    if rng.random() < 0.7:
+        k = rng.randrange(len(factors))
+        divisor = rng.choice(_DIVISORS).format(rng.choice(pool))
+        factors[k] = f"({factors[k]}/{divisor})"
+    body = "*".join(factors)
+    if rng.random() < 0.3:
+        body = "-1/2*" + body
+    assignment = {n: rng.randint(0, 3) for n in free if rng.random() < 0.8}
+    return f"sum({', '.join(names)} : {body})", assignment
+
+
+def test_pruned_sums_match_tree_walk_on_random_chains(obs):
+    # a sum of a random product chain equals the plain tree walk, or both
+    # raise the same error class and message
+    rng = random.Random(20261018)
+    raised = zero = 0
+    for _ in range(120):
+        src, asg = _rand_chain_sum(rng)
+        ast = parse(src)
+        want = _outcome(_tree_walk, ast, asg, obs)
+        assert _outcome(elaborate, ast, asg, obs) == want, (src, asg)
+        raised += isinstance(want, tuple)
+        zero += not isinstance(want, tuple) and want.is_zero()
+    # errors, zero sums and nonzero sums all occur
+    assert raised > 10 and zero > 10 and 120 - raised - zero > 10
+
+
+def test_spin_vector_rhs_skips_zero_products(obs, monkeypatch):
+    # the eps prefix keeps 6 of the 64 (an, ar, as) tuples and each eta 1 of
+    # 4 values: 148 products and 159 elaborations, where a declared-order
+    # walk makes 13,632 and 31,372, and one that only stops a product at a
+    # zero left operand still visits all 4,096 tuples (17,886 elaborations)
+    ident = next(
+        i for i in catalog_by_suite("localisation")
+        if i.id == "spin-vector-definition"
+    )
+    muls, walks = [], []
+    mul, walk = type(obs.alg).mul, dsl._elaborate
+
+    def counted_mul(self, x, y):
+        muls.append(1)
+        return mul(self, x, y)
+
+    def counted_walk(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(type(obs.alg), "mul", counted_mul)
+    monkeypatch.setattr(dsl, "_elaborate", counted_walk)
+    assert not elaborate(ident.rhs_ast, {"mu": 0}, obs).is_zero()
+    assert len(muls) <= 1000
+    assert len(walks) <= 1000
 
 
 def test_elaborate_leaves_no_garbage(obs):
