@@ -408,10 +408,7 @@ def elaborate(ast, assignment, obs):
     """Expand an AST into a normalized operator.
 
     assignment maps index-variable names to concrete values; obs is the
-    observable cache whose algebra receives the result. Inside a sum, a
-    subtree that does not depend on every variable of its innermost
-    enclosing sum is elaborated once per value of the names it does depend
-    on; the memo lives for this call only.
+    observable cache whose algebra receives the result.
 
     Work that multiplies by zero is skipped where skipping cannot hide an
     error. An operand is skippable when its elaboration can raise no
@@ -427,53 +424,43 @@ def elaborate(ast, assignment, obs):
     which the chain's prefixes first need them, and drops every tuple that
     extends a binding whose prefix is zero. Any other sum runs its tuples
     in declared order, so its errors surface as a plain tree walk's do.
+    A "/" whose numerator is zero returns it without inverting a nonzero
+    divisor; a zero or non-scalar divisor still raises.
     """
-    plan, gates = {}, {}
+    gates = {}
     ranges = {n: (v,) for n, v in assignment.items() if v is not None}
-    _gates(ast, ranges, plan, gates)
-    return _elaborate(ast, assignment, obs, plan, gates, {})
+    _gates(ast, ranges, gates)
+    return _elaborate(ast, assignment, obs, gates)
 
 
-def _dependencies(node, innermost, plan):
-    """Index names the value of node depends on.
-
-    innermost is the variable tuple of the innermost sum around node, or
-    None outside every sum. plan receives id(node) -> sorted dependency
-    names for each node that may repeat across that sum's iterations.
-    """
+def _dependencies(node):
+    """Index names the value of node depends on."""
     if isinstance(node, Sym):
-        deps = frozenset(ix for ix in node.indices if not isinstance(ix, int))
-    elif isinstance(node, (Add, Sub, Mul, Dot, Div, Br)):
-        deps = _dependencies(node.left, innermost, plan) | _dependencies(
-            node.right, innermost, plan
-        )
-    elif isinstance(node, Neg):
-        deps = _dependencies(node.arg, innermost, plan)
-    elif isinstance(node, Pow):
-        deps = _dependencies(node.base, innermost, plan)
-    elif isinstance(node, Sum):
-        deps = _dependencies(node.body, node.names, plan).difference(node.names)
-    else:
-        # Num, or not an AST node: _elaborate raises on the latter
-        deps = frozenset()
-    if innermost is not None and not deps.issuperset(innermost):
-        plan[id(node)] = tuple(sorted(deps))
-    return deps
+        return frozenset(ix for ix in node.indices if not isinstance(ix, int))
+    if isinstance(node, (Add, Sub, Mul, Dot, Div, Br)):
+        return _dependencies(node.left) | _dependencies(node.right)
+    if isinstance(node, Neg):
+        return _dependencies(node.arg)
+    if isinstance(node, Pow):
+        return _dependencies(node.base)
+    if isinstance(node, Sum):
+        return _dependencies(node.body).difference(node.names)
+    # Num, or not an AST node: _elaborate raises on the latter
+    return frozenset()
 
 
-def _gates(node, ranges, plan, gates):
+def _gates(node, ranges, gates):
     """Whether node is skippable (see elaborate) when ranges maps each bound
     index name to the values it can take.
 
     gates receives id(node) -> whether the right operand is skippable for
     each "*", "." or br node, and id(node) -> (chained, binding plan) for
     each sum. A node object met at two places of the tree keeps the more
-    cautious decision. Each sum also fills plan (see _dependencies) for
-    its own subtree; outside every sum there is nothing to hoist.
+    cautious decision.
     """
     if isinstance(node, (Add, Sub, Mul, Dot, Br)):
-        left = _gates(node.left, ranges, plan, gates)
-        right = _gates(node.right, ranges, plan, gates)
+        left = _gates(node.left, ranges, gates)
+        right = _gates(node.right, ranges, gates)
         if not isinstance(node, (Add, Sub)):
             right = gates[id(node)] = right and gates.get(id(node), True)
         return left and right
@@ -482,18 +469,17 @@ def _gates(node, ranges, plan, gates):
     if isinstance(node, Sym):
         return _in_range(node, ranges)
     if isinstance(node, Div):
-        left = _gates(node.left, ranges, plan, gates)
-        _gates(node.right, ranges, plan, gates)
+        left = _gates(node.left, ranges, gates)
+        _gates(node.right, ranges, gates)
         return left and _nonzero_divisor(node.right, ranges)
     if isinstance(node, Neg):
-        return _gates(node.arg, ranges, plan, gates)
+        return _gates(node.arg, ranges, gates)
     if isinstance(node, Pow):
-        return _gates(node.base, ranges, plan, gates)
+        return _gates(node.base, ranges, gates)
     if isinstance(node, Sum):
-        _dependencies(node, None, plan)
         inner = dict(ranges)
         inner.update((n, index_range(n)) for n in node.names)
-        ok = _gates(node.body, inner, plan, gates)
+        ok = _gates(node.body, inner, gates)
         ok = ok and gates.get(id(node), (True,))[0]
         gates[id(node)] = ok, _binding_plan(node, ok)
         return ok
@@ -543,7 +529,7 @@ def _binding_plan(node, chained):
     if chained:
         order, need = [], []
         for f in factors:
-            used = _dependencies(f, None, {})
+            used = _dependencies(f)
             order += [n for n in node.names if n in used and n not in order]
             need.append(len(order))
         order += [n for n in node.names if n not in order]
@@ -559,51 +545,44 @@ def _binding_plan(node, chained):
     )
 
 
-def _elaborate(node, scope, obs, plan, gates, memo):
-    names = plan.get(id(node))
-    if names is not None:
-        key = (id(node), *[scope.get(n) for n in names])
-        out = memo.get(key)
-        if out is not None:
-            return out
+def _elaborate(node, scope, obs, gates):
     alg = obs.alg
     if isinstance(node, Num):
-        out = alg.scalar(node.value)
-    elif isinstance(node, Sym):
+        return alg.scalar(node.value)
+    if isinstance(node, Sym):
         vals = _resolve(node.indices, scope)
         _check_range(node.name, vals)
-        out = _SYMBOL_BUILDERS[node.name](obs, vals)
-    elif isinstance(node, Sum):
-        out = _bind(0, None, alg.zero(), gates[id(node)][1], dict(scope), obs,
-                    plan, gates, memo)
-    elif isinstance(node, Neg):
-        out = -_elaborate(node.arg, scope, obs, plan, gates, memo)
-    elif isinstance(node, Pow):
-        base = _elaborate(node.base, scope, obs, plan, gates, memo)
+        return _SYMBOL_BUILDERS[node.name](obs, vals)
+    if isinstance(node, Sum):
+        return _bind(0, None, alg.zero(), gates[id(node)][1], dict(scope), obs,
+                     gates)
+    if isinstance(node, Neg):
+        return -_elaborate(node.arg, scope, obs, gates)
+    if isinstance(node, Pow):
+        base = _elaborate(node.base, scope, obs, gates)
         out = base
         for _ in range(node.exponent - 1):
             out = alg.mul(out, base)
-    elif isinstance(node, (Mul, Dot, Br)):
-        left = _elaborate(node.left, scope, obs, plan, gates, memo)
+        return out
+    if isinstance(node, (Mul, Dot, Br)):
+        left = _elaborate(node.left, scope, obs, gates)
         if left.is_zero() and gates[id(node)]:
-            out = left
-        else:
-            right = _elaborate(node.right, scope, obs, plan, gates, memo)
-            out = _link(alg, node, left, right)
-    elif isinstance(node, (Add, Sub, Div)):
-        left = _elaborate(node.left, scope, obs, plan, gates, memo)
-        right = _elaborate(node.right, scope, obs, plan, gates, memo)
+            return left
+        right = _elaborate(node.right, scope, obs, gates)
+        return _link(alg, node, left, right)
+    if isinstance(node, (Add, Sub, Div)):
+        left = _elaborate(node.left, scope, obs, gates)
+        right = _elaborate(node.right, scope, obs, gates)
         if isinstance(node, Add):
-            out = left + right
-        elif isinstance(node, Sub):
-            out = left - right
-        else:
-            out = left.scale(_as_coefficient(right).inv())
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
-    if names is not None:
-        memo[key] = out
-    return out
+            return left + right
+        if isinstance(node, Sub):
+            return left - right
+        c = _as_coefficient(right)
+        # Q is not a square, so every nonzero element of Q(P)[M] is invertible
+        if left.is_zero() and not c.is_zero():
+            return left
+        return left.scale(c.inv())
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 def _link(alg, node, left, right):
@@ -615,7 +594,7 @@ def _link(alg, node, left, right):
     return alg.bracket(left, right)
 
 
-def _bind(level, prefix, total, binding, scope, obs, plan, gates, memo):
+def _bind(level, prefix, total, binding, scope, obs, gates):
     """total plus the sum's terms over the names from order[level] on.
 
     order[:level] is bound in scope, and prefix is the product of the
@@ -624,7 +603,7 @@ def _bind(level, prefix, total, binding, scope, obs, plan, gates, memo):
     """
     order, ranges, factors, links, due = binding
     for k in due[level]:
-        right = _elaborate(factors[k], scope, obs, plan, gates, memo)
+        right = _elaborate(factors[k], scope, obs, gates)
         prefix = right if k == 0 else _link(obs.alg, links[k], prefix, right)
         if prefix.is_zero():
             return total
@@ -633,8 +612,7 @@ def _bind(level, prefix, total, binding, scope, obs, plan, gates, memo):
     name = order[level]
     for v in ranges[level]:
         scope[name] = v
-        total = _bind(level + 1, prefix, total, binding, scope, obs, plan,
-                      gates, memo)
+        total = _bind(level + 1, prefix, total, binding, scope, obs, gates)
     return total
 
 

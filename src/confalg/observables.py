@@ -152,15 +152,13 @@ class Observables:
     def canonical_partial(self, expr, wrt, index=None):
         """Derivative of an expression in the canonical variables.
 
-        wrt is one of "xi" (upper spatial index), "P" (lower spatial index),
-        "tau" or "M":
+        wrt is one of "P" (lower spatial index), "tau" or "M":
 
-            d/d xi^j  =  -(P[j], .)      d/d P[j]  =  (xi^j, .)
-            d/d tau   =  -(M, .)         d/d M     =  (tau, .)
+            d/d P[j]  =  (xi^j, .)
+            d/d tau   =  -(M, .)
+            d/d M     =  (tau, .)
         """
         alg = self.alg
-        if wrt == "xi":
-            return -alg.bracket(alg.momentum(index), expr)
         if wrt == "P":
             return alg.bracket(self.xi(index).scale(eta(index, index)), expr)
         if wrt == "tau":

@@ -294,11 +294,11 @@ def test_engine_output_round_trips_through_language(alg, obs):
 
 
 # ---------------------------------------------------------------------------
-# the memoised elaborator against a plain tree walk
+# the pruning elaborator against a plain tree walk
 # ---------------------------------------------------------------------------
 
 def _tree_walk(ast, assignment, obs):
-    """Reference elaborator: every node rebuilt on every visit, no memo."""
+    """Reference elaborator: no skips, every sum tuple in declared order."""
     alg = obs.alg
 
     def walk(node):
@@ -403,11 +403,19 @@ def test_elaborate_errors_inside_sums(alg, obs):
         elaborate(parse("sum(i : P[i]*P[nu])"), {}, obs)
     with pytest.raises(IndexRangeError):
         elaborate(parse("sum(mu : eps[mu,0,1,2]*Xi[mu])"), {}, obs)
-    # a memo hit is still added once per iteration
+    # a body that uses no summed name is still added once per iteration
     assert elaborate(parse("sum(i : D)"), {}, obs) == alg.D().scale(3)
     # value errors next to a zero factor
     with pytest.raises(DivisionByZero):
         elaborate(parse("0*(P[0]/eta[0,1])"), {}, obs)
+    # a zero numerator still has its divisor checked
+    for src, error in (("0/0", DivisionByZero),
+                       ("0/eta[0,1]", DivisionByZero),
+                       ("0/(P[1] - P[1])", DivisionByZero),
+                       ("0/D", NonCoefficientDivisor)):
+        got = _outcome(elaborate, parse(src), {}, obs)
+        assert got == _outcome(_tree_walk, parse(src), {}, obs), src
+        assert got[0] is error, src
     with pytest.raises(NonCoefficientDivisor):
         elaborate(parse("0*(D/D)"), {}, obs)
     with pytest.raises(UnboundIndex):
@@ -506,9 +514,26 @@ def test_spin_vector_rhs_skips_zero_products(obs, monkeypatch):
     assert len(walks) <= 1000
 
 
+def test_zero_numerator_skips_the_inverse(alg, obs, monkeypatch):
+    # a zero over a nonzero coefficient is zero, and Q(P)[M] is a field, so
+    # the divisor is never inverted
+    calls = []
+    inv = FieldElem.inv
+
+    def counted_inv(self):
+        calls.append(1)
+        return inv(self)
+
+    monkeypatch.setattr(FieldElem, "inv", counted_inv)
+    for src in ("0/(P[0] + M)", "(eta[0,1]*D)/(P[0] + M)"):
+        assert elaborate(parse(src), {}, obs) == alg.zero(), src
+    assert not calls
+
+
 def test_elaborate_leaves_no_garbage(obs):
-    # the memo is reachable from no reference cycle, so it is freed when the
-    # call returns rather than at the next collection
+    # what a call builds (the gates and the binding plans) is reachable from
+    # no reference cycle, so it is freed when the call returns rather than
+    # at the next collection
     ast = parse("sum(nu, rho : eta[nu,rho]*(J[rho,mu] . (P[nu]/M^2)))")
     gc.collect()
     elaborate(ast, {"mu": 1}, obs)
