@@ -171,7 +171,6 @@ _LETTER_GENS = (
     + [(letter_C(mu), gen_C(mu)) for mu in range(4)]
 )
 LETTER_CODES = tuple(code for code, _ in _LETTER_GENS)
-_GEN_OF_LETTER = dict(_LETTER_GENS)
 _LETTER_OF_GEN = {g: code for code, g in _LETTER_GENS}
 
 
@@ -226,10 +225,10 @@ def build_X(alg, mu):
 
 def mass_rule_residual(alg, code):
     """normalize((g,M)*M + M*(g,M) - (g,Q)) for one letter; zero iff consistent."""
-    rule = NCExpr(alg, dict(alg.mass_rules[code]))
+    rule = NCExpr(dict(alg.mass_rules[code]))
     m = alg.mass()
     lhs = alg.mul(rule, m) + alg.mul(m, rule)
-    rhs = NCExpr(alg, alg.deriv(code, FE_Q))
+    rhs = NCExpr(alg.deriv(code, FE_Q))
     return lhs - rhs
 
 

@@ -112,8 +112,7 @@ class Sum:
     body: object
 
 
-# Vocabulary: name -> index count. Sigma and Xi take spatial indices only;
-# everything else indexed ranges over 0..3.
+# Vocabulary: name -> index count.
 SYMBOL_ARITY = {
     "P": 1,
     "J": 2,
@@ -131,7 +130,12 @@ SYMBOL_ARITY = {
     "eps": 4,
 }
 
-_SPATIAL_SYMBOLS = frozenset({"Sigma", "Xi"})
+# Legal values of each symbol's indices: Sigma and Xi take spatial indices
+# only, everything else indexed ranges over 0..3.
+_LEGAL = {
+    name: frozenset((1, 2, 3) if name in ("Sigma", "Xi") else (0, 1, 2, 3))
+    for name in SYMBOL_ARITY
+}
 
 
 def index_range(name):
@@ -292,11 +296,7 @@ class _Parser:
         self.expect("(", "'(' after sum")
         names = []
         while True:
-            t = self.expect("name", "an index variable name")
-            if t.text in SYMBOL_ARITY or t.text in ("br", "sum"):
-                raise DslSyntaxError(
-                    f"{t.text!r} cannot be used as an index variable", t.line, t.col
-                )
+            t = _index_name(self.expect("name", "an index variable name"))
             if t.text in names:
                 raise DslSyntaxError(
                     f"duplicate summation variable {t.text!r}", t.line, t.col
@@ -335,14 +335,7 @@ class _Parser:
                     self.next()
                     indices.append(int(nt.text))
                 elif nt.kind == "name":
-                    self.next()
-                    if nt.text in SYMBOL_ARITY or nt.text in ("br", "sum"):
-                        raise DslSyntaxError(
-                            f"{nt.text!r} cannot be used as an index variable",
-                            nt.line,
-                            nt.col,
-                        )
-                    indices.append(nt.text)
+                    indices.append(_index_name(self.next()).text)
                 else:
                     shown = nt.text if nt.kind != "end" else "end of input"
                     raise DslSyntaxError(
@@ -364,6 +357,15 @@ class _Parser:
                 f"(line {t.line}, column {t.col})"
             )
         return Sym(name, tuple(indices))
+
+
+def _index_name(t):
+    """Name token t, which must not spell a symbol or a keyword."""
+    if t.text in SYMBOL_ARITY or t.text in ("br", "sum"):
+        raise DslSyntaxError(
+            f"{t.text!r} cannot be used as an index variable", t.line, t.col
+        )
+    return t
 
 
 def parse(src):
@@ -396,11 +398,11 @@ def _resolve(indices, assignment):
 
 
 def _check_range(name, vals):
-    lo = 1 if name in _SPATIAL_SYMBOLS else 0
+    legal = _LEGAL[name]
     for v in vals:
-        if v < lo or v > 3:
+        if v not in legal:
             raise IndexRangeError(
-                f"index {v} out of range {lo}..3 for {name}"
+                f"index {v} out of range {min(legal)}..3 for {name}"
             )
 
 
@@ -411,26 +413,25 @@ def elaborate(ast, assignment, obs):
     observable cache whose algebra receives the result.
 
     Work that multiplies by zero is skipped where skipping cannot hide an
-    error. An operand is skippable when its elaboration can raise no
-    ConfalgError but RewriteBudgetExceeded for any value its names can take
-    in this call: every index is bound and in range for its symbol (a free
-    name at its assigned value, a sum name over index_range), every "/"
+    error. An operand is skippable where it is met when its elaboration
+    there can raise no ConfalgError but RewriteBudgetExceeded: every index
+    is bound and in range for its symbol (a name at its current value, the
+    name of a sum inside the operand over all of index_range), every "/"
     divides by a nonzero numeral, P[i], M or a power of these, and the
     rest is built from such pieces with + - * . ^ br sum and unary minus.
     A "*", "." or br whose left operand is zero returns that zero without
     elaborating a skippable right operand, and so spends no fuel on it.
-    A sum whose body is a chain a*b*...*z (any mix of "*", "." and br,
-    associated left) of skippable factors binds its names in the order in
-    which the chain's prefixes first need them, and drops every tuple that
-    extends a binding whose prefix is zero. Any other sum runs its tuples
-    in declared order, so its errors surface as a plain tree walk's do.
+    A sum that is skippable where it is met and whose body is a chain
+    a*b*...*z (any mix of "*", "." and br, associated left) binds its
+    names in the order in which the chain's prefixes first need them, and
+    drops every tuple that extends a binding whose prefix is zero. Any
+    other sum runs its tuples in declared order. An operand that is not
+    skippable at some binding is reached there, so errors surface as a
+    plain tree walk's do.
     A "/" whose numerator is zero returns it without inverting a nonzero
     divisor; a zero or non-scalar divisor still raises.
     """
-    gates = {}
-    ranges = {n: (v,) for n, v in assignment.items() if v is not None}
-    _gates(ast, ranges, gates)
-    return _elaborate(ast, assignment, obs, gates)
+    return _elaborate(ast, assignment, obs)
 
 
 def _dependencies(node):
@@ -449,78 +450,59 @@ def _dependencies(node):
     return frozenset()
 
 
-def _gates(node, ranges, gates):
-    """Whether node is skippable (see elaborate) when ranges maps each bound
-    index name to the values it can take.
+def _safe(node, scope):
+    """Whether node is skippable (see elaborate) in scope.
 
-    gates receives id(node) -> whether the right operand is skippable for
-    each "*", "." or br node, and id(node) -> (chained, binding plan) for
-    each sum. A node object met at two places of the tree keeps the more
-    cautious decision.
+    scope maps a name to its value, or, for the name of a sum inside the
+    operand, to the tuple of values it ranges over.
     """
     if isinstance(node, (Add, Sub, Mul, Dot, Br)):
-        left = _gates(node.left, ranges, gates)
-        right = _gates(node.right, ranges, gates)
-        if not isinstance(node, (Add, Sub)):
-            right = gates[id(node)] = right and gates.get(id(node), True)
-        return left and right
+        return _safe(node.left, scope) and _safe(node.right, scope)
     if isinstance(node, Num):
         return True
     if isinstance(node, Sym):
-        return _in_range(node, ranges)
+        for ix in node.indices:
+            vals = scope.get(ix) if isinstance(ix, str) else ix
+            if not isinstance(vals, tuple):
+                vals = (vals,)
+            if not _LEGAL[node.name].issuperset(vals):
+                return False
+        return True
     if isinstance(node, Div):
-        left = _gates(node.left, ranges, gates)
-        _gates(node.right, ranges, gates)
-        return left and _nonzero_divisor(node.right, ranges)
+        return _safe(node.left, scope) and _nonzero_divisor(node.right, scope)
     if isinstance(node, Neg):
-        return _gates(node.arg, ranges, gates)
+        return _safe(node.arg, scope)
     if isinstance(node, Pow):
-        return _gates(node.base, ranges, gates)
+        return _safe(node.base, scope)
     if isinstance(node, Sum):
-        inner = dict(ranges)
+        inner = dict(scope)
         inner.update((n, index_range(n)) for n in node.names)
-        ok = _gates(node.body, inner, gates)
-        ok = ok and gates.get(id(node), (True,))[0]
-        gates[id(node)] = ok, _binding_plan(node, ok)
-        return ok
+        return _safe(node.body, inner)
     return False
 
 
-_LEGAL = frozenset((0, 1, 2, 3))
-_LEGAL_SPATIAL = frozenset((1, 2, 3))
-
-
-def _in_range(sym, ranges):
-    """Whether every value each index of sym can take is bound and legal."""
-    legal = _LEGAL_SPATIAL if sym.name in _SPATIAL_SYMBOLS else _LEGAL
-    for ix in sym.indices:
-        vals = (ix,) if isinstance(ix, int) else ranges.get(ix)
-        if vals is None or not legal.issuperset(vals):
-            return False
-    return True
-
-
-def _nonzero_divisor(node, ranges):
+def _nonzero_divisor(node, scope):
     """A nonzero numeral, P[i], M, or a power of these, with legal indices."""
     if isinstance(node, Pow):
-        return _nonzero_divisor(node.base, ranges)
+        return _nonzero_divisor(node.base, scope)
     if isinstance(node, Num):
         return node.value != 0
     if isinstance(node, Sym) and node.name in ("P", "M"):
-        return _in_range(node, ranges)
+        return _safe(node, scope)
     return False
 
 
-def _binding_plan(node, chained):
-    """(order, ranges, factors, links, due) for summing node.
+def _binding_plan(node, scope):
+    """(order, ranges, factors, links, due) for summing node in scope.
 
-    With chained, factors are the operands of the body's left-nested "*",
-    "." and br chain, links[k] the chain node whose right operand is
-    factors[k], order the sum's names in the order in which the chain's
-    prefixes first need them, and due[d] the indices of the factors that
-    become computable once order[:d] is bound. Otherwise the body is the
-    one factor, due once every name is bound in declared order.
+    If node is skippable in scope, factors are the operands of the body's
+    left-nested "*", "." and br chain, links[k] the chain node whose right
+    operand is factors[k], order the sum's names in the order in which the
+    chain's prefixes first need them, and due[d] the indices of the
+    factors that become computable once order[:d] is bound. Otherwise the
+    body is the one factor, due once every name is bound in declared order.
     """
+    chained = _safe(node, scope)
     factors, links = [node.body], [None]
     while chained and isinstance(factors[0], (Mul, Dot, Br)):
         link = factors[0]
@@ -545,7 +527,7 @@ def _binding_plan(node, chained):
     )
 
 
-def _elaborate(node, scope, obs, gates):
+def _elaborate(node, scope, obs):
     alg = obs.alg
     if isinstance(node, Num):
         return alg.scalar(node.value)
@@ -554,25 +536,25 @@ def _elaborate(node, scope, obs, gates):
         _check_range(node.name, vals)
         return _SYMBOL_BUILDERS[node.name](obs, vals)
     if isinstance(node, Sum):
-        return _bind(0, None, alg.zero(), gates[id(node)][1], dict(scope), obs,
-                     gates)
+        plan = _binding_plan(node, scope)
+        return _bind(0, None, alg.zero(), plan, dict(scope), obs)
     if isinstance(node, Neg):
-        return -_elaborate(node.arg, scope, obs, gates)
+        return -_elaborate(node.arg, scope, obs)
     if isinstance(node, Pow):
-        base = _elaborate(node.base, scope, obs, gates)
+        base = _elaborate(node.base, scope, obs)
         out = base
         for _ in range(node.exponent - 1):
             out = alg.mul(out, base)
         return out
     if isinstance(node, (Mul, Dot, Br)):
-        left = _elaborate(node.left, scope, obs, gates)
-        if left.is_zero() and gates[id(node)]:
+        left = _elaborate(node.left, scope, obs)
+        if left.is_zero() and _safe(node.right, scope):
             return left
-        right = _elaborate(node.right, scope, obs, gates)
+        right = _elaborate(node.right, scope, obs)
         return _link(alg, node, left, right)
     if isinstance(node, (Add, Sub, Div)):
-        left = _elaborate(node.left, scope, obs, gates)
-        right = _elaborate(node.right, scope, obs, gates)
+        left = _elaborate(node.left, scope, obs)
+        right = _elaborate(node.right, scope, obs)
         if isinstance(node, Add):
             return left + right
         if isinstance(node, Sub):
@@ -594,7 +576,7 @@ def _link(alg, node, left, right):
     return alg.bracket(left, right)
 
 
-def _bind(level, prefix, total, binding, scope, obs, gates):
+def _bind(level, prefix, total, binding, scope, obs):
     """total plus the sum's terms over the names from order[level] on.
 
     order[:level] is bound in scope, and prefix is the product of the
@@ -603,7 +585,7 @@ def _bind(level, prefix, total, binding, scope, obs, gates):
     """
     order, ranges, factors, links, due = binding
     for k in due[level]:
-        right = _elaborate(factors[k], scope, obs, gates)
+        right = _elaborate(factors[k], scope, obs)
         prefix = right if k == 0 else _link(obs.alg, links[k], prefix, right)
         if prefix.is_zero():
             return total
@@ -612,7 +594,7 @@ def _bind(level, prefix, total, binding, scope, obs, gates):
     name = order[level]
     for v in ranges[level]:
         scope[name] = v
-        total = _bind(level + 1, prefix, total, binding, scope, obs, gates)
+        total = _bind(level + 1, prefix, total, binding, scope, obs)
     return total
 
 

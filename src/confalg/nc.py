@@ -74,10 +74,9 @@ class NCExpr:
     word holds the pure-coefficient part; the empty map is zero.
     """
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, alg, terms):
-        self.alg = alg
+    def __init__(self, terms):
         self.terms = terms
 
     def is_zero(self):
@@ -95,22 +94,22 @@ class NCExpr:
                     del out[w]
                 else:
                     out[w] = s
-        return NCExpr(self.alg, out)
+        return NCExpr(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return NCExpr(self.alg, {w: -c for w, c in self.terms.items()})
+        return NCExpr({w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
         if not isinstance(c, FieldElem):
             c = FieldElem.const(c)
         if c.is_zero():
-            return NCExpr(self.alg, {})
+            return NCExpr({})
         if c == FE_ONE:
             return self
-        return NCExpr(self.alg, {w: c * f for w, f in self.terms.items()})
+        return NCExpr({w: c * f for w, f in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, NCExpr) and self.terms == other.terms
@@ -190,14 +189,14 @@ class Algebra:
     # ---- constructors ----
 
     def zero(self):
-        return NCExpr(self, {})
+        return NCExpr({})
 
     def scalar(self, c):
         if not isinstance(c, FieldElem):
             c = FieldElem.const(c)
         if c.is_zero():
-            return NCExpr(self, {})
-        return NCExpr(self, {(): c})
+            return NCExpr({})
+        return NCExpr({(): c})
 
     def one(self):
         return self.scalar(FE_ONE)
@@ -209,7 +208,7 @@ class Algebra:
         return self.scalar(FE_M)
 
     def letter(self, code):
-        return NCExpr(self, {(code,): FE_ONE})
+        return NCExpr({(code,): FE_ONE})
 
     def D(self):
         return self.letter(LETTER_D)
@@ -220,7 +219,7 @@ class Algebra:
             return self.zero()
         if mu < nu:
             return self.letter(letter_J(mu, nu))
-        return NCExpr(self, {(letter_J(nu, mu),): -FE_ONE})
+        return NCExpr({(letter_J(nu, mu),): -FE_ONE})
 
     def C(self, mu):
         return self.letter(letter_C(mu))
@@ -375,7 +374,7 @@ class Algebra:
         out = {}
         for w, c in self._raw_mul_terms(x.terms, y.terms):
             _acc(out, w, c)
-        return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
+        return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
 
     def dot(self, x, y):
         """Symmetrized product (x*y + y*x) / 2."""
@@ -398,7 +397,7 @@ class Algebra:
                     self._acc_moved(out, f, u, g, w)
                 if w and not f.is_rational():
                     self._acc_moved(out, -g, w, f, u)
-        return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
+        return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
 
     def _comm(self, u, w):
         """uw - wu for sorted words u, w: {word: Fraction}, shared, read-only."""
@@ -439,7 +438,7 @@ class Algebra:
         for u, f in x.terms.items():
             for w, c in self._sort_word(u).items():
                 _acc(out, w, f * c)
-        return NCExpr(self, {w: c for w, c in out.items() if not c.is_zero()})
+        return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
 
 
 def _acc(out, w, c):

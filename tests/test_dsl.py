@@ -429,7 +429,7 @@ def test_elaborate_errors_inside_sums(alg, obs):
     assert got == _outcome(_tree_walk, ast, {}, obs)
     assert got[0] is IndexRangeError and "for Xi" in got[1]
     # a subtree object met both inside a sum and outside it, where mu is
-    # unbound, is skipped in neither place
+    # unbound, is decided at each place: outside it raises in either order
     shared = parse("0*P[mu]")
     for tree in (Add(shared, Sum(("mu",), shared)),
                  Add(Sum(("mu",), shared), shared)):
@@ -471,20 +471,36 @@ def _rand_chain_sum(rng):
     return f"sum({', '.join(names)} : {body})", assignment
 
 
+def _rand_nested_sum(rng):
+    # a random chain sum inside a sum over the one free name its chain may
+    # use, either as the whole body or as the middle factor of a chain
+    inner, assignment = _rand_chain_sum(rng)
+    outer = next(n for n in _CHAIN_NAMES if n not in parse(inner).names)
+    assignment.pop(outer, None)
+    if rng.random() < 0.5:
+        return f"sum({outer} : {inner})", assignment
+    v = rng.randint(0, 3)
+    return f"sum({outer} : eta[{outer},{v}]*{inner}*P[{outer}])", assignment
+
+
 def test_pruned_sums_match_tree_walk_on_random_chains(obs):
-    # a sum of a random product chain equals the plain tree walk, or both
-    # raise the same error class and message
+    # a sum of a random product chain, alone or nested in another sum,
+    # equals the plain tree walk, or both raise the same error class and
+    # message
     rng = random.Random(20261018)
-    raised = zero = 0
-    for _ in range(120):
-        src, asg = _rand_chain_sum(rng)
-        ast = parse(src)
-        want = _outcome(_tree_walk, ast, asg, obs)
-        assert _outcome(elaborate, ast, asg, obs) == want, (src, asg)
-        raised += isinstance(want, tuple)
-        zero += not isinstance(want, tuple) and want.is_zero()
-    # errors, zero sums and nonzero sums all occur
-    assert raised > 10 and zero > 10 and 120 - raised - zero > 10
+    for make, cases, least in ((_rand_chain_sum, 120, 10),
+                               (_rand_nested_sum, 40, 3)):
+        raised = zero = 0
+        for _ in range(cases):
+            src, asg = make(rng)
+            ast = parse(src)
+            want = _outcome(_tree_walk, ast, asg, obs)
+            assert _outcome(elaborate, ast, asg, obs) == want, (src, asg)
+            raised += isinstance(want, tuple)
+            zero += not isinstance(want, tuple) and want.is_zero()
+        # errors, zero sums and nonzero sums all occur
+        assert raised > least and zero > least, make
+        assert cases - raised - zero > least, make
 
 
 def test_spin_vector_rhs_skips_zero_products(obs, monkeypatch):
@@ -531,9 +547,9 @@ def test_zero_numerator_skips_the_inverse(alg, obs, monkeypatch):
 
 
 def test_elaborate_leaves_no_garbage(obs):
-    # what a call builds (the gates and the binding plans) is reachable from
-    # no reference cycle, so it is freed when the call returns rather than
-    # at the next collection
+    # what a call builds (the binding plans) is reachable from no reference
+    # cycle, so it is freed when the call returns rather than at the next
+    # collection
     ast = parse("sum(nu, rho : eta[nu,rho]*(J[rho,mu] . (P[nu]/M^2)))")
     gc.collect()
     elaborate(ast, {"mu": 1}, obs)

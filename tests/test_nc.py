@@ -80,7 +80,7 @@ def test_full_reversal_normalizes(alg):
     # one word holding every letter in reverse canonical order exercises the
     # whole pair table in a single normalize call
     w = tuple(range(N_LETTERS - 1, -1, -1))
-    n = alg.normalize(NCExpr(alg, {w: FE_ONE}))
+    n = alg.normalize(NCExpr({w: FE_ONE}))
     assert not n.is_zero()
     assert alg.normalize(n) == n
 
@@ -281,9 +281,9 @@ def test_rewrite_budget_enforced():
     small.budget = 10
     w = tuple(range(N_LETTERS - 1, -1, -1))
     with pytest.raises(RewriteBudgetExceeded):
-        small.normalize(NCExpr(small, {w: FE_ONE}))
+        small.normalize(NCExpr({w: FE_ONE}))
     # the aborted operation leaves no spent fuel behind: a one-swap word fits
-    small.normalize(NCExpr(small, {(1, 0): FE_ONE}))
+    small.normalize(NCExpr({(1, 0): FE_ONE}))
 
 
 def test_bracket_is_one_fuelled_operation():
@@ -342,7 +342,7 @@ def _swapped(alg, b, a, before=(), after=()):
     terms = {before + (a, b) + after: FE_ONE}
     for mid, c in alg.letter_table[(b, a)].items():
         terms[before + mid + after] = FieldElem.const(c)
-    return NCExpr(alg, terms)
+    return NCExpr(terms)
 
 
 def _moved(alg, a, g):
@@ -351,7 +351,7 @@ def _moved(alg, a, g):
         rule = alg.mass_rules[a]
     else:
         rule = alg.momentum_rules[(a, g[1])]
-    return NCExpr(alg, {(a,): _gen_value(g)}) + NCExpr(alg, dict(rule))
+    return NCExpr({(a,): _gen_value(g)}) + NCExpr(dict(rule))
 
 
 def _overlaps(alg):

@@ -68,9 +68,30 @@ def _mentions(node):
     return out
 
 
+def _definitions(tree):
+    """(name, defining node) for every function, method and class in tree,
+    and for every private name assigned at its top level."""
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.startswith("_"):
+                yield target.id, node
+
+
 def test_every_definition_is_named_elsewhere():
-    # a function, method or class is live only if src/ or perfbench/ names it
-    # outside its own definition; dunders are reached through the language
+    # a function, method, class or private module constant is live only if
+    # src/ or perfbench/ names it outside its own definition; dunders are
+    # reached through the language, and public constants through the tests
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for top in ("src", "perfbench")
@@ -83,12 +104,7 @@ def test_every_definition_is_named_elsewhere():
     for path, tree in trees.items():
         if _PACKAGE not in path.parents:
             continue
-        for node in ast.walk(tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            name = node.name
+        for name, node in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if named[name] == _mentions(node)[name]:
