@@ -27,7 +27,7 @@ agreement is meaningful.
 from fractions import Fraction
 
 from .errors import ConsistencyFailure
-from .field import FE_M, FE_Q, FieldElem, Q_POLY, RationalFunction
+from .field import FE_M, FE_Q, FieldElem
 from .nc import (
     Algebra,
     DEFAULT_BUDGET,
@@ -211,14 +211,13 @@ def momentum_rules():
 def build_X(alg, mu):
     """The localisation observable X[mu] = J[nu,mu].(P^nu/M^2) + D.(P[mu]/M^2)."""
     total = alg.zero()
+    q_inv = FE_Q.inv()
     for nu in range(4):
-        coeff = FieldElem(
-            RationalFunction(Polynomial.var(nu) * eta(nu, nu), Q_POLY)
-        )
+        coeff = FieldElem.momentum(nu) * eta(nu, nu) * q_inv
         j = alg.J(nu, mu)
         if not j.is_zero():
             total = total + alg.dot(j, alg.scalar(coeff))
-    d_coeff = FieldElem(RationalFunction(Polynomial.var(mu), Q_POLY))
+    d_coeff = FieldElem.momentum(mu) * q_inv
     total = total + alg.dot(alg.D(), alg.scalar(d_coeff))
     return total
 

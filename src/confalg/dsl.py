@@ -37,6 +37,7 @@ from .errors import (
     UnboundIndex,
     UnknownSymbol,
 )
+from .field import FE_ZERO
 
 __all__ = [
     "Num", "Sym", "Add", "Sub", "Neg", "Mul", "Dot", "Div", "Pow", "Br",
@@ -601,8 +602,6 @@ def _bind(level, prefix, total, binding, scope, obs):
 def _as_coefficient(expr):
     """The coefficient of a pure-scalar operator; anything else is rejected."""
     if expr.is_zero():
-        from .field import FE_ZERO
-
         return FE_ZERO  # .inv() raises the division error with the right type
     words = set(expr.terms)
     if words != {()}:

@@ -32,7 +32,9 @@ prime; every uncertified factor that could divide a numerator is therefore
 a candidate of _cancel, where poly_gcd against the numerator settles it and
 splits it. A new denominator, from the constructor or inv, is admitted by
 trial division by the certified primes, and its cofactor is certified or
-split.
+split. The 1/d that FieldElem.as_quotient returns is not admitted: it is
+built on the factor list of d that as_quotient forms from the operands'
+lists, so d is not factored again.
 
 Unit lists: a list (1, {}) means den = 1 and a numerator with integer
 coefficients (_canon and _lowest_terms see to it). On two such operands the
@@ -506,21 +508,22 @@ class FieldElem:
         return f"FieldElem({self.pretty()})"
 
     def as_quotient(self):
-        """(A, B, d) with the element equal to (A + B*M)/d.
+        """(A, B, d, 1/d) with the element equal to (A + B*M)/d.
 
         d is a common denominator of both parts, the least one when every
-        factor of their lists is certified.
+        factor of their lists is certified. 1/d is a FieldElem built on the
+        factor list of d that this computes, so d is not factored again.
         """
         a, b = self.a, self.b
         if a.den == b.den:
-            return a.num, b.num, a.den
-        (ma, Fa), (mb, Fb) = a._fac, b._fac
-        L, cofa, cofb = _lcm(Fa, Fb)
-        return (
-            _scaled(a.num, mb, cofa),
-            _scaled(b.num, ma, cofb),
-            _scaled(_POLY_ONE, ma * mb, L),
-        )
+            A, B, d, fac = a.num, b.num, a.den, a._fac
+        else:
+            (ma, Fa), (mb, Fb) = a._fac, b._fac
+            L, cofa, cofb = _lcm(Fa, Fb)
+            A, B = _scaled(a.num, mb, cofa), _scaled(b.num, ma, cofb)
+            fac = (ma * mb, L)
+            d = _scaled(_POLY_ONE, *fac)
+        return A, B, d, FieldElem(RationalFunction(_POLY_ONE, d, _fac=fac))
 
     def pretty(self):
         if self.b.is_zero():

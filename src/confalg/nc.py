@@ -35,8 +35,7 @@ Randomized schedules live only in tests.
 from fractions import Fraction
 
 from .errors import RewriteBudgetExceeded
-from .field import FE_ONE, FE_M, FieldElem, RationalFunction, has_toplevel_space
-from .poly import Polynomial
+from .field import FE_ONE, FE_M, FieldElem, has_toplevel_space
 
 # ---- letters -------------------------------------------------------------
 
@@ -261,7 +260,7 @@ class Algebra:
     # ---- derivation of a letter on a coefficient ----
 
     def _deriv_mono(self, a, exps, with_m):
-        """(a, monomial) for a unit-coefficient monomial, Leibniz left-to-right."""
+        """(a, monomial) for a unit-coefficient monomial; see _deriv_factors."""
         key = (a, exps, with_m)
         hit = self._mono_memo.get(key)
         if hit is not None:
@@ -276,26 +275,28 @@ class Algebra:
         return out
 
     def _deriv_factors(self, a, factors):
-        if not factors:
-            return {}
-        self._tick()
-        kind, v = factors[0]
-        rest = factors[1:]
-        rule = self.momentum_rules[(a, v)] if kind == "P" else self.mass_rules[a]
+        """(a, f0*f1*...) for a list of ("P", v) / ("M", _) factors.
+
+        Leibniz, one tick per factor, right to left: with rest the product
+        of the factors after f, (a, f*rest) = (a, f)*rest + f*(a, rest),
+        where (a, f)*rest moves rest through the words of f's rule.
+        """
         out = {}
-        if rest:
-            rest_fe = _factors_coeff(rest)
-            for w, c in self._raw_mul_terms(rule, {(): rest_fe}):
-                _acc(out, w, c)
-            tail = self._deriv_factors(a, rest)
-            if tail:
-                f0 = _factors_coeff(factors[:1])
-                for w, c in tail.items():
-                    _acc(out, w, f0 * c)
-        else:
-            for w, c in rule.items():
-                _acc(out, w, c)
-        return {w: c for w, c in out.items() if not c.is_zero()}
+        rest = FE_ONE
+        for kind, v in reversed(factors):
+            self._tick()
+            if kind == "P":
+                f, rule = FieldElem.momentum(v), self.momentum_rules[(a, v)]
+            else:
+                f, rule = FE_M, self.mass_rules[a]
+            step = {}
+            for w, c in self._raw_mul_terms(rule, {(): rest}):
+                _acc(step, w, c)
+            for w, c in out.items():
+                _acc(step, w, f * c)
+            out = {w: c for w, c in step.items() if not c.is_zero()}
+            rest = f * rest
+        return out
 
     def _deriv_poly(self, a, p, with_m):
         """(a, p) for a polynomial p, times M when with_m: {word: FieldElem}."""
@@ -306,17 +307,19 @@ class Algebra:
         return {w: c for w, c in out.items() if not c.is_zero()}
 
     def deriv(self, a, g):
-        """(a, g) for letter a and coefficient g, as {word: FieldElem}."""
-        if g.is_rational():
-            return {}
-        A, B, d = g.as_quotient()
+        """(a, g) for letter a and coefficient g, as {word: FieldElem}.
+
+        as_quotient writes g as (A + B*M)/d and gives 1/d with it; the
+        quotient rule below needs no factoring of its own. A rational g
+        gives {}, as every derivation of a polynomial of degree 0 is empty.
+        """
+        A, B, d, dinv = g.as_quotient()
         num = self._deriv_poly(a, A, False)
         for w, c in self._deriv_poly(a, B, True).items():
             _acc(num, w, c)
         num = {w: c for w, c in num.items() if not c.is_zero()}
-        if d == Polynomial.one():
+        if dinv == FE_ONE:
             return num
-        dinv = FieldElem(RationalFunction(Polynomial.one(), d))
         # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
         #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1
         # and N * d^-1 is g itself, a pure left coefficient.
@@ -448,18 +451,3 @@ def _acc(out, w, c):
     else:
         out[w] = s + c
 
-
-def _factors_coeff(factors):
-    """The coefficient-field product of a ("P", v) / ("M", _) factor list."""
-    exps = [0, 0, 0, 0]
-    m = 0
-    for kind, v in factors:
-        if kind == "P":
-            exps[v] += 1
-        else:
-            m += 1
-    poly = Polynomial({tuple(exps): Fraction(1)})
-    fe = FieldElem.from_poly(poly)
-    for _ in range(m):
-        fe = fe * FE_M
-    return fe

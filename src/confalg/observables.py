@@ -22,16 +22,12 @@ language).
 from fractions import Fraction
 
 from .conformal import build_X, eps4, eta, gen_expr
-from .field import FE_M, RF_ZERO, FieldElem, Q_POLY, RationalFunction
-from .poly import Polynomial
+from .field import FE_M, FieldElem
 
 
 def _mom_over_q(sig, sign=1):
-    """P[sig]*M/M^2 = P[sig]/M as a coefficient, optionally signed."""
-    return FieldElem(
-        RF_ZERO,
-        RationalFunction(Polynomial.var(sig) * sign, Q_POLY),
-    )
+    """P[sig]/M = P[sig]*M/M^2 as a coefficient, optionally signed."""
+    return FieldElem.momentum(sig) * sign * FE_M.inv()
 
 
 class Observables:

@@ -366,8 +366,10 @@ def test_stored_coefficients_are_int_or_nonintegral_fraction():
             _assert_exact_fe(z)
         if not x.is_zero():
             _assert_exact_fe(x.inv())
-        for part in x.as_quotient():
+        A, B, d, dinv = x.as_quotient()
+        for part in (A, B, d):
             _assert_exact_poly(part)
+        _assert_exact_fe(dinv)
         rf = _rand_rf(rng)
         for r in (rf, rf * rf, rf + rf, rf * 4):
             _assert_exact_poly(r.num)
@@ -593,11 +595,15 @@ def test_factored_arithmetic_matches_gcd_reference():
 
 def _assert_quotient(z, rx, ry):
     """as_quotient of z = x + y*M gives a common denominator of x and y, the
-    gcd reference's one when every factor of their lists is certified."""
+    gcd reference's one when every factor of their lists is certified, and
+    1/d, whose factor list expands to d. The list itself may differ from a
+    fresh admission of d, which can split an uncertified product."""
     from confalg import field
 
-    A, B, d = z.as_quotient()
+    A, B, d, dinv = z.as_quotient()
     assert FieldElem(RationalFunction(A, d), RationalFunction(B, d)) == z
+    assert dinv == FieldElem(RationalFunction(ONE, d))
+    assert dinv.b.is_zero() and _scaled_product(*dinv.a._fac) == d
     if all(f in field._PRIMES for r in (z.a, z.b) for f in r._fac[1]):
         assert (A, B, d) == _ref_as_quotient(rx, ry)
 

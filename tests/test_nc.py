@@ -312,6 +312,63 @@ def test_bracket_is_one_fuelled_operation():
     assert small.bracket(small.C(0), small.D()) == small.C(0)
 
 
+# (op, steps) after each top-level operation of a fresh algebra: "m" for mul
+# (dot is two), "b" for bracket, "n" for normalize. The first 62 are
+# build_algebra's own; then come br(C[mu], X[nu]) for every mu and nu,
+# br(C[0], Xi[j]) for each j and br(C[1], Tau). The memos make each count
+# depend on everything before it, so a change to how a step is taken, or
+# to what is memoized, shows here.
+_FUEL_SEQUENCE = [
+    ("m", 10), ("m", 0), ("m", 10), ("m", 0), ("m", 10), ("m", 0), ("m", 10),
+    ("m", 0), ("m", 0), ("m", 8), ("m", 2), ("m", 0), ("m", 10), ("m", 0),
+    ("m", 10), ("m", 0), ("m", 2), ("m", 0), ("m", 0), ("m", 4), ("m", 2),
+    ("m", 0), ("m", 2), ("m", 0), ("m", 10), ("m", 0), ("m", 2), ("m", 0),
+    ("m", 0), ("m", 2), ("m", 2), ("m", 0), ("m", 2), ("m", 0), ("m", 2),
+    ("m", 0), ("m", 2), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    # the brackets, and the observables they need
+    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 0), ("b", 23), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 0), ("m", 0), ("m", 0), ("b", 3), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("b", 3), ("m", 0),
+    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("b", 2), ("b", 23), ("b", 4), ("b", 3), ("b", 2), ("b", 18), ("b", 5),
+    ("b", 3), ("b", 2), ("b", 13), ("b", 3), ("b", 3), ("b", 2), ("m", 0),
+    ("m", 1), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
+    ("m", 7), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
+    ("m", 6), ("m", 0), ("b", 638), ("m", 0), ("m", 1), ("m", 3), ("m", 3),
+    ("m", 0), ("m", 3), ("m", 0), ("m", 0), ("m", 4), ("m", 7), ("m", 0),
+    ("b", 82), ("m", 0), ("m", 1), ("m", 5), ("m", 4), ("m", 0), ("b", 4),
+    ("m", 0), ("m", 7), ("m", 0), ("m", 6), ("m", 0), ("m", 5), ("m", 4),
+    ("m", 0), ("b", 149),
+]
+
+
+def test_fuel_sequence_is_pinned(monkeypatch):
+    seq = []
+    for name in ("mul", "bracket", "normalize"):
+        op = getattr(Algebra, name)
+
+        def recorded(self, *args, _op=op, _tag=name[0]):
+            out = _op(self, *args)
+            seq.append((_tag, self._steps))
+            return out
+
+        monkeypatch.setattr(Algebra, name, recorded)
+    alg = build_algebra()
+    obs = Observables(alg)
+    for mu, nu in itertools.product(range(4), repeat=2):
+        alg.bracket(alg.C(mu), obs.X(nu))
+    for j in range(1, 4):
+        alg.bracket(alg.C(0), obs.xi(j))
+    alg.bracket(alg.C(1), obs.tau())
+    assert seq == _FUEL_SEQUENCE
+    steps = [s for _, s in seq]
+    assert (len(seq), sum(steps), max(steps)) == (155, 1172, 638)
+
+
 # ---------------------------------------------------------------------------
 # confluence certificate
 # ---------------------------------------------------------------------------
@@ -438,11 +495,17 @@ def test_deriv_on_constant_denominators(alg):
     for g in (P0 * P1, P0 * FE_M, P1 * P1 + FE_M):
         for k in (Fraction(2), Fraction(-3, 5)):
             gk = g * (1 / k)
-            d = gk.as_quotient()[2]
+            _, _, d, dinv = gk.as_quotient()
             assert d.is_const() and d != Polynomial.one()
+            assert dinv == FieldElem.const(Fraction(1, d.leading()[1]))
             for a in range(N_LETTERS):
                 want = {w: c * (1 / k) for w, c in alg.deriv(a, g).items()}
                 assert alg.deriv(a, gk) == want, (letter_name(a), g, k)
+    # a rational coefficient commutes with every letter, through the same
+    # quotient rule: deriv keeps no early return of its own for it
+    for k in (Fraction(1), Fraction(2), Fraction(-3, 5)):
+        for a in range(N_LETTERS):
+            assert alg.deriv(a, FieldElem.const(k)) == {}, (letter_name(a), k)
 
 
 def test_letter_names_cover_all_codes():

@@ -110,3 +110,62 @@ def test_every_definition_is_named_elsewhere():
             if named[name] == _mentions(node)[name]:
                 dead.append(f"{path.name}:{name}")
     assert not dead, f"defined but never named elsewhere: {dead}"
+
+
+#: the package's modules, bottom up; errors sits below them all
+_LAYERS = ("errors", "poly", "field", "nc", "conformal", "observables", "dsl",
+           "suites", "cli")
+
+
+def _package_imports(tree):
+    """(module, imported names) of each import from the package in tree;
+    `from . import dsl` imports the module dsl itself."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module:
+            yield node.module, [alias.name for alias in node.names]
+        else:
+            for alias in node.names:
+                yield alias.name, []
+
+
+def test_modules_import_only_from_the_layers_below():
+    # errors may be imported anywhere; the package's __init__ re-exports all
+    rank = {name: i for i, name in enumerate(_LAYERS)}
+    bad = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        assert path.stem in rank, f"{path.name} has no place in _LAYERS"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for module, _ in _package_imports(tree):
+            if module != "errors" and rank[module] >= rank[path.stem]:
+                bad.append(f"{path.name} imports {module}")
+    assert not bad, bad
+
+
+def _poly_names(tree):
+    """The polynomial-level names tree imports or refers to."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for module, imported in _package_imports(tree):
+        names.update(imported)
+        if module == "poly":
+            names.add("poly")
+    return sorted(
+        n for n in names
+        if n in ("poly", "Polynomial", "RationalFunction", "Q_POLY")
+        or n.startswith("RF_")
+    )
+
+
+def test_only_field_assembles_coefficients_from_polynomials():
+    # nc and observables build coefficients with FieldElem arithmetic alone
+    found = {}
+    for name in ("nc", "observables"):
+        tree = ast.parse((_PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        names = _poly_names(tree)
+        if names:
+            found[name] = names
+    assert not found, found
