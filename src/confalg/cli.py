@@ -132,8 +132,10 @@ def _elaborate_closed(src, ctx):
 
 def _shift_lines(ctx):
     lines = ["informational: acceleration position shifts (no closed form expected)"]
-    for (mu, nu), expr in sorted(ctx.obs.special_conformal_shifts().items()):
-        lines.append(f"  br(C[{mu}], X[{nu}]) = {expr.pretty()}")
+    for mu in range(4):
+        for nu in range(4):
+            expr = ctx.obs.shift(("C", mu), nu)
+            lines.append(f"  br(C[{mu}], X[{nu}]) = {expr.pretty()}")
     return lines
 
 

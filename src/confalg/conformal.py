@@ -279,19 +279,9 @@ def table_expr(alg, coeffs):
     return total
 
 
-def jacobi_residual(alg, a, b, c, pair_cache=None):
-    """((a,b),c) - (a,(b,c)) + (b,(a,c)); pair_cache keeps brackets across calls."""
-    if pair_cache is None:
-        pair_cache = {}
-
-    def pair(x, y):
-        key = (x, y)
-        hit = pair_cache.get(key)
-        if hit is None:
-            hit = alg.bracket(gen_expr(alg, x), gen_expr(alg, y))
-            pair_cache[key] = hit
-        return hit
-
+def jacobi_residual(alg, a, b, c, pair):
+    """((a,b),c) - (a,(b,c)) + (b,(a,c)); pair(x, y) gives the bracket (x, y)
+    of two generators, so a caller can share them across calls."""
     t1 = alg.bracket(pair(a, b), gen_expr(alg, c))
     t2 = alg.bracket(gen_expr(alg, a), pair(b, c))
     t3 = alg.bracket(gen_expr(alg, b), pair(a, c))

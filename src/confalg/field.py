@@ -475,6 +475,8 @@ class FieldElem:
             if other == 1:
                 return self
             return FieldElem(self.a * other, self.b * other)
+        if not isinstance(other, FieldElem):
+            return NotImplemented  # so a float operand raises TypeError
         a1, b1 = self.a, self.b
         a2, b2 = other.a, other.b
         if b1.is_zero() and b2.is_zero():
@@ -519,9 +521,10 @@ class FieldElem:
             A, B, d, fac = a.num, b.num, a.den, a._fac
         else:
             (ma, Fa), (mb, Fb) = a._fac, b._fac
+            m = math.lcm(ma, mb)
             L, cofa, cofb = _lcm(Fa, Fb)
-            A, B = _scaled(a.num, mb, cofa), _scaled(b.num, ma, cofb)
-            fac = (ma * mb, L)
+            A, B = _scaled(a.num, m // ma, cofa), _scaled(b.num, m // mb, cofb)
+            fac = (m, L)
             d = _scaled(_POLY_ONE, *fac)
         return A, B, d, FieldElem(RationalFunction(_POLY_ONE, d, _fac=fac))
 

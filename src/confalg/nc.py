@@ -102,13 +102,9 @@ class NCExpr:
         return NCExpr({w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
-        if not isinstance(c, FieldElem):
-            c = FieldElem.const(c)
-        if c.is_zero():
-            return NCExpr({})
-        if c == FE_ONE:
-            return self
-        return NCExpr({w: c * f for w, f in self.terms.items()})
+        """self times c, an int, a Fraction or a FieldElem."""
+        out = {w: f * c for w, f in self.terms.items()}
+        return NCExpr({w: f for w, f in out.items() if not f.is_zero()})
 
     def __eq__(self, other):
         return isinstance(other, NCExpr) and self.terms == other.terms

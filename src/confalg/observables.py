@@ -9,6 +9,8 @@ coefficient field:
 * Stensor[mu,nu] = eps[mu,nu,rho,sig] S^rho P^sig / M
 * Sigma[j], Xi[j], Tau   the canonical spin, position and time variables
 * V[mu]   velocity, V[mu] = -(M, X[mu])
+* (g, h) and (g, X[nu]) for generators g, h: the brackets the builtin sweeps
+          share, built once each
 
 Index convention: symbols carry lower indices; raising is an explicit metric
 contraction and the metric is its own inverse. Spatial indices run 1..3.
@@ -132,6 +134,22 @@ class Observables:
 
         return self._get(("V", mu), build)
 
+    # ---- generator brackets shared by the builtin sweeps ----
+
+    def gen_bracket(self, g, h):
+        """(g, h) for two generators."""
+        alg = self.alg
+        return self._get(
+            ("br", g, h), lambda: alg.bracket(gen_expr(alg, g), gen_expr(alg, h))
+        )
+
+    def shift(self, g, nu):
+        """(g, X[nu]) for a generator g: how g moves the position observable."""
+        alg = self.alg
+        return self._get(
+            ("shift", g, nu), lambda: alg.bracket(gen_expr(alg, g), self.X(nu))
+        )
+
     # ---- conformal factors evaluated on the localisation observable ----
 
     def lambda_at_X(self, g):
@@ -162,15 +180,3 @@ class Observables:
         if wrt == "M":
             return alg.bracket(self.tau(), expr)
         raise ValueError(f"unknown canonical variable {wrt!r}")
-
-    # ---- informational output ----
-
-    def special_conformal_shifts(self):
-        """Normal forms of (C[mu], X[nu]); no closed target, shown for inspection."""
-        out = {}
-        for mu in range(4):
-            for nu in range(4):
-                out[(mu, nu)] = self.alg.bracket(
-                    gen_expr(self.alg, ("C", mu)), self.X(nu)
-                )
-        return out

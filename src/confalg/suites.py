@@ -22,7 +22,7 @@ the expression language cannot do, and run registered sweeps instead.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 
@@ -219,7 +219,6 @@ def find_identity(ident_id):
 class Context:
     alg: object
     obs: object
-    pair_cache: dict = field(default_factory=dict)
 
 
 _CONTEXTS = {}
@@ -274,7 +273,7 @@ def _jacobi_residual(ctx, asg):
         _GEN_BY_NAME[asg["a"]],
         _GEN_BY_NAME[asg["b"]],
         _GEN_BY_NAME[asg["c"]],
-        pair_cache=ctx.pair_cache,
+        ctx.obs.gen_bracket,
     )
     return None if r.is_zero() else r.pretty()
 
@@ -319,17 +318,17 @@ def _gen_munu_assignments():
 
 def _pair_invariance_residual(ctx, asg):
     alg, obs = ctx.alg, ctx.obs
-    inner = alg.bracket(alg.momentum(asg["mu"]), obs.X(asg["nu"]))
+    inner = obs.shift(("P", asg["mu"]), asg["nu"])
     r = alg.bracket(gen_expr(alg, _GEN_BY_NAME[asg["g"]]), inner)
     return None if r.is_zero() else r.pretty()
 
 
 def _shift_consistency_residual(ctx, asg):
     alg, obs = ctx.alg, ctx.obs
-    ge = gen_expr(alg, _GEN_BY_NAME[asg["g"]])
+    g = _GEN_BY_NAME[asg["g"]]
     mu, nu = asg["mu"], asg["nu"]
-    lhs = alg.bracket(alg.bracket(ge, obs.X(nu)), alg.momentum(mu))
-    rhs = alg.bracket(alg.bracket(ge, alg.momentum(mu)), obs.X(nu))
+    lhs = alg.bracket(obs.shift(g, nu), alg.momentum(mu))
+    rhs = alg.bracket(obs.gen_bracket(g, ("P", mu)), obs.X(nu))
     r = lhs - rhs
     return None if r.is_zero() else r.pretty()
 
@@ -337,10 +336,9 @@ def _shift_consistency_residual(ctx, asg):
 def _cfactor_sym_momentum_residual(ctx, asg):
     alg, obs = ctx.alg, ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
-    ge = gen_expr(alg, g)
     mu, nu = asg["mu"], asg["nu"]
-    lhs = alg.bracket(alg.bracket(ge, alg.momentum(mu)), obs.X(nu)) + alg.bracket(
-        alg.bracket(ge, alg.momentum(nu)), obs.X(mu)
+    lhs = alg.bracket(obs.gen_bracket(g, ("P", mu)), obs.X(nu)) + alg.bracket(
+        obs.gen_bracket(g, ("P", nu)), obs.X(mu)
     )
     r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()
@@ -349,10 +347,9 @@ def _cfactor_sym_momentum_residual(ctx, asg):
 def _cfactor_sym_position_residual(ctx, asg):
     alg, obs = ctx.alg, ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
-    ge = gen_expr(alg, g)
     mu, nu = asg["mu"], asg["nu"]
-    lhs = alg.bracket(alg.bracket(ge, obs.X(nu)), alg.momentum(mu)) + alg.bracket(
-        alg.bracket(ge, obs.X(mu)), alg.momentum(nu)
+    lhs = alg.bracket(obs.shift(g, nu), alg.momentum(mu)) + alg.bracket(
+        obs.shift(g, mu), alg.momentum(nu)
     )
     r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()

@@ -23,6 +23,7 @@ from confalg.conformal import (
     matrix_residual,
     table_bracket,
 )
+from confalg.observables import Observables
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +110,9 @@ def test_table_jacobi_spot_triples(alg):
         (gen_J(2, 3), gen_C(2), gen_P(3)),
         (gen_P(2), gen_P(0), gen_C(2)),
     ]
+    pair = Observables(alg).gen_bracket
     for a, b, c in triples:
-        assert jacobi_residual(alg, a, b, c).is_zero(), (
+        assert jacobi_residual(alg, a, b, c, pair).is_zero(), (
             gen_name(a),
             gen_name(b),
             gen_name(c),

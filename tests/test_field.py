@@ -472,7 +472,7 @@ def _ref_as_quotient(x, y):
     (a, ad), (b, bd) = x, y
     if ad == bd:
         return a, b, ad
-    g = poly_gcd(ad, bd)
+    g = poly_gcd(ad, bd) * math.gcd(integer_content(ad), integer_content(bd))
     bd_r, ad_r = exact_div(bd, g), exact_div(ad, g)
     return a * bd_r, b * ad_r, ad * bd_r
 
@@ -606,6 +606,15 @@ def _assert_quotient(z, rx, ry):
     assert dinv.b.is_zero() and _scaled_product(*dinv.a._fac) == d
     if all(f in field._PRIMES for r in (z.a, z.b) for f in r._fac[1]):
         assert (A, B, d) == _ref_as_quotient(rx, ry)
+
+
+def test_as_quotient_takes_the_least_integer_denominator():
+    # the two parts' denominators 2 and 4 share the factor 2, so d is 4
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    z = FieldElem.momentum(0) * half + FieldElem.momentum(1) * FE_M * quarter
+    A, B, d, dinv = z.as_quotient()
+    assert (A, B, d) == (P0 * 2, P1, Polynomial.const(4))
+    assert dinv == FieldElem.const(Fraction(1, 4))
 
 
 def test_prime_certified_after_a_product_that_holds_it():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from confalg import suites
 from confalg.conformal import (
     GENERATORS,
     build_algebra,
@@ -15,7 +16,7 @@ from confalg.conformal import (
     mass_rule_residual,
     momentum_rules,
 )
-from confalg.errors import RewriteBudgetExceeded
+from confalg.errors import ConfalgError, RewriteBudgetExceeded
 from confalg.field import FE_M, FE_ONE, FieldElem
 from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name
 from confalg.observables import Observables
@@ -346,7 +347,8 @@ _FUEL_SEQUENCE = [
 ]
 
 
-def test_fuel_sequence_is_pinned(monkeypatch):
+def _record_ops(monkeypatch):
+    """A list that gets (op, steps) after each top-level operation."""
     seq = []
     for name in ("mul", "bracket", "normalize"):
         op = getattr(Algebra, name)
@@ -357,6 +359,11 @@ def test_fuel_sequence_is_pinned(monkeypatch):
             return out
 
         monkeypatch.setattr(Algebra, name, recorded)
+    return seq
+
+
+def test_fuel_sequence_is_pinned(monkeypatch):
+    seq = _record_ops(monkeypatch)
     alg = build_algebra()
     obs = Observables(alg)
     for mu, nu in itertools.product(range(4), repeat=2):
@@ -367,6 +374,28 @@ def test_fuel_sequence_is_pinned(monkeypatch):
     assert seq == _FUEL_SEQUENCE
     steps = [s for _, s in seq]
     assert (len(seq), sum(steps), max(steps)) == (155, 1172, 638)
+
+
+# (count, total steps, peak) of the operations that spend fuel in a fresh
+# suite run, and a ceiling on all its top-level operations: the sweeps share
+# their generator brackets through Observables, so each is built once
+_FRESH_SUITES = {
+    "structure": ((127, 155, 2), 10350),
+    "conformal-factor": ((108, 357, 13), 2117),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
+def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
+    seq = _record_ops(monkeypatch)
+    alg = build_algebra()
+    ctx = suites.Context(alg, Observables(alg))
+    del seq[:]
+    assert suites.run_suite(tag, ctx).passed
+    steps = [s for _, s in seq if s]
+    fuel, ceiling = _FRESH_SUITES[tag]
+    assert (len(steps), sum(steps), max(steps)) == fuel
+    assert len(seq) <= ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +503,41 @@ def test_overlaps_catch_each_perturbed_rule(alg):
         if all(x == y for _, x, y in _overlaps(bad)):
             missed.append((kind, key))
     assert not missed
+
+
+# the builtins that read the engine: all but the three that read only the
+# structure-constant table (tests/test_suites.py perturbs those)
+_TABLE_ORACLES = ("pair_antisymmetry", "vector_field_oracle", "matrix_oracle")
+_ENGINE_BUILTINS = {
+    ident.builtin: ident
+    for ident in suites.catalog()
+    if ident.builtin and ident.builtin not in _TABLE_ORACLES
+}
+
+
+def _fails_somewhere(ident, ctx):
+    """Whether some assignment of ident fails; stops at the first that does."""
+    for asg in suites.identity_assignments(ident):
+        try:
+            if suites.evaluate_assignment(ident, asg, ctx) is not None:
+                return True
+        except ConfalgError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("key", sorted(_ENGINE_BUILTINS))
+def test_builtin_fails_on_a_perturbed_rule(alg, key):
+    # the sweep is not vacuous: some single doubled rule makes it fail
+    assert len(_ENGINE_BUILTINS) == 7
+    for kind, rule, entry in _perturbations():
+        letters, momenta = letter_table(), momentum_rules()
+        (letters if kind == "letter" else momenta)[rule] = entry
+        bad = Algebra(letters, momenta, alg.mass_rules)
+        ctx = suites.Context(bad, Observables(bad))
+        if _fails_somewhere(_ENGINE_BUILTINS[key], ctx):
+            return
+    pytest.fail(f"{key} passes on every perturbed algebra")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from an antisymmetry argument; nothing is a recorded engine output.
 
 import pytest
 
-from confalg.conformal import build_algebra
+from confalg.conformal import build_algebra, eta
 from confalg.dsl import elaborate, parse
 from confalg.field import FE_M, FieldElem
 from confalg.observables import Observables
@@ -142,7 +142,23 @@ def test_lambda_on_x_by_kind(alg, obs):
     assert obs.lambda_at_X(("C", 1)) == obs.X(1).scale(-2)
 
 
-def test_special_conformal_shifts_cover_all_components(obs):
-    shifts = obs.special_conformal_shifts()
-    assert set(shifts) == {(mu, nu) for mu in range(4) for nu in range(4)}
-    assert all(hasattr(v, "pretty") for v in shifts.values())
+def test_generator_brackets_are_cached(alg, obs):
+    # (D, P[mu]) = P[mu] and (D, C[mu]) = -C[mu]; a second read is the same
+    # object
+    for mu in range(4):
+        assert obs.gen_bracket(("D",), ("P", mu)) == alg.momentum(mu)
+        dc = obs.gen_bracket(("D",), ("C", mu))
+        assert dc == -alg.C(mu)
+        assert obs.gen_bracket(("D",), ("C", mu)) is dc
+
+
+def test_shifts_of_x(alg, obs):
+    # (P[nu], X[mu]) = -eta[mu,nu] and (D, X[mu]) = -X[mu]; the acceleration
+    # shifts have no closed form, so they are checked against the bracket
+    for mu in range(4):
+        assert obs.shift(("D",), mu) == -obs.X(mu)
+        for nu in range(4):
+            assert obs.shift(("P", nu), mu) == alg.scalar(-eta(mu, nu))
+            c = obs.shift(("C", mu), nu)
+            assert c == alg.bracket(alg.C(mu), obs.X(nu))
+            assert obs.shift(("C", mu), nu) is c

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from confalg import conformal
 from confalg.dsl import index_range, parse
 from confalg.errors import ConstructionFailure, UnknownIdentity
 from confalg.suites import (
@@ -223,3 +224,21 @@ def test_failing_identity_is_reported_not_hidden(ctx):
     txt = report_text(SuiteReport(suite="structure", results=[res]))
     assert "FAIL bogus-check" in txt
     assert "suite structure: FAIL" in txt
+
+
+@pytest.mark.parametrize(
+    "key", ["pair_antisymmetry", "vector_field_oracle", "matrix_oracle"]
+)
+def test_table_oracle_fails_on_a_doubled_entry(ctx, monkeypatch, key):
+    # (P[0], C[0]) is read straight off the table, not through its mirror
+    # (C[0], P[0]), so doubling it breaks antisymmetry and both oracles
+    table = conformal.table_bracket
+    doubled = (conformal.gen_P(0), conformal.gen_C(0))
+
+    def bracket(a, b):
+        out = table(a, b)
+        return {g: 2 * c for g, c in out.items()} if (a, b) == doubled else out
+
+    monkeypatch.setattr(conformal, "table_bracket", bracket)
+    (ident,) = [i for i in catalog() if i.builtin == key]
+    assert not run_identity(ident, ctx).passed
