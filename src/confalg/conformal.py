@@ -24,8 +24,6 @@ against each other pair by pair; they share nothing but the table above, so
 agreement is meaningful.
 """
 
-from fractions import Fraction
-
 from .errors import ConsistencyFailure
 from .field import FE_M, FE_Q, FieldElem
 from .nc import (
@@ -34,20 +32,21 @@ from .nc import (
     LETTER_D,
     letter_C,
     letter_J,
+    letter_name,
     NCExpr,
 )
 from .poly import Polynomial
 
 # ---- metric and orientation ----------------------------------------------
 
-_ETA_DIAG = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(-1))
+_ETA_DIAG = (1, -1, -1, -1)
 
 
 def eta(mu, nu):
     """Metric component eta[mu, nu], diagonal (+1, -1, -1, -1)."""
     if mu == nu:
         return _ETA_DIAG[mu]
-    return Fraction(0)
+    return 0
 
 
 def eps4(i, j, k, l):
@@ -92,20 +91,15 @@ GENERATORS = tuple(
 
 
 def gen_name(g):
-    kind = g[0]
-    if kind == "P":
+    if g[0] == "P":
         return f"P[{g[1]}]"
-    if kind == "J":
-        return f"J[{g[1]},{g[2]}]"
-    if kind == "D":
-        return "D"
-    return f"C[{g[1]}]"
+    return letter_name(_LETTER_OF_GEN[g])
 
 
 def _add_gen(out, g, coeff):
     if coeff == 0:
         return
-    out[g] = out.get(g, Fraction(0)) + coeff
+    out[g] = out.get(g, 0) + coeff
     if out[g] == 0:
         del out[g]
 
@@ -120,7 +114,7 @@ def _add_J_gen(out, mu, nu, coeff):
 
 
 def table_bracket(a, b):
-    """Structure constants of (a, b) over the generator basis: {gen: Fraction}."""
+    """Structure constants of (a, b) over the generator basis: {gen: int}."""
     ka, kb = a[0], b[0]
     out = {}
     if (ka, kb) == ("J", "P"):
@@ -137,17 +131,17 @@ def table_bracket(a, b):
         _add_J_gen(out, nu, sig, -eta(mu, rho))
         _add_J_gen(out, mu, rho, -eta(nu, sig))
     elif (ka, kb) == ("D", "P"):
-        _add_gen(out, gen_P(b[1]), Fraction(1))
+        _add_gen(out, gen_P(b[1]), 1)
     elif (ka, kb) == ("P", "D"):
-        _add_gen(out, gen_P(a[1]), Fraction(-1))
+        _add_gen(out, gen_P(a[1]), -1)
     elif (ka, kb) == ("P", "C"):
         mu, nu = a[1], b[1]
         _add_gen(out, gen_D(), -2 * eta(mu, nu))
-        _add_J_gen(out, mu, nu, Fraction(-2))
+        _add_J_gen(out, mu, nu, -2)
     elif (ka, kb) == ("C", "P"):
         mu, nu = b[1], a[1]  # P index first, matching the line above negated
         _add_gen(out, gen_D(), 2 * eta(mu, nu))
-        _add_J_gen(out, mu, nu, Fraction(2))
+        _add_J_gen(out, mu, nu, 2)
     elif (ka, kb) == ("J", "C"):
         mu, nu, rho = a[1], a[2], b[1]
         _add_gen(out, gen_C(mu), eta(nu, rho))
@@ -156,9 +150,9 @@ def table_bracket(a, b):
         for g, c in table_bracket(b, a).items():
             _add_gen(out, g, -c)
     elif (ka, kb) == ("D", "C"):
-        _add_gen(out, gen_C(b[1]), Fraction(-1))
+        _add_gen(out, gen_C(b[1]), -1)
     elif (ka, kb) == ("C", "D"):
-        _add_gen(out, gen_C(a[1]), Fraction(1))
+        _add_gen(out, gen_C(a[1]), 1)
     # (P,P), (D,D), (C,C), (D with itself) all vanish
     return out
 
@@ -350,8 +344,7 @@ def classical_residual(a, b):
 
 # ---- exact matrix representation ------------------------------------------
 
-# int entries: exact, and a non-integral structure constant still makes its
-# entry a Fraction
+# int entries, like the structure constants, so the check runs on int arithmetic
 _G6 = (1, -1, -1, -1, -1, 1)
 
 

@@ -26,7 +26,6 @@ caller's assignment.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conformal import eps4, eta
 from .errors import (
@@ -51,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    value: int
 
 
 @dataclass(frozen=True)
@@ -113,23 +112,26 @@ class Sum:
     body: object
 
 
-# Vocabulary: name -> index count.
-SYMBOL_ARITY = {
-    "P": 1,
-    "J": 2,
-    "D": 0,
-    "C": 1,
-    "M": 0,
-    "X": 1,
-    "S": 1,
-    "Stensor": 2,
-    "Sigma": 1,
-    "Xi": 1,
-    "Tau": 0,
-    "V": 1,
-    "eta": 2,
-    "eps": 4,
+# Vocabulary: name -> (index count, builder); a builder makes the symbol's
+# operator from the observable cache and the list of index values.
+_SYMBOLS = {
+    "P": (1, lambda obs, v: obs.alg.momentum(v[0])),
+    "J": (2, lambda obs, v: obs.alg.J(v[0], v[1])),
+    "D": (0, lambda obs, v: obs.alg.D()),
+    "C": (1, lambda obs, v: obs.alg.C(v[0])),
+    "M": (0, lambda obs, v: obs.alg.mass()),
+    "X": (1, lambda obs, v: obs.X(v[0])),
+    "S": (1, lambda obs, v: obs.S(v[0])),
+    "Stensor": (2, lambda obs, v: obs.Stensor(v[0], v[1])),
+    "Sigma": (1, lambda obs, v: obs.sigma(v[0])),
+    "Xi": (1, lambda obs, v: obs.xi(v[0])),
+    "Tau": (0, lambda obs, v: obs.tau()),
+    "V": (1, lambda obs, v: obs.V(v[0])),
+    "eta": (2, lambda obs, v: obs.alg.scalar(eta(*v))),
+    "eps": (4, lambda obs, v: obs.alg.scalar(eps4(*v))),
 }
+
+SYMBOL_ARITY = {name: arity for name, (arity, _) in _SYMBOLS.items()}
 
 # Legal values of each symbol's indices: Sigma and Xi take spatial indices
 # only, everything else indexed ranges over 0..3.
@@ -220,9 +222,26 @@ class _Parser:
     def expect(self, kind, what):
         t = self.peek()
         if t.kind != kind:
-            shown = t.text if t.kind != "end" else "end of input"
-            raise DslSyntaxError(f"expected {what}, found {shown!r}", t.line, t.col)
+            raise DslSyntaxError(
+                f"expected {what}, found {_shown(t)!r}", t.line, t.col
+            )
         return self.next()
+
+    def separated(self, close, where):
+        """Yield once per item of "item (',' item)* close".
+
+        The caller's loop body parses one item; this consumes the ',' after
+        it, or the close, which ends the loop.
+        """
+        while True:
+            yield
+            t = self.next()
+            if t.kind == close:
+                return
+            if t.kind != ",":
+                raise DslSyntaxError(
+                    f"expected ',' or '{close}' in {where}", t.line, t.col
+                )
 
     def parse_expr(self):
         node = self.parse_term()
@@ -268,7 +287,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return Num(Fraction(int(t.text)))
+            return Num(int(t.text))
         if t.kind == "(":
             self.next()
             node = self.parse_expr()
@@ -280,8 +299,9 @@ class _Parser:
             if t.text == "sum":
                 return self.parse_sum()
             return self.parse_symbol()
-        shown = t.text if t.kind != "end" else "end of input"
-        raise DslSyntaxError(f"expected an expression, found {shown!r}", t.line, t.col)
+        raise DslSyntaxError(
+            f"expected an expression, found {_shown(t)!r}", t.line, t.col
+        )
 
     def parse_br(self):
         self.next()  # "br"
@@ -293,30 +313,18 @@ class _Parser:
         return Br(a, b)
 
     def parse_sum(self):
-        kw = self.next()  # "sum"
+        self.next()  # "sum"
         self.expect("(", "'(' after sum")
         names = []
-        while True:
+        for _ in self.separated(":", "sum variable list"):
             t = _index_name(self.expect("name", "an index variable name"))
             if t.text in names:
                 raise DslSyntaxError(
                     f"duplicate summation variable {t.text!r}", t.line, t.col
                 )
             names.append(t.text)
-            nxt = self.peek()
-            if nxt.kind == ",":
-                self.next()
-                continue
-            if nxt.kind == ":":
-                self.next()
-                break
-            raise DslSyntaxError(
-                "expected ',' or ':' in sum variable list", nxt.line, nxt.col
-            )
         body = self.parse_expr()
         self.expect(")", "')'")
-        if not names:
-            raise DslSyntaxError("sum needs at least one variable", kw.line, kw.col)
         return Sum(tuple(names), body)
 
     def parse_symbol(self):
@@ -330,34 +338,27 @@ class _Parser:
         indices = []
         if self.peek().kind == "[":
             self.next()
-            while True:
-                nt = self.peek()
+            for _ in self.separated("]", "index list"):
+                nt = self.next()
                 if nt.kind == "int":
-                    self.next()
                     indices.append(int(nt.text))
                 elif nt.kind == "name":
-                    indices.append(_index_name(self.next()).text)
+                    indices.append(_index_name(nt).text)
                 else:
-                    shown = nt.text if nt.kind != "end" else "end of input"
                     raise DslSyntaxError(
-                        f"expected an index, found {shown!r}", nt.line, nt.col
+                        f"expected an index, found {_shown(nt)!r}", nt.line, nt.col
                     )
-                nxt = self.peek()
-                if nxt.kind == ",":
-                    self.next()
-                    continue
-                if nxt.kind == "]":
-                    self.next()
-                    break
-                raise DslSyntaxError(
-                    "expected ',' or ']' in index list", nxt.line, nxt.col
-                )
         if len(indices) != arity:
             raise ArityError(
                 f"{name} takes {arity} index(es), got {len(indices)} "
                 f"(line {t.line}, column {t.col})"
             )
         return Sym(name, tuple(indices))
+
+
+def _shown(t):
+    """How an error message names token t."""
+    return "end of input" if t.kind == "end" else t.text
 
 
 def _index_name(t):
@@ -535,7 +536,7 @@ def _elaborate(node, scope, obs):
     if isinstance(node, Sym):
         vals = _resolve(node.indices, scope)
         _check_range(node.name, vals)
-        return _SYMBOL_BUILDERS[node.name](obs, vals)
+        return _SYMBOLS[node.name][1](obs, vals)
     if isinstance(node, Sum):
         plan = _binding_plan(node, scope)
         return _bind(0, None, alg.zero(), plan, dict(scope), obs)
@@ -611,36 +612,6 @@ def _as_coefficient(expr):
     return expr.terms[()]
 
 
-def _build_J(obs, vals):
-    return obs.alg.J(vals[0], vals[1])
-
-
-def _build_eta(obs, vals):
-    return obs.alg.scalar(eta(*vals))
-
-
-def _build_eps(obs, vals):
-    return obs.alg.scalar(eps4(*vals))
-
-
-_SYMBOL_BUILDERS = {
-    "P": lambda obs, v: obs.alg.momentum(v[0]),
-    "J": _build_J,
-    "D": lambda obs, v: obs.alg.D(),
-    "C": lambda obs, v: obs.alg.C(v[0]),
-    "M": lambda obs, v: obs.alg.mass(),
-    "X": lambda obs, v: obs.X(v[0]),
-    "S": lambda obs, v: obs.S(v[0]),
-    "Stensor": lambda obs, v: obs.Stensor(v[0], v[1]),
-    "Sigma": lambda obs, v: obs.sigma(v[0]),
-    "Xi": lambda obs, v: obs.xi(v[0]),
-    "Tau": lambda obs, v: obs.tau(),
-    "V": lambda obs, v: obs.V(v[0]),
-    "eta": _build_eta,
-    "eps": _build_eps,
-}
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
@@ -678,11 +649,7 @@ def _wrap(node, parent_prec, right_side):
 def ast_pretty(node):
     """Render an AST back to source; parse(ast_pretty(t)) == t."""
     if isinstance(node, Num):
-        v = node.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        # negative rationals only arise under an explicit Neg node
-        return f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if isinstance(node, Sym):
         if not node.indices:
             return node.name

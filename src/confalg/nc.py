@@ -14,9 +14,9 @@ derivation, and swapping adjacent letters uses the registry letter table.
 The bracket (x, y) is the commutator x*y - y*x, formed term by term: for
 terms f*u and g*w, (f*u, g*w) = f*g*(uw - wu) + f*R(u, g)*w - g*R(w, f)*u,
 where R(u, g) = u*g - g*u is what moving g through u adds. The word part
-uw - wu is memoized over the rationals, so the terms that cancel between
+uw - wu is memoized with int coefficients, so the terms that cancel between
 x*y and y*x are never formed. With the scaling baked into the registry
-tables its structure constants are the rational ones of the operator
+tables its structure constants are the integer ones of the operator
 algebra, so no imaginary unit ever appears.
 
 All rewriting is fueled: an Algebra counts steps per top-level operation and
@@ -148,7 +148,7 @@ class Algebra:
     """Rewriting engine bound to a bracket registry.
 
     letter_table maps ordered letter pairs (a, b), a != b, to the bracket
-    (a, b) as {word: Fraction} with words of length <= 1. momentum_rules maps
+    (a, b) as {word: int} with words of length <= 1. momentum_rules maps
     (letter, mu) to the derivation (letter, P[mu]) and mass_rules maps a
     letter to (letter, M), both as {word: FieldElem}. The mass rules are
     installed after construction by conformal.complete_mass_rules (the C
@@ -222,13 +222,13 @@ class Algebra:
     # ---- letter-word sorting ----
 
     def _sort_word(self, w):
-        """Normal-order a pure letter word: {word: Fraction}."""
+        """Normal-order a pure letter word: {word: int}."""
         hit = self._word_memo.get(w)
         if hit is not None:
             return hit
         i = self._inversion(w)
         if i is None:
-            out = {w: Fraction(1)}
+            out = {w: 1}
             self._word_memo[w] = out
             return out
         self._tick()
@@ -236,11 +236,11 @@ class Algebra:
         out = {}
         swapped = w[:i] + (b, a) + w[i + 2:]
         for z, c in self._sort_word(swapped).items():
-            out[z] = out.get(z, Fraction(0)) + c
+            out[z] = out.get(z, 0) + c
         for mid, c in self.letter_table[(a, b)].items():
             corr = w[:i] + mid + w[i + 2:]
             for z, c2 in self._sort_word(corr).items():
-                s = out.get(z, Fraction(0)) + c * c2
+                s = out.get(z, 0) + c * c2
                 if s:
                     out[z] = s
                 elif z in out:
@@ -399,7 +399,7 @@ class Algebra:
         return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
 
     def _comm(self, u, w):
-        """uw - wu for sorted words u, w: {word: Fraction}, shared, read-only."""
+        """uw - wu for sorted words u, w: {word: int}, shared, read-only."""
         if not u or not w:
             return {}
         key = (u, w)

@@ -124,18 +124,7 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            else:
-                s = s - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial(out)
+        return self + (-other)
 
     def __neg__(self):
         return Polynomial({e: -c for e, c in self.terms.items()})
@@ -220,23 +209,17 @@ class Polynomial:
                     factors.append(f"{names[v]}^{e[v]}")
             mag = abs(c)
             if not factors:
-                body = _frac_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = _frac_str(mag) + "*" + "*".join(factors)
+                body = f"{mag}*" + "*".join(factors)
             chunks.append(("-" if c < 0 else "+", body))
         sign, body = chunks[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in chunks[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def _frac_str(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 _P_ZERO = Polynomial({})

@@ -86,8 +86,22 @@ def test_table_coefficients_are_rational():
     for a, b in itertools.combinations(GENERATORS, 2):
         for g, c in table_bracket(a, b).items():
             assert g in GENERATORS
-            assert isinstance(c, Fraction)
+            assert type(c) is int
             assert c != 0
+
+
+def test_integer_constants_stay_int():
+    # the structure constants are integers, and so is every word
+    # coefficient the engine derives from them
+    from confalg.suites import Context, run_suite
+
+    alg = build_algebra()
+    assert run_suite("structure", Context(alg=alg, obs=Observables(alg))).passed
+    assert alg._word_memo and alg._comm_memo
+    for table in (alg.letter_table, alg._word_memo, alg._comm_memo):
+        for entry in table.values():
+            assert all(type(c) is int for c in entry.values()), entry
+    assert all(type(eta(mu, nu)) is int for mu in range(4) for nu in range(4))
 
 
 def test_table_antisymmetry_every_pair():

@@ -60,7 +60,8 @@ def test_parse_shapes():
     assert parse("P[0]") == Sym("P", (0,))
     assert parse("J[1,3]") == Sym("J", (1, 3))
     assert parse("D") == Sym("D", ())
-    assert parse("1/2") == Div(Num(Fraction(1)), Num(Fraction(2)))
+    assert parse("1/2") == Div(Num(1), Num(2))
+    assert type(parse("7").value) is int
     assert parse("D + P[0]*M") == Add(
         Sym("D", ()), Mul(Sym("P", (0,)), Sym("M", ()))
     )
@@ -95,6 +96,27 @@ def test_parse_error_positions():
     with pytest.raises(UnknownSymbol) as e:
         parse("D +\nQ[0]")
     assert "line 2" in str(e.value) and "column 1" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "src, message, line, col",
+    [
+        ("J[0 1]", "expected ',' or ']' in index list", 1, 5),
+        ("S[", "expected an index, found 'end of input'", 1, 3),
+        ("P[0,", "expected an index, found 'end of input'", 1, 5),
+        ("sum(i j : D)", "expected ',' or ':' in sum variable list", 1, 7),
+        ("sum(i, : D)", "expected an index variable name, found ':'", 1, 8),
+        ("sum(i", "expected ',' or ':' in sum variable list", 1, 6),
+        ("sum(\n i j : D)", "expected ',' or ':' in sum variable list", 2, 4),
+    ],
+)
+def test_list_parse_errors(src, message, line, col):
+    # index lists and sum variable lists share one loop; each error names
+    # the token where the list went wrong
+    with pytest.raises(DslSyntaxError) as e:
+        parse(src)
+    assert str(e.value) == f"{message} (line {line}, column {col})"
+    assert (e.value.line, e.value.col) == (line, col)
 
 
 def test_parse_rejects_malformed_input():
@@ -164,7 +186,7 @@ def _rand_sym(rng):
 def _rand_ast(rng, depth):
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.3:
-            return Num(Fraction(rng.randint(0, 9)))
+            return Num(rng.randint(0, 9))
         return _rand_sym(rng)
     k = rng.randrange(9)
     if k == 0:
@@ -309,7 +331,7 @@ def _tree_walk(ast, assignment, obs):
     if isinstance(ast, Sym):
         vals = dsl._resolve(ast.indices, assignment)
         dsl._check_range(ast.name, vals)
-        return dsl._SYMBOL_BUILDERS[ast.name](obs, vals)
+        return dsl._SYMBOLS[ast.name][1](obs, vals)
     if isinstance(ast, Add):
         return walk(ast.left) + walk(ast.right)
     if isinstance(ast, Sub):
