@@ -39,8 +39,8 @@ from .errors import (
 from .field import FE_ZERO
 
 __all__ = [
-    "Num", "Sym", "Add", "Sub", "Neg", "Mul", "Dot", "Div", "Pow", "Br",
-    "Sum", "parse", "elaborate", "ast_pretty", "index_range", "SYMBOL_ARITY",
+    "Num", "Sym", "Bin", "Neg", "Pow", "Sum",
+    "parse", "elaborate", "ast_pretty", "index_range", "SYMBOL_ARITY",
 ]
 
 
@@ -59,16 +59,39 @@ class Sym:
     indices: tuple  # ints and/or index-variable names
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+# Precedence levels; higher binds tighter. All of * . / share one level and
+# associate left, as + and - do, so a left operand at the same level prints
+# bare while a right operand needs parentheses.
+_PREC_ADD = 1
+_PREC_MUL = 2
+_PREC_NEG = 3
+_PREC_POW = 4
+_PREC_ATOM = 5
+
+# Binary operators: op -> (precedence, spelling between the operands);
+# br(a, b) prints as a call, so it binds like an atom. _PRODUCTS are the
+# operators that multiply their operands.
+_BINARY = {
+    "+": (_PREC_ADD, " + "),
+    "-": (_PREC_ADD, " - "),
+    "*": (_PREC_MUL, "*"),
+    ".": (_PREC_MUL, " . "),
+    "/": (_PREC_MUL, "/"),
+    "br": (_PREC_ATOM, None),
+}
+_PRODUCTS = ("*", ".", "br")
 
 
 @dataclass(frozen=True)
-class Sub:
+class Bin:
+    """left op right, for each op in _BINARY."""
+    op: str
     left: object
     right: object
+
+    def __post_init__(self):
+        if self.op not in _BINARY:
+            raise ValueError(f"unknown binary operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -77,33 +100,9 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Dot:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class Pow:
     base: object
     exponent: int
-
-
-@dataclass(frozen=True)
-class Br:
-    left: object
-    right: object
 
 
 @dataclass(frozen=True)
@@ -244,24 +243,16 @@ class _Parser:
                 )
 
     def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+        return self.parse_infix(("+", "-"), self.parse_term)
 
     def parse_term(self):
-        node = self.parse_unary()
-        while self.peek().kind in ("*", ".", "/"):
-            op = self.next().kind
-            rhs = self.parse_unary()
-            if op == "*":
-                node = Mul(node, rhs)
-            elif op == ".":
-                node = Dot(node, rhs)
-            else:
-                node = Div(node, rhs)
+        return self.parse_infix(("*", ".", "/"), self.parse_unary)
+
+    def parse_infix(self, ops, operand):
+        """operand ((op in ops) operand)*, associated left."""
+        node = operand()
+        while self.peek().kind in ops:
+            node = Bin(self.next().kind, node, operand())
         return node
 
     def parse_unary(self):
@@ -310,7 +301,7 @@ class _Parser:
         self.expect(",", "',' between bracket arguments")
         b = self.parse_expr()
         self.expect(")", "')'")
-        return Br(a, b)
+        return Bin("br", a, b)
 
     def parse_sum(self):
         self.next()  # "sum"
@@ -440,7 +431,7 @@ def _dependencies(node):
     """Index names the value of node depends on."""
     if isinstance(node, Sym):
         return frozenset(ix for ix in node.indices if not isinstance(ix, int))
-    if isinstance(node, (Add, Sub, Mul, Dot, Div, Br)):
+    if isinstance(node, Bin):
         return _dependencies(node.left) | _dependencies(node.right)
     if isinstance(node, Neg):
         return _dependencies(node.arg)
@@ -458,8 +449,9 @@ def _safe(node, scope):
     scope maps a name to its value, or, for the name of a sum inside the
     operand, to the tuple of values it ranges over.
     """
-    if isinstance(node, (Add, Sub, Mul, Dot, Br)):
-        return _safe(node.left, scope) and _safe(node.right, scope)
+    if isinstance(node, Bin):
+        right = _nonzero_divisor if node.op == "/" else _safe
+        return _safe(node.left, scope) and right(node.right, scope)
     if isinstance(node, Num):
         return True
     if isinstance(node, Sym):
@@ -470,8 +462,6 @@ def _safe(node, scope):
             if not _LEGAL[node.name].issuperset(vals):
                 return False
         return True
-    if isinstance(node, Div):
-        return _safe(node.left, scope) and _nonzero_divisor(node.right, scope)
     if isinstance(node, Neg):
         return _safe(node.arg, scope)
     if isinstance(node, Pow):
@@ -498,7 +488,7 @@ def _binding_plan(node, scope):
     """(order, ranges, factors, links, due) for summing node in scope.
 
     If node is skippable in scope, factors are the operands of the body's
-    left-nested "*", "." and br chain, links[k] the chain node whose right
+    left-nested "*", "." and br chain, links[k] the operator whose right
     operand is factors[k], order the sum's names in the order in which the
     chain's prefixes first need them, and due[d] the indices of the
     factors that become computable once order[:d] is bound. Otherwise the
@@ -506,10 +496,11 @@ def _binding_plan(node, scope):
     """
     chained = _safe(node, scope)
     factors, links = [node.body], [None]
-    while chained and isinstance(factors[0], (Mul, Dot, Br)):
+    while (chained and isinstance(factors[0], Bin)
+           and factors[0].op in _PRODUCTS):
         link = factors[0]
         factors[0:1] = [link.left, link.right]
-        links[0:1] = [None, link]
+        links[0:1] = [None, link.op]
     if chained:
         order, need = [], []
         for f in factors:
@@ -548,18 +539,17 @@ def _elaborate(node, scope, obs):
         for _ in range(node.exponent - 1):
             out = alg.mul(out, base)
         return out
-    if isinstance(node, (Mul, Dot, Br)):
+    if isinstance(node, Bin):
+        op = node.op
         left = _elaborate(node.left, scope, obs)
-        if left.is_zero() and _safe(node.right, scope):
-            return left
+        if op in _PRODUCTS:
+            if left.is_zero() and _safe(node.right, scope):
+                return left
+            return _link(alg, op, left, _elaborate(node.right, scope, obs))
         right = _elaborate(node.right, scope, obs)
-        return _link(alg, node, left, right)
-    if isinstance(node, (Add, Sub, Div)):
-        left = _elaborate(node.left, scope, obs)
-        right = _elaborate(node.right, scope, obs)
-        if isinstance(node, Add):
+        if op == "+":
             return left + right
-        if isinstance(node, Sub):
+        if op == "-":
             return left - right
         c = _as_coefficient(right)
         # Q is not a square, so every nonzero element of Q(P)[M] is invertible
@@ -569,11 +559,11 @@ def _elaborate(node, scope, obs):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _link(alg, node, left, right):
-    """The product that the "*", "." or br node names, of left and right."""
-    if isinstance(node, Mul):
+def _link(alg, op, left, right):
+    """The product that op ("*", "." or br) names, of left and right."""
+    if op == "*":
         return alg.mul(left, right)
-    if isinstance(node, Dot):
+    if op == ".":
         return alg.dot(left, right)
     return alg.bracket(left, right)
 
@@ -616,21 +606,9 @@ def _as_coefficient(expr):
 # printing
 # ---------------------------------------------------------------------------
 
-# Precedence levels; higher binds tighter. All of * . / share one level and
-# associate left, so a left operand at the same level prints bare while a
-# right operand needs parentheses.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
 def _prec(node):
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Dot, Div)):
-        return _PREC_MUL
+    if isinstance(node, Bin):
+        return _BINARY[node.op][0]
     if isinstance(node, Neg):
         return _PREC_NEG
     if isinstance(node, Pow):
@@ -655,39 +633,18 @@ def ast_pretty(node):
             return node.name
         inner = ",".join(str(ix) for ix in node.indices)
         return f"{node.name}[{inner}]"
-    if isinstance(node, Add):
-        return (
-            f"{_wrap(node.left, _PREC_ADD, False)} + "
-            f"{_wrap(node.right, _PREC_ADD, True)}"
-        )
-    if isinstance(node, Sub):
-        return (
-            f"{_wrap(node.left, _PREC_ADD, False)} - "
-            f"{_wrap(node.right, _PREC_ADD, True)}"
-        )
+    if isinstance(node, Bin):
+        if node.op == "br":
+            return f"br({ast_pretty(node.left)}, {ast_pretty(node.right)})"
+        prec, spelled = _BINARY[node.op]
+        left = _wrap(node.left, prec, False)
+        return left + spelled + _wrap(node.right, prec, True)
     if isinstance(node, Neg):
         return "-" + _wrap(node.arg, _PREC_NEG, False)
-    if isinstance(node, Mul):
-        return (
-            f"{_wrap(node.left, _PREC_MUL, False)}*"
-            f"{_wrap(node.right, _PREC_MUL, True)}"
-        )
-    if isinstance(node, Dot):
-        return (
-            f"{_wrap(node.left, _PREC_MUL, False)} . "
-            f"{_wrap(node.right, _PREC_MUL, True)}"
-        )
-    if isinstance(node, Div):
-        return (
-            f"{_wrap(node.left, _PREC_MUL, False)}/"
-            f"{_wrap(node.right, _PREC_MUL, True)}"
-        )
     if isinstance(node, Pow):
         # right_side=True so a Pow base gets parentheses: the grammar allows
         # only one caret per power, so "(D^2)^3" must not print as "D^2^3"
         return f"{_wrap(node.base, _PREC_POW, True)}^{node.exponent}"
-    if isinstance(node, Br):
-        return f"br({ast_pretty(node.left)}, {ast_pretty(node.right)})"
     if isinstance(node, Sum):
         return f"sum({', '.join(node.names)} : {ast_pretty(node.body)})"
     raise TypeError(f"not an AST node: {node!r}")

@@ -80,11 +80,11 @@ _UNIT = (1, {})
 
 
 def _canon(num, den):
-    """Normalize a fraction already free of common polynomial factors.
+    """Fix only the integer contents and the sign of num/den.
 
     Scales so both parts have integer coefficients with coprime contents and
-    the denominator's leading coefficient is positive; with the polynomial
-    gcd already removed this makes equal fractions structurally identical.
+    the denominator's leading coefficient is positive. Common polynomial
+    factors stay: _admit cancels them afterwards.
     """
     if num.is_zero():
         return num, Polynomial.one()

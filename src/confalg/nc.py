@@ -417,7 +417,7 @@ class Algebra:
         return out
 
     def _acc_moved(self, out, f, u, g, w):
-        """Add f*R(u, g)*w to out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
+        """Accumulate f*R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
         for z, h in self._shift(u, g).items():
             if z == u:
                 if h == g:

@@ -60,9 +60,6 @@ class Identity:
     describe: str
     statement: str
     free: tuple
-    summed: tuple
-    lhs_src: str = None
-    rhs_src: str = None
     lhs_ast: object = None
     rhs_ast: object = None
     builtin: str = None
@@ -127,7 +124,7 @@ def _parse_record(block, path, ids_seen):
             raise ConstructionFailure(f"{path}: {ident}: unknown builtin {key!r}")
         return Identity(
             id=ident, tag=tag, describe=fields["describe"],
-            statement=fields["statement"], free=(), summed=(), builtin=key,
+            statement=fields["statement"], free=(), builtin=key,
         )
     if "statement" in fields:
         raise ConstructionFailure(
@@ -163,9 +160,7 @@ def _parse_record(block, path, ids_seen):
     return Identity(
         id=ident, tag=tag, describe=fields["describe"],
         statement=f"{fields['lhs']} = {fields['rhs']}",
-        free=free, summed=summed,
-        lhs_src=fields["lhs"], rhs_src=fields["rhs"],
-        lhs_ast=lhs_ast, rhs_ast=rhs_ast,
+        free=free, lhs_ast=lhs_ast, rhs_ast=rhs_ast,
     )
 
 

@@ -107,9 +107,6 @@ def test_run_reports_failure_with_exit_one(monkeypatch, capsys):
         describe="deliberately false",
         statement="D = M",
         free=(),
-        summed=(),
-        lhs_src="D",
-        rhs_src="M",
         lhs_ast=parse("D"),
         rhs_ast=parse("M"),
     )

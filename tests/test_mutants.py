@@ -18,7 +18,7 @@ import dataclasses
 
 import pytest
 
-from confalg.dsl import Add, Br, Dot, Mul, Num, Sub, Sym, ast_pretty, elaborate
+from confalg.dsl import Bin, Num, Sym, ast_pretty, elaborate
 from confalg.errors import ConfalgError
 from confalg.suites import catalog, get_context, identity_assignments
 
@@ -27,20 +27,20 @@ _SWAP = {
     "D": "Tau", "Stensor": "J", "J": "Stensor", "P": "C", "C": "P", "M": "D",
 }
 
+# the operator each binary operator is changed into
+_FLIP = {"br": "*", "+": "-", "-": "+", "*": ".", ".": "*"}
+
 _RECORDS = [ident for ident in catalog() if ident.builtin is None]
 
 
 def _site_mutants(node):
     """The trees that change node itself, at its root."""
-    if isinstance(node, Br):
-        yield Mul(node.left, node.right)
-    if isinstance(node, (Add, Sub)):
-        yield (Sub if isinstance(node, Add) else Add)(node.left, node.right)
+    if isinstance(node, Bin) and node.op in _FLIP:
+        yield Bin(_FLIP[node.op], node.left, node.right)
+    if isinstance(node, Bin) and node.op in ("+", "-"):
         yield node.left
     if isinstance(node, Num):
         yield Num(node.value + 1)
-    if isinstance(node, (Mul, Dot)):
-        yield (Dot if isinstance(node, Mul) else Mul)(node.left, node.right)
     if isinstance(node, Sym) and node.name in _SWAP:
         yield Sym(_SWAP[node.name], node.indices)
 
@@ -69,7 +69,11 @@ def _rejected(ident, lhs, rhs, obs):
 
 
 def test_mutants_cover_every_site():
-    tree = Add(Br(Sym("X", (0,)), Sym("M", ())), Mul(Num(2), Sym("eta", (1, 1))))
+    tree = Bin(
+        "+",
+        Bin("br", Sym("X", (0,)), Sym("M", ())),
+        Bin("*", Num(2), Sym("eta", (1, 1))),
+    )
     got = [ast_pretty(m) for m in _mutants(tree)]
     assert got == [
         "br(X[0], M) - 2*eta[1,1]",

@@ -127,12 +127,12 @@ def test_catalog_records_are_complete():
         assert ident.statement
         assert ident.describe
         if ident.builtin is None:
-            assert ident.lhs_ast is not None and ident.rhs_ast is not None
-            # stored source must agree with the stored tree
-            assert parse(ident.lhs_src) == ident.lhs_ast
-            assert parse(ident.rhs_src) == ident.rhs_ast
+            # the statement's two sides must agree with the stored trees
+            lhs, rhs = ident.statement.split(" = ")
+            assert parse(lhs) == ident.lhs_ast
+            assert parse(rhs) == ident.rhs_ast
         else:
-            assert ident.lhs_src is None and ident.rhs_src is None
+            assert ident.lhs_ast is None and ident.rhs_ast is None
 
 
 def test_free_variables_generate_assignments():
@@ -209,9 +209,6 @@ def test_failing_identity_is_reported_not_hidden(ctx):
         describe="deliberately false",
         statement="D = M",
         free=(),
-        summed=(),
-        lhs_src="D",
-        rhs_src="M",
         lhs_ast=parse("D"),
         rhs_ast=parse("M"),
     )

@@ -1,5 +1,5 @@
 """The package's import surface: no dead imports, no dangling exports, no
-dead definitions.
+dead definitions, no dead dataclass fields.
 
 No linter ships with the project, so these checks stand in for one.
 """
@@ -88,15 +88,20 @@ def _definitions(tree):
                 yield target.id, node
 
 
-def test_every_definition_is_named_elsewhere():
-    # a function, method, class or private module constant is live only if
-    # src/ or perfbench/ names it outside its own definition; dunders are
-    # reached through the language, and public constants through the tests
-    trees = {
+def _program_trees():
+    """path -> syntax tree of every module under src/ and perfbench/."""
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for top in ("src", "perfbench")
         for path in sorted((_ROOT / top).rglob("*.py"))
     }
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function, method, class or private module constant is live only if
+    # src/ or perfbench/ names it outside its own definition; dunders are
+    # reached through the language, and public constants through the tests
+    trees = _program_trees()
     named = Counter()
     for tree in trees.values():
         named.update(_mentions(tree))
@@ -110,6 +115,45 @@ def test_every_definition_is_named_elsewhere():
             if named[name] == _mentions(node)[name]:
                 dead.append(f"{path.name}:{name}")
     assert not dead, f"defined but never named elsewhere: {dead}"
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) for each annotated field of a @dataclass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [
+            d.func if isinstance(d, ast.Call) else d for d in node.decorator_list
+        ]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(
+                stmt.target, ast.Name
+            ):
+                yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field is live only if src/ or perfbench/ reads it as an attribute,
+    # or names it in a string constant (a walk over field names does)
+    trees = _program_trees()
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    dead = [
+        f"{path.name}:{cls}.{field}"
+        for path, tree in trees.items()
+        if _PACKAGE in path.parents
+        for cls, field in _dataclass_fields(tree)
+        if field not in read
+    ]
+    assert not dead, f"dataclass fields never read: {dead}"
 
 
 #: the package's modules, bottom up; errors sits below them all
