@@ -24,6 +24,8 @@ against each other pair by pair; they share nothing but the table above, so
 agreement is meaningful.
 """
 
+from itertools import combinations
+
 from .errors import ConsistencyFailure
 from .field import FE_M, FE_Q, FieldElem
 from .nc import (
@@ -54,14 +56,7 @@ def eps4(i, j, k, l):
     idx = (i, j, k, l)
     if len(set(idx)) < 4:
         return 0
-    sign = 1
-    seq = list(idx)
-    for a in range(3):
-        for b in range(3 - a):
-            if seq[b] > seq[b + 1]:
-                seq[b], seq[b + 1] = seq[b + 1], seq[b]
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in combinations(idx, 2))
 
 
 # ---- generator basis ------------------------------------------------------

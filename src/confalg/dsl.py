@@ -40,7 +40,8 @@ from .field import FE_ZERO
 
 __all__ = [
     "Num", "Sym", "Bin", "Neg", "Pow", "Sum",
-    "parse", "elaborate", "ast_pretty", "index_range", "SYMBOL_ARITY",
+    "parse", "elaborate", "ast_pretty", "children", "index_range",
+    "SYMBOL_ARITY",
 ]
 
 
@@ -109,6 +110,19 @@ class Pow:
 class Sum:
     names: tuple
     body: object
+
+
+def children(node):
+    """The subtrees of node, left to right; none for a leaf."""
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Sum):
+        return (node.body,)
+    return ()
 
 
 # Vocabulary: name -> (index count, builder); a builder makes the symbol's
@@ -431,16 +445,8 @@ def _dependencies(node):
     """Index names the value of node depends on."""
     if isinstance(node, Sym):
         return frozenset(ix for ix in node.indices if not isinstance(ix, int))
-    if isinstance(node, Bin):
-        return _dependencies(node.left) | _dependencies(node.right)
-    if isinstance(node, Neg):
-        return _dependencies(node.arg)
-    if isinstance(node, Pow):
-        return _dependencies(node.base)
-    if isinstance(node, Sum):
-        return _dependencies(node.body).difference(node.names)
-    # Num, or not an AST node: _elaborate raises on the latter
-    return frozenset()
+    out = frozenset().union(*map(_dependencies, children(node)))
+    return out.difference(node.names) if isinstance(node, Sum) else out
 
 
 def _safe(node, scope):
@@ -452,8 +458,6 @@ def _safe(node, scope):
     if isinstance(node, Bin):
         right = _nonzero_divisor if node.op == "/" else _safe
         return _safe(node.left, scope) and right(node.right, scope)
-    if isinstance(node, Num):
-        return True
     if isinstance(node, Sym):
         for ix in node.indices:
             vals = scope.get(ix) if isinstance(ix, str) else ix
@@ -462,14 +466,12 @@ def _safe(node, scope):
             if not _LEGAL[node.name].issuperset(vals):
                 return False
         return True
-    if isinstance(node, Neg):
-        return _safe(node.arg, scope)
-    if isinstance(node, Pow):
-        return _safe(node.base, scope)
     if isinstance(node, Sum):
         inner = dict(scope)
         inner.update((n, index_range(n)) for n in node.names)
         return _safe(node.body, inner)
+    if isinstance(node, (Num, Neg, Pow)):
+        return all(_safe(child, scope) for child in children(node))
     return False
 
 
@@ -485,14 +487,15 @@ def _nonzero_divisor(node, scope):
 
 
 def _binding_plan(node, scope):
-    """(order, ranges, factors, links, due) for summing node in scope.
+    """(order, factors, links, need) for summing node in scope.
 
     If node is skippable in scope, factors are the operands of the body's
     left-nested "*", "." and br chain, links[k] the operator whose right
     operand is factors[k], order the sum's names in the order in which the
-    chain's prefixes first need them, and due[d] the indices of the
-    factors that become computable once order[:d] is bound. Otherwise the
-    body is the one factor, due once every name is bound in declared order.
+    chain's prefixes first need them, and need[k] the length of the prefix
+    of order that must be bound before factors[k] is elaborated, which
+    never decreases with k. Otherwise the body is the one factor, needing
+    every name, in declared order.
     """
     chained = _safe(node, scope)
     factors, links = [node.body], [None]
@@ -510,14 +513,7 @@ def _binding_plan(node, scope):
         order += [n for n in node.names if n not in order]
     else:
         order, need = list(node.names), [len(node.names)]
-    due = [
-        tuple(k for k, d in enumerate(need) if d == level)
-        for level in range(len(order) + 1)
-    ]
-    return (
-        tuple(order), tuple(map(index_range, order)), tuple(factors),
-        tuple(links), tuple(due),
-    )
+    return tuple(order), tuple(factors), tuple(links), tuple(need)
 
 
 def _elaborate(node, scope, obs):
@@ -530,7 +526,7 @@ def _elaborate(node, scope, obs):
         return _SYMBOLS[node.name][1](obs, vals)
     if isinstance(node, Sum):
         plan = _binding_plan(node, scope)
-        return _bind(0, None, alg.zero(), plan, dict(scope), obs)
+        return _bind(0, 0, None, alg.zero(), plan, dict(scope), obs)
     if isinstance(node, Neg):
         return -_elaborate(node.arg, scope, obs)
     if isinstance(node, Pow):
@@ -568,25 +564,27 @@ def _link(alg, op, left, right):
     return alg.bracket(left, right)
 
 
-def _bind(level, prefix, total, binding, scope, obs):
+def _bind(level, k, prefix, total, plan, scope, obs):
     """total plus the sum's terms over the names from order[level] on.
 
-    order[:level] is bound in scope, and prefix is the product of the
-    factors due before this level (None while there is none). The factors
-    due at this level extend it; a zero prefix drops the whole block.
+    order[:level] is bound in scope, and prefix is the product of
+    factors[:k] (None while k is 0), those that need fewer names. Each
+    factor k with need[k] == level extends it here; a zero prefix drops
+    the whole block.
     """
-    order, ranges, factors, links, due = binding
-    for k in due[level]:
+    order, factors, links, need = plan
+    while k < len(factors) and need[k] == level:
         right = _elaborate(factors[k], scope, obs)
         prefix = right if k == 0 else _link(obs.alg, links[k], prefix, right)
         if prefix.is_zero():
             return total
+        k += 1
     if level == len(order):
         return total + prefix
     name = order[level]
-    for v in ranges[level]:
+    for v in index_range(name):
         scope[name] = v
-        total = _bind(level + 1, prefix, total, binding, scope, obs)
+        total = _bind(level + 1, k, prefix, total, plan, scope, obs)
     return total
 
 

@@ -23,8 +23,9 @@ the expression language cannot do, and run registered sweeps instead.
 import json
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 
 from . import conformal, dsl
 from .conformal import GENERATORS, eta, gen_expr, gen_name
@@ -67,18 +68,11 @@ class Identity:
 
 def _collect_indices(ast, vars_out, binders_out):
     if isinstance(ast, dsl.Sym):
-        for ix in ast.indices:
-            if isinstance(ix, str):
-                vars_out.add(ix)
-        return
+        vars_out.update(ix for ix in ast.indices if isinstance(ix, str))
     if isinstance(ast, dsl.Sum):
         binders_out.update(ast.names)
-        _collect_indices(ast.body, vars_out, binders_out)
-        return
-    for attr in ("left", "right", "arg", "base", "body"):
-        child = getattr(ast, attr, None)
-        if child is not None and not isinstance(child, (int, str)):
-            _collect_indices(child, vars_out, binders_out)
+    for child in dsl.children(ast):
+        _collect_indices(child, vars_out, binders_out)
 
 
 def _parse_record(block, path, ids_seen):
@@ -185,14 +179,7 @@ def load_catalog():
     return tuple(out)
 
 
-_CATALOG = None
-
-
-def catalog():
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = load_catalog()
-    return _CATALOG
+catalog = cache(load_catalog)
 
 
 def catalog_by_suite(tag):
@@ -216,6 +203,8 @@ class Context:
     obs: object
 
 
+# a dict, not functools.cache, which would key get_context() and
+# get_context(DEFAULT_BUDGET) apart and build two algebras
 _CONTEXTS = {}
 
 
@@ -233,16 +222,17 @@ def get_context(budget=DEFAULT_BUDGET):
 # builtin sweeps
 # ---------------------------------------------------------------------------
 
+def _grid(names, ranges):
+    """Every assignment of names over ranges, the last name varying fastest."""
+    return [dict(zip(names, combo)) for combo in product(*ranges)]
+
+
+_GEN_NAMES = tuple(gen_name(g) for g in GENERATORS)
+_GEN_BY_NAME = dict(zip(_GEN_NAMES, GENERATORS))
+
+
 def _gen_pairs():
-    n = len(GENERATORS)
-    return [
-        {"a": gen_name(GENERATORS[i]), "b": gen_name(GENERATORS[j])}
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-
-
-_GEN_BY_NAME = {gen_name(g): g for g in GENERATORS}
+    return [{"a": a, "b": b} for a, b in combinations(_GEN_NAMES, 2)]
 
 
 def _antisym_residual(ctx, asg):
@@ -255,11 +245,6 @@ def _antisym_residual(ctx, asg):
     if not total:
         return None
     return conformal.table_expr(ctx.alg, total).pretty()
-
-
-def _jacobi_assignments():
-    names = [gen_name(g) for g in GENERATORS]
-    return [{"a": na, "b": nb, "c": nc} for na in names for nb in names for nc in names]
 
 
 def _jacobi_residual(ctx, asg):
@@ -289,10 +274,6 @@ def _matrix_oracle_residual(ctx, asg):
     return "; ".join(bad) if bad else None
 
 
-def _gen_assignments():
-    return [{"g": gen_name(g)} for g in GENERATORS]
-
-
 def _cfactor_mass_residual(ctx, asg):
     g = _GEN_BY_NAME[asg["g"]]
     alg, obs = ctx.alg, ctx.obs
@@ -300,15 +281,6 @@ def _cfactor_mass_residual(ctx, asg):
         alg.mass(), obs.lambda_at_X(g)
     )
     return None if r.is_zero() else r.pretty()
-
-
-def _gen_munu_assignments():
-    return [
-        {"g": gen_name(g), "mu": mu, "nu": nu}
-        for g in GENERATORS
-        for mu in range(4)
-        for nu in range(4)
-    ]
 
 
 def _pair_invariance_residual(ctx, asg):
@@ -353,10 +325,8 @@ def _cfactor_sym_position_residual(ctx, asg):
 def _canonical_partials_assignments():
     out = [{"check": f"dX[{mu}]/dtau"} for mu in range(4)]
     out += [
-        {"check": f"dXi[{i}]/dP[{j}]"} for i in range(1, 4) for j in range(1, 4)
-    ]
-    out += [
-        {"check": f"dP[{i}]/dP[{j}]"} for i in range(1, 4) for j in range(1, 4)
+        {"check": f"d{v}[{i}]/dP[{j}]"}
+        for v, i, j in product(("Xi", "P"), range(1, 4), range(1, 4))
     ]
     out.append({"check": "dM/dtau"})
     out.append({"check": "dM/dM"})
@@ -386,16 +356,18 @@ def _canonical_partials_residual(ctx, asg):
     return None if r.is_zero() else r.pretty()
 
 
+_gen_munu = partial(_grid, ("g", "mu", "nu"), (_GEN_NAMES, range(4), range(4)))
+
 _BUILTINS = {
     "pair_antisymmetry": (_gen_pairs, _antisym_residual),
-    "jacobi": (_jacobi_assignments, _jacobi_residual),
+    "jacobi": (partial(_grid, ("a", "b", "c"), (_GEN_NAMES,) * 3), _jacobi_residual),
     "vector_field_oracle": (_gen_pairs, _vf_oracle_residual),
     "matrix_oracle": (_gen_pairs, _matrix_oracle_residual),
-    "cfactor_mass": (_gen_assignments, _cfactor_mass_residual),
-    "pair_invariance": (_gen_munu_assignments, _pair_invariance_residual),
-    "shift_consistency": (_gen_munu_assignments, _shift_consistency_residual),
-    "cfactor_sym_momentum": (_gen_munu_assignments, _cfactor_sym_momentum_residual),
-    "cfactor_sym_position": (_gen_munu_assignments, _cfactor_sym_position_residual),
+    "cfactor_mass": (partial(_grid, ("g",), (_GEN_NAMES,)), _cfactor_mass_residual),
+    "pair_invariance": (_gen_munu, _pair_invariance_residual),
+    "shift_consistency": (_gen_munu, _shift_consistency_residual),
+    "cfactor_sym_momentum": (_gen_munu, _cfactor_sym_momentum_residual),
+    "cfactor_sym_position": (_gen_munu, _cfactor_sym_position_residual),
     "canonical_partials": (
         _canonical_partials_assignments,
         _canonical_partials_residual,
@@ -434,10 +406,7 @@ def identity_assignments(ident):
     """The ordered list of assignment dicts an identity is checked over."""
     if ident.builtin is not None:
         return _BUILTINS[ident.builtin][0]()
-    if not ident.free:
-        return [{}]
-    ranges = [dsl.index_range(name) for name in ident.free]
-    return [dict(zip(ident.free, combo)) for combo in product(*ranges)]
+    return _grid(ident.free, map(dsl.index_range, ident.free))
 
 
 def evaluate_assignment(ident, asg, ctx):

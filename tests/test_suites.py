@@ -1,5 +1,6 @@
 """Identity catalogue and suite runner: inventory, determinism, reporting."""
 
+import hashlib
 import json
 from itertools import product
 
@@ -148,6 +149,19 @@ def test_free_variables_generate_assignments():
         assert combos == set(
             product(*(index_range(n) for n in ident.free))
         ), ident.id
+
+
+# sha256 of every identity's assignments in the order they run; the order
+# fixes the engine's operation sequence and which memo entries are warm
+_ASSIGNMENT_ORDER_SHA256 = (
+    "8792eeec7729bbf38e28b029ae696c0f6d99e5af81159b972d9c485427bd302f"
+)
+
+
+def test_assignment_order_is_pinned():
+    listed = [[i.id, identity_assignments(i)] for i in catalog()]
+    digest = hashlib.sha256(json.dumps(listed).encode()).hexdigest()
+    assert digest == _ASSIGNMENT_ORDER_SHA256
 
 
 def test_find_identity(ctx):
