@@ -16,12 +16,12 @@ table, with eta = diag(1,-1,-1,-1):
     (C[mu], C[nu])   = 0
 
 This module turns the table into: structure constants over the generator
-basis, the rewrite registry of the engine (including the supplied mass rule
-for the C letters, validated against M^2 = Q), a classical oracle of
-polynomial vector fields on spacetime, and an exact 6x6 matrix representation
-with metric signature (+,-,-,-,-,+). The three realizations are checked
-against each other pair by pair; they share nothing but the table above, so
-agreement is meaningful.
+basis, the rewrite registry of the engine (the letter table and the momentum
+rules; the engine derives each letter's mass rule, checked against M^2 = Q),
+a classical oracle of polynomial vector fields on spacetime, and an exact 6x6
+matrix representation with metric signature (+,-,-,-,-,+). The three
+realizations are checked against each other pair by pair; they share nothing
+but the table above, so agreement is meaningful.
 """
 
 from itertools import combinations
@@ -197,46 +197,19 @@ def momentum_rules():
     return rules
 
 
-def build_X(alg, mu):
-    """The localisation observable X[mu] = J[nu,mu].(P^nu/M^2) + D.(P[mu]/M^2)."""
-    total = alg.zero()
-    q_inv = FE_Q.inv()
-    for nu in range(4):
-        coeff = FieldElem.momentum(nu) * eta(nu, nu) * q_inv
-        j = alg.J(nu, mu)
-        if not j.is_zero():
-            total = total + alg.dot(j, alg.scalar(coeff))
-    d_coeff = FieldElem.momentum(mu) * q_inv
-    total = total + alg.dot(alg.D(), alg.scalar(d_coeff))
-    return total
-
-
 def mass_rule_residual(alg, code):
-    """normalize((g,M)*M + M*(g,M) - (g,Q)) for one letter; zero iff consistent."""
-    rule = NCExpr(dict(alg.mass_rules[code]))
+    """(a,M)*M + M*(a,M) - (a,Q) for the letter a; zero iff consistent."""
+    rule = NCExpr(alg.deriv(code, FE_M))
     m = alg.mass()
     lhs = alg.mul(rule, m) + alg.mul(m, rule)
     rhs = NCExpr(alg.deriv(code, FE_Q))
     return lhs - rhs
 
 
-def complete_mass_rules(alg):
-    """Install every letter's mass rule in an engine built without them.
-
-    (D, M) = M and (J, M) = 0, as D scales Q = P.P and J preserves it. The C
-    rule is the normal form of 2 * M.X[mu], built with this D/J-only engine
-    (that computation never touches a C letter). Then every letter's rule is
-    checked against M^2 = Q.
-    """
-    alg.mass_rules[LETTER_D] = {(): FE_M}
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            alg.mass_rules[letter_J(mu, nu)] = {}
-    m = alg.mass()
-    for mu in range(4):
-        x = build_X(alg, mu)
-        rule = alg.dot(m, x).scale(2)
-        alg.mass_rules[letter_C(mu)] = dict(rule.terms)
+def build_algebra(budget=DEFAULT_BUDGET):
+    """The full rewrite engine, once every letter's mass rule (a, M), which
+    the engine derives, has passed its check against M^2 = Q."""
+    alg = Algebra(letter_table(), momentum_rules(), budget=budget)
     for code in LETTER_CODES:
         residual = mass_rule_residual(alg, code)
         if not residual.is_zero():
@@ -245,12 +218,6 @@ def complete_mass_rules(alg):
                 f"{residual.pretty()}"
             )
     return alg
-
-
-def build_algebra(budget=DEFAULT_BUDGET):
-    """The full rewrite engine; complete_mass_rules's self-check always runs."""
-    alg = Algebra(letter_table(), momentum_rules(), {}, budget=budget)
-    return complete_mass_rules(alg)
 
 
 def gen_expr(alg, g):

@@ -375,6 +375,16 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
+    def partial(self, v):
+        """d/dP[v] by the quotient rule, (N/D)' = (N' - (N/D)*D') / D. The
+        1/D is built on D's factor list, so D is not factored again."""
+        dn = _integral(self.num.derivative(v))
+        if self._fac == _UNIT:
+            return dn
+        dd = _integral(self.den.derivative(v))
+        dinv = RationalFunction(_POLY_ONE, self.den, _fac=self._fac)
+        return (dn - self * dd) * dinv
+
     def inv(self):
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
@@ -407,6 +417,11 @@ class RationalFunction:
         return f"{ntxt}/{dtxt}"
 
 
+def _integral(p):
+    """An integer polynomial on the unit list, with no _admit."""
+    return RationalFunction(p, _POLY_ONE, _fac=_UNIT)
+
+
 def _is_atomic_den(text):
     # the denominator must also not contain '*' (a/b*c parses as (a/b)*c)
     return " " not in text and "/" not in text and "*" not in text
@@ -428,6 +443,8 @@ def has_toplevel_space(text):
 RF_ZERO = RationalFunction.from_poly(Polynomial.zero())
 RF_ONE = RationalFunction.from_poly(Polynomial.one())
 RF_Q = RationalFunction.from_poly(Q_POLY)
+#: d/dP[v] M = M * d/dP[v] Q / (2Q), from M^2 = Q
+_DM_OVER_M = tuple(RationalFunction(Q_POLY.derivative(v), Q_POLY * 2) for v in range(4))
 
 
 class FieldElem:
@@ -451,6 +468,12 @@ class FieldElem:
     @classmethod
     def momentum(cls, mu):
         return cls.from_poly(Polynomial.var(mu))
+
+    @classmethod
+    def monomial(cls, exps, with_m):
+        """P[0]^e0 * ... * P[3]^e3 for exps = (e0, .., e3), times M when with_m."""
+        p = _integral(Polynomial({exps: 1}))
+        return cls(RF_ZERO, p) if with_m else cls(p)
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
@@ -484,6 +507,11 @@ class FieldElem:
         return FieldElem(a1 * a2 + b1 * b2 * RF_Q, a1 * b2 + b1 * a2)
 
     __rmul__ = __mul__
+
+    def partial(self, v):
+        """d/dP[v] of a + b*M: a' + (b' + b * d/dP[v] M / M)*M."""
+        b = self.b.partial(v) + self.b * _DM_OVER_M[v]
+        return FieldElem(self.a.partial(v), b)
 
     def inv(self):
         if self.is_zero():

@@ -8,8 +8,11 @@ the exact field of field.py. The letters, in normal order, are
 encoded as the integers 0..10. The four momenta and the mass symbol live in
 the coefficient field, not in the alphabet. Normal form: every coefficient
 stands to the left of its word and every word is sorted; moving a coefficient
-through a letter uses g*f = f*g + (g, f) where (g, f) is the registry
-derivation, and swapping adjacent letters uses the registry letter table.
+through a letter uses g*f = f*g + (g, f), and swapping adjacent letters uses
+the registry letter table. The derivation (g, f) is the momentum-space form
+of the generator g, a differential operator in P[0..3] (Mack & Salam, Ann.
+Phys. 53:174, 1969): it is built from the registry rules (g, P[nu]) and the
+partial derivatives of f, and (g, M) follows from M^2 = Q.
 
 The bracket (x, y) is the commutator x*y - y*x, formed term by term: for
 terms f*u and g*w, (f*u, g*w) = f*g*(uw - wu) + f*R(u, g)*w - g*R(w, f)*u,
@@ -149,10 +152,10 @@ class Algebra:
 
     letter_table maps ordered letter pairs (a, b), a != b, to the bracket
     (a, b) as {word: int} with words of length <= 1. momentum_rules maps
-    (letter, mu) to the derivation (letter, P[mu]) and mass_rules maps a
-    letter to (letter, M), both as {word: FieldElem}. The mass rules are
-    installed after construction by conformal.complete_mass_rules (the C
-    rules are built with this very engine).
+    (letter, mu) to the derivation (letter, P[mu]) as {word: FieldElem}:
+    a pure coefficient for D and J, single D or J letters for C. Every
+    other derivation follows from these (see _deriv_mono); (C[mu], M) =
+    2*M.X[mu] among them.
 
     Four memos live as long as the algebra: _word_memo (sorted letter
     words), _shift_memo (u * g for a word u and coefficient g), _mono_memo
@@ -160,11 +163,9 @@ class Algebra:
     keeps none of its own; its results are rebuilt from the last three.
     """
 
-    def __init__(self, letter_table, momentum_rules, mass_rules,
-                 budget=DEFAULT_BUDGET):
+    def __init__(self, letter_table, momentum_rules, budget=DEFAULT_BUDGET):
         self.letter_table = letter_table
         self.momentum_rules = momentum_rules
-        self.mass_rules = mass_rules
         self.budget = budget
         self._word_memo = {}
         self._shift_memo = {}
@@ -256,42 +257,33 @@ class Algebra:
     # ---- derivation of a letter on a coefficient ----
 
     def _deriv_mono(self, a, exps, with_m):
-        """(a, monomial) for a unit-coefficient monomial; see _deriv_factors."""
+        """(a, g) for the unit-coefficient monomial g, in closed form.
+
+        (a, g) = sum over nu of dot(d_nu g, Y_nu) with Y_nu = (a, P[nu]).
+        A D or J rule Y_nu is a pure coefficient. The words of a C rule are
+        single D or J letters w, and Y_nu*h = h*Y_nu + (w, h) for each, so
+        each adds half its coefficient times (w, d_nu g). One tick per
+        factor of g on a miss.
+        """
         key = (a, exps, with_m)
         hit = self._mono_memo.get(key)
         if hit is not None:
             return hit
-        factors = []
-        for v in range(4):
-            factors.extend([("P", v)] * exps[v])
-        if with_m:
-            factors.append(("M", 0))
-        out = self._deriv_factors(a, tuple(factors))
-        self._mono_memo[key] = out
-        return out
-
-    def _deriv_factors(self, a, factors):
-        """(a, f0*f1*...) for a list of ("P", v) / ("M", _) factors.
-
-        Leibniz, one tick per factor, right to left: with rest the product
-        of the factors after f, (a, f*rest) = (a, f)*rest + f*(a, rest),
-        where (a, f)*rest moves rest through the words of f's rule.
-        """
-        out = {}
-        rest = FE_ONE
-        for kind, v in reversed(factors):
+        for _ in range(sum(exps) + with_m):
             self._tick()
-            if kind == "P":
-                f, rule = FieldElem.momentum(v), self.momentum_rules[(a, v)]
-            else:
-                f, rule = FE_M, self.mass_rules[a]
-            step = {}
-            for w, c in self._raw_mul_terms(rule, {(): rest}):
-                _acc(step, w, c)
-            for w, c in out.items():
-                _acc(step, w, f * c)
-            out = {w: c for w, c in step.items() if not c.is_zero()}
-            rest = f * rest
+        g = FieldElem.monomial(exps, with_m)
+        out = {}
+        for nu in range(4):
+            h = g.partial(nu)
+            if h.is_zero():
+                continue
+            for w, c in self.momentum_rules[(a, nu)].items():
+                _acc(out, w, h * c)
+                if w:
+                    for z, e in self.deriv(w[0], h).items():
+                        _acc(out, z, e * c * Fraction(1, 2))
+        out = {w: c for w, c in out.items() if not c.is_zero()}
+        self._mono_memo[key] = out
         return out
 
     def _deriv_poly(self, a, p, with_m):

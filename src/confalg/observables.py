@@ -23,8 +23,8 @@ language).
 
 from fractions import Fraction
 
-from .conformal import build_X, eps4, eta, gen_expr
-from .field import FE_M, FieldElem
+from .conformal import eps4, eta, gen_expr
+from .field import FE_M, FE_Q, FieldElem
 
 
 def _mom_over_q(sig, sign=1):
@@ -49,7 +49,18 @@ class Observables:
     # ---- localisation ----
 
     def X(self, mu):
-        return self._get(("X", mu), lambda: build_X(self.alg, mu))
+        """X[mu] = J[nu,mu].(P^nu/M^2) + D.(P[mu]/M^2)."""
+        def build():
+            alg, q_inv = self.alg, FE_Q.inv()
+            total = alg.zero()
+            for nu in range(4):
+                if nu != mu:
+                    coeff = FieldElem.momentum(nu) * eta(nu, nu) * q_inv
+                    total = total + alg.dot(alg.J(nu, mu), alg.scalar(coeff))
+            coeff = FieldElem.momentum(mu) * q_inv
+            return total + alg.dot(alg.D(), alg.scalar(coeff))
+
+        return self._get(("X", mu), build)
 
     # ---- spin ----
 

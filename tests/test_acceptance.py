@@ -194,8 +194,8 @@ def test_engine_property_battery(random_schedule_algebra):
             break
         checked += 1
 
-    # quadratic relation registry: the declared square of every letter must
-    # agree with the engine's own product
+    # quadratic relation: every letter's derived mass rule (a, M) must agree
+    # with (a, Q) through the engine's own products, as M^2 = Q
     for code in range(N_LETTERS):
         if not mass_rule_residual(alg, code).is_zero():
             failures.append(f"mass rule letter {code}")

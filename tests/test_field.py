@@ -288,6 +288,52 @@ def test_field_axiom_inverse_round_trip():
         done += 1
 
 
+# ---------------------------------------------------------------------------
+# partial derivatives
+# ---------------------------------------------------------------------------
+
+def test_partial_agrees_with_polynomial_derivative():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        p = _rand_poly(rng)
+        for v in range(4):
+            want = FieldElem.from_poly(p.derivative(v))
+            assert FieldElem.from_poly(p).partial(v) == want, (p, v)
+    assert FieldElem.monomial((1, 0, 2, 0), True) == FieldElem.from_poly(
+        P0 * P2 * P2
+    ) * FE_M
+
+
+def test_partial_product_and_quotient_rules():
+    # the pool's denominators already take the quotient rule of
+    # RationalFunction.partial; an inverse's denominator is the conjugate
+    # norm, seldom certified, so each of its derivatives runs gcds against
+    # a large numerator (up to 2.5 s), and only the first 20 draws take it
+    rng = random.Random(20261020)
+    for k in range(300):
+        x, y = _rand_fe(rng), _rand_fe(rng)
+        v = rng.randrange(4)
+        dx, dy = x.partial(v), y.partial(v)
+        assert (x * y).partial(v) == dx * y + x * dy
+        if k < 20 and not y.is_zero():
+            yinv = y.inv()
+            assert yinv.partial(v) == -(dy * yinv * yinv)
+
+
+def test_partial_of_mass_follows_from_mass_squared():
+    for v in range(4):
+        assert FE_M * FE_M.partial(v) * 2 == FE_Q.partial(v)
+        # d/dP[v] M = eta[v,v] * P[v] * M / Q
+        sign = 1 if v == 0 else -1
+        assert FE_M.partial(v) == FieldElem.momentum(v) * FE_M * FE_Q.inv() * sign
+
+
+def test_partial_of_a_rational_element_is_zero():
+    for c in (0, 1, -4, Fraction(-3, 5)):
+        for v in range(4):
+            assert FieldElem.const(c).partial(v) == FE_ZERO
+
+
 def _tiny_fe(rng):
     # double inversion squares every degree in sight, so this generator stays
     # near the bottom of the size range; x * x.inv() == 1 above already pins

@@ -273,8 +273,8 @@ def test_schedule_confluence(random_schedule_algebra):
         # the schedule really was drawn, and nothing was memoized
         assert shuffled.rng.getstate() != random.Random(seed).getstate()
         assert not shuffled._word_memo and not shuffled._shift_memo
-    # the engine methods that the random schedule overrides still exist
-    assert {"_inversion", "_deriv_mono"} <= set(vars(Algebra))
+    # the engine method that the random schedule overrides still exists
+    assert "_inversion" in vars(Algebra)
 
 
 def test_rewrite_budget_enforced():
@@ -314,36 +314,31 @@ def test_bracket_is_one_fuelled_operation():
 
 
 # (op, steps) after each top-level operation of a fresh algebra: "m" for mul
-# (dot is two), "b" for bracket, "n" for normalize. The first 62 are
+# (dot is two), "b" for bracket, "n" for normalize. The first 22 are
 # build_algebra's own; then come br(C[mu], X[nu]) for every mu and nu,
 # br(C[0], Xi[j]) for each j and br(C[1], Tau). The memos make each count
 # depend on everything before it, so a change to how a step is taken, or
 # to what is memoized, shows here.
 _FUEL_SEQUENCE = [
-    ("m", 10), ("m", 0), ("m", 10), ("m", 0), ("m", 10), ("m", 0), ("m", 10),
-    ("m", 0), ("m", 0), ("m", 8), ("m", 2), ("m", 0), ("m", 10), ("m", 0),
-    ("m", 10), ("m", 0), ("m", 2), ("m", 0), ("m", 0), ("m", 4), ("m", 2),
-    ("m", 0), ("m", 2), ("m", 0), ("m", 10), ("m", 0), ("m", 2), ("m", 0),
-    ("m", 0), ("m", 2), ("m", 2), ("m", 0), ("m", 2), ("m", 0), ("m", 2),
-    ("m", 0), ("m", 2), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
     ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
     ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
-    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 4), ("m", 0), ("m", 2), ("m", 0), ("m", 1), ("m", 0), ("m", 0),
+    ("m", 0),
     # the brackets, and the observables they need
-    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
-    ("m", 0), ("b", 23), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
-    ("m", 0), ("m", 0), ("m", 0), ("b", 3), ("m", 0), ("m", 0), ("m", 0),
-    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("b", 3), ("m", 0),
-    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
+    ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1),
+    ("m", 0), ("b", 23), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1),
+    ("m", 0), ("m", 1), ("m", 0), ("b", 3), ("m", 1), ("m", 0), ("m", 1),
+    ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("b", 3), ("m", 1),
+    ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0),
     ("b", 2), ("b", 23), ("b", 4), ("b", 3), ("b", 2), ("b", 18), ("b", 5),
     ("b", 3), ("b", 2), ("b", 13), ("b", 3), ("b", 3), ("b", 2), ("m", 0),
     ("m", 1), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
-    ("m", 7), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
-    ("m", 6), ("m", 0), ("b", 638), ("m", 0), ("m", 1), ("m", 3), ("m", 3),
-    ("m", 0), ("m", 3), ("m", 0), ("m", 0), ("m", 4), ("m", 7), ("m", 0),
-    ("b", 82), ("m", 0), ("m", 1), ("m", 5), ("m", 4), ("m", 0), ("b", 4),
-    ("m", 0), ("m", 7), ("m", 0), ("m", 6), ("m", 0), ("m", 5), ("m", 4),
-    ("m", 0), ("b", 149),
+    ("m", 3), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
+    ("m", 2), ("m", 0), ("b", 959), ("m", 0), ("m", 1), ("m", 3), ("m", 3),
+    ("m", 0), ("m", 3), ("m", 0), ("m", 0), ("m", 2), ("m", 3), ("m", 0),
+    ("b", 205), ("m", 0), ("m", 1), ("m", 3), ("m", 2), ("m", 0), ("b", 4),
+    ("m", 0), ("m", 7), ("m", 0), ("m", 7), ("m", 0), ("m", 7), ("m", 4),
+    ("m", 0), ("b", 246),
 ]
 
 
@@ -373,7 +368,7 @@ def test_fuel_sequence_is_pinned(monkeypatch):
     alg.bracket(alg.C(1), obs.tau())
     assert seq == _FUEL_SEQUENCE
     steps = [s for _, s in seq]
-    assert (len(seq), sum(steps), max(steps)) == (155, 1172, 638)
+    assert (len(seq), sum(steps), max(steps)) == (115, 1619, 959)
 
 
 # (count, total steps, peak) of the operations that spend fuel in a fresh
@@ -381,10 +376,10 @@ def test_fuel_sequence_is_pinned(monkeypatch):
 # their generator brackets through Observables, so each is built once; the
 # localisation and canonical sums pin the order in which a sum binds its names
 _FRESH_SUITES = {
-    "structure": ((127, 155, 2), 10350),
-    "localisation": ((76, 257, 22), 1572),
-    "conformal-factor": ((108, 357, 13), 2117),
-    "canonical": ((58, 1969, 865), 749),
+    "structure": ((143, 171, 2), 10350),
+    "localisation": ((96, 257, 22), 1572),
+    "conformal-factor": ((125, 385, 13), 2117),
+    "canonical": ((77, 1968, 865), 749),
 }
 
 
@@ -437,7 +432,7 @@ def _swapped(alg, b, a, before=(), after=()):
 def _moved(alg, a, g):
     """a*g with the letter a moved once past the coefficient generator g."""
     if g[0] == "M":
-        rule = alg.mass_rules[a]
+        rule = alg.deriv(a, FE_M)
     else:
         rule = alg.momentum_rules[(a, g[1])]
     return NCExpr({(a,): _gen_value(g)}) + NCExpr(dict(rule))
@@ -494,7 +489,7 @@ def _perturbations():
             yield "momentum", key, {w: c * 2 for w, c in rule.items()}
 
 
-def test_overlaps_catch_each_perturbed_rule(alg):
+def test_overlaps_catch_each_perturbed_rule():
     # the certificate is not vacuous: doubling any single rule breaks it
     kinds = [kind for kind, _, _ in _perturbations()]
     assert (kinds.count("letter"), kinds.count("momentum")) == (28, 32)
@@ -502,7 +497,7 @@ def test_overlaps_catch_each_perturbed_rule(alg):
     for kind, key, entry in _perturbations():
         letters, momenta = letter_table(), momentum_rules()
         (letters if kind == "letter" else momenta)[key] = entry
-        bad = Algebra(letters, momenta, alg.mass_rules)
+        bad = Algebra(letters, momenta)
         if all(x == y for _, x, y in _overlaps(bad)):
             missed.append((kind, key))
     assert not missed
@@ -530,13 +525,13 @@ def _fails_somewhere(ident, ctx):
 
 
 @pytest.mark.parametrize("key", sorted(_ENGINE_BUILTINS))
-def test_builtin_fails_on_a_perturbed_rule(alg, key):
+def test_builtin_fails_on_a_perturbed_rule(key):
     # the sweep is not vacuous: some single doubled rule makes it fail
     assert len(_ENGINE_BUILTINS) == 7
     for kind, rule, entry in _perturbations():
         letters, momenta = letter_table(), momentum_rules()
         (letters if kind == "letter" else momenta)[rule] = entry
-        bad = Algebra(letters, momenta, alg.mass_rules)
+        bad = Algebra(letters, momenta)
         ctx = suites.Context(bad, Observables(bad))
         if _fails_somewhere(_ENGINE_BUILTINS[key], ctx):
             return
