@@ -9,8 +9,9 @@ coefficient field:
 * Stensor[mu,nu] = eps[mu,nu,rho,sig] S^rho P^sig / M
 * Sigma[j], Xi[j], Tau   the canonical spin, position and time variables
 * V[mu]   velocity, V[mu] = -(M, X[mu])
-* (g, h) and (g, X[nu]) for generators g, h: the brackets the builtin sweeps
-          share, built once each
+* (g, h), (g, X[nu]), ((g, X[nu]), P[mu]) and ((g, P[mu]), X[nu]) for
+          generators g, h: the brackets the builtin sweeps share, built once
+          each
 
 Index convention: symbols carry lower indices; raising is an explicit metric
 contraction and the metric is its own inverse. Spatial indices run 1..3.
@@ -159,6 +160,22 @@ class Observables:
         alg = self.alg
         return self._get(
             ("shift", g, nu), lambda: alg.bracket(gen_expr(alg, g), self.X(nu))
+        )
+
+    def shift_momentum(self, g, nu, mu):
+        """((g, X[nu]), P[mu]): how the position shift of g varies with P[mu]."""
+        alg = self.alg
+        return self._get(
+            ("shift_P", g, nu, mu),
+            lambda: alg.bracket(self.shift(g, nu), alg.momentum(mu)),
+        )
+
+    def momentum_shift(self, g, mu, nu):
+        """((g, P[mu]), X[nu]): how the momentum shift of g varies along X[nu]."""
+        alg = self.alg
+        return self._get(
+            ("P_shift", g, mu, nu),
+            lambda: alg.bracket(self.gen_bracket(g, ("P", mu)), self.X(nu)),
         )
 
     # ---- conformal factors evaluated on the localisation observable ----

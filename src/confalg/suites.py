@@ -291,33 +291,27 @@ def _pair_invariance_residual(ctx, asg):
 
 
 def _shift_consistency_residual(ctx, asg):
-    alg, obs = ctx.alg, ctx.obs
+    obs = ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
     mu, nu = asg["mu"], asg["nu"]
-    lhs = alg.bracket(obs.shift(g, nu), alg.momentum(mu))
-    rhs = alg.bracket(obs.gen_bracket(g, ("P", mu)), obs.X(nu))
-    r = lhs - rhs
+    r = obs.shift_momentum(g, nu, mu) - obs.momentum_shift(g, mu, nu)
     return None if r.is_zero() else r.pretty()
 
 
 def _cfactor_sym_momentum_residual(ctx, asg):
-    alg, obs = ctx.alg, ctx.obs
+    obs = ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
     mu, nu = asg["mu"], asg["nu"]
-    lhs = alg.bracket(obs.gen_bracket(g, ("P", mu)), obs.X(nu)) + alg.bracket(
-        obs.gen_bracket(g, ("P", nu)), obs.X(mu)
-    )
+    lhs = obs.momentum_shift(g, mu, nu) + obs.momentum_shift(g, nu, mu)
     r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()
 
 
 def _cfactor_sym_position_residual(ctx, asg):
-    alg, obs = ctx.alg, ctx.obs
+    obs = ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
     mu, nu = asg["mu"], asg["nu"]
-    lhs = alg.bracket(obs.shift(g, nu), alg.momentum(mu)) + alg.bracket(
-        obs.shift(g, mu), alg.momentum(nu)
-    )
+    lhs = obs.shift_momentum(g, nu, mu) + obs.shift_momentum(g, mu, nu)
     r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()
 

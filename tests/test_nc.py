@@ -373,12 +373,14 @@ def test_fuel_sequence_is_pinned(monkeypatch):
 
 # (count, total steps, peak) of the operations that spend fuel in a fresh
 # suite run, and a ceiling on all its top-level operations: the sweeps share
-# their generator brackets through Observables, so each is built once; the
-# localisation and canonical sums pin the order in which a sum binds its names
+# their generator brackets through Observables, so each is built once, and so
+# are the conformal-factor sweeps' second-level brackets ((g, X[nu]), P[mu])
+# and ((g, P[mu]), X[nu]); the localisation and canonical sums pin the order
+# in which a sum binds its names
 _FRESH_SUITES = {
     "structure": ((143, 171, 2), 10350),
     "localisation": ((96, 257, 22), 1572),
-    "conformal-factor": ((125, 385, 13), 2117),
+    "conformal-factor": ((125, 385, 13), 1157),
     "canonical": ((77, 1968, 865), 749),
 }
 

@@ -4,11 +4,14 @@ Everything asserted here was computed by hand from the definitions or follows
 from an antisymmetry argument; nothing is a recorded engine output.
 """
 
+import itertools
+
 import pytest
 
-from confalg.conformal import build_algebra, eta
+from confalg.conformal import GENERATORS, build_algebra, eta, gen_expr
 from confalg.dsl import elaborate, parse
 from confalg.field import FE_M, FieldElem
+from confalg.nc import Algebra
 from confalg.observables import Observables
 
 
@@ -162,3 +165,33 @@ def test_shifts_of_x(alg, obs):
             c = obs.shift(("C", mu), nu)
             assert c == alg.bracket(alg.C(mu), obs.X(nu))
             assert obs.shift(("C", mu), nu) is c
+
+
+def test_second_level_shifts_match_brackets(monkeypatch):
+    # ((g, X[nu]), P[mu]) and ((g, P[mu]), X[nu]) against the brackets they
+    # cache, on a fresh algebra; a second read is the same object and runs
+    # no bracket
+    alg = build_algebra()
+    obs = Observables(alg)
+    grid = list(itertools.product(GENERATORS, range(4), range(4)))
+    built = {}
+    for g, mu, nu in grid:
+        sp = obs.shift_momentum(g, nu, mu)
+        ps = obs.momentum_shift(g, mu, nu)
+        e, x, p = gen_expr(alg, g), obs.X(nu), alg.momentum(mu)
+        assert sp == alg.bracket(alg.bracket(e, x), p), (g, mu, nu)
+        assert ps == alg.bracket(alg.bracket(e, p), x), (g, mu, nu)
+        built[g, mu, nu] = sp, ps
+    calls = []
+    bracket = Algebra.bracket
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(Algebra, "bracket", counted)
+    for g, mu, nu in grid:
+        sp, ps = built[g, mu, nu]
+        assert obs.shift_momentum(g, nu, mu) is sp
+        assert obs.momentum_shift(g, mu, nu) is ps
+    assert not calls
