@@ -166,7 +166,7 @@ def index_range(name):
 _PUNCT = "+-*./^()[],:"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
     kind: str  # "int", "name", or the punctuation character itself
     text: str

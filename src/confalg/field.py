@@ -21,9 +21,13 @@ All types are immutable and hashable.
 Factored denominators: beside den, a RationalFunction keeps its factor list
 (m, {f: e}), den = m * prod f^e, over primitive positive-leading non-constant
 factors. An operation builds its result's list from its operands' lists: a
-product adds exponents, a sum takes the larger ones and multiplies each
+product adds exponents, a sum takes the largest ones and multiplies each
 numerator by the expanded cofactor. Reducing a numerator against its
 denominator is then trial division by the few factors that can divide it.
+A sum of n operands (rf_sum, and __add__ for n = 2) forms one numerator and
+reduces it once. A certified prime can cancel from it only if at least two
+operands carry its largest exponent: otherwise it divides every term but
+one, whose numerator is coprime to it.
 A factor is either a certified prime, proved irreducible by
 poly.certify_or_split and kept in _PRIMES for the whole process, or
 uncertified. Distinct certified primes are coprime without any work. An
@@ -37,9 +41,9 @@ built on the factor list of d that as_quotient forms from the operands'
 lists, so d is not factored again.
 
 Unit lists: a list (1, {}) means den = 1 and a numerator with integer
-coefficients (_canon and _lowest_terms see to it). On two such operands the
-lcm, the cofactors, _cancel and _lowest_terms all reduce to the identity, so
-a sum or product of two polynomials is formed directly. FieldElem times a
+coefficients (_canon and _lowest_terms see to it). On such operands the lcm,
+the cofactors, _cancel and _lowest_terms all reduce to the identity, so a sum
+of polynomials, or a product of two, is formed directly. FieldElem times a
 scalar 1 returns the operand itself.
 """
 
@@ -169,19 +173,33 @@ def _factor(d):
     return out
 
 
-def _lcm(F1, F2):
-    """(L, L / F1, L / F2) for two factor lists.
+def _lcm(Fs):
+    """(L, [L / F for F in Fs], tops) for a sequence of factor lists.
 
-    L takes the larger exponent of each factor, so prod L is a common
-    multiple of both; it is the least one when every factor is certified.
+    L takes the largest exponent of each factor, so prod L is a common
+    multiple of them all; it is the least one when every factor is
+    certified. tops[f] counts the lists that carry f with exponent L[f].
     """
-    L = dict(F1)
-    for f, e in F2.items():
-        if e > L.get(f, 0):
-            L[f] = e
-    cof1 = {f: e - F1.get(f, 0) for f, e in L.items() if e > F1.get(f, 0)}
-    cof2 = {f: e - F2.get(f, 0) for f, e in L.items() if e > F2.get(f, 0)}
-    return L, cof1, cof2
+    L = dict(Fs[0])
+    tops = dict.fromkeys(L, 1)
+    for F in Fs[1:]:
+        for f, e in F.items():
+            top = L.get(f, 0)
+            if e > top:
+                L[f] = e
+                tops[f] = 1
+            elif e == top:
+                tops[f] += 1
+    cofs = []
+    for F in Fs:
+        cof = {}
+        if F != L:
+            for f, e in L.items():
+                k = e - F.get(f, 0)
+                if k:
+                    cof[f] = k
+        cofs.append(cof)
+    return L, cofs, tops
 
 
 def _expand(F):
@@ -330,20 +348,9 @@ class RationalFunction:
             return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
         (m1, F1), (m2, F2) = self._fac, other._fac
         m = math.lcm(m1, m2)
-        L, cof1, cof2 = _lcm(F1, F2)
+        L, (cof1, cof2), tops = _lcm((F1, F2))
         num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, m // m2, cof2)
-        if num.is_zero():
-            return RF_ZERO
-        # a certified prime with unequal exponents in the two lists divides
-        # just one term, and neither numerator, so it cannot cancel unless an
-        # uncertified factor hides it; every uncertified factor is a candidate
-        num = _cancel(
-            num,
-            L,
-            [f for f in L if f not in _PRIMES or F1.get(f) == F2.get(f)],
-        )
-        num, den, fac = _lowest_terms(num, m, L)
-        return RationalFunction(num, den, _fac=fac)
+        return _reduced_sum(num, m, L, tops)
 
     def __sub__(self, other):
         return self + (-other)
@@ -415,6 +422,56 @@ class RationalFunction:
         ntxt = num if " " not in num else f"({num})"
         dtxt = den if _is_atomic_den(den) else f"({den})"
         return f"{ntxt}/{dtxt}"
+
+
+def _poly_sum(ps):
+    """The sum of two or more polynomials, in one pass over one term map."""
+    terms = dict(ps[0].terms)
+    get = terms.get
+    for p in ps[1:]:
+        for e, c in p.terms.items():
+            terms[e] = get(e, 0) + c
+    return Polynomial(terms)
+
+
+def _reduced_sum(num, m, L, tops):
+    """num / (m * prod f^e over L) in lowest terms, where num is a sum of
+    operands over that denominator and tops comes from _lcm of their lists.
+
+    The candidates of _cancel are every uncertified factor and the certified
+    primes that at least two operands carry with their largest exponent
+    (see the module docstring).
+    """
+    if num.is_zero():
+        return RF_ZERO
+    num = _cancel(num, L, [f for f in L if f not in _PRIMES or tops[f] > 1])
+    num, den, fac = _lowest_terms(num, m, L)
+    return RationalFunction(num, den, _fac=fac)
+
+
+def rf_sum(xs):
+    """The sum of a list of RationalFunctions, reduced once.
+
+    One lcm over all the factor lists, one numerator and one reduction; on
+    the unit list, one pass over a single term map. A list of one returns
+    its element.
+    """
+    if len(xs) == 1:
+        return xs[0]
+    xs = [x for x in xs if x.num.terms]
+    if len(xs) < 2:
+        return xs[0] if xs else RF_ZERO
+    if all(x._fac == _UNIT for x in xs):
+        num = _poly_sum([x.num for x in xs])
+        if num.is_zero():
+            return RF_ZERO
+        return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+    m = math.lcm(*[x._fac[0] for x in xs])
+    L, cofs, tops = _lcm([x._fac[1] for x in xs])
+    num = _poly_sum(
+        [_scaled(x.num, m // x._fac[0], cof) for x, cof in zip(xs, cofs)]
+    )
+    return _reduced_sum(num, m, L, tops)
 
 
 def _integral(p):
@@ -550,7 +607,7 @@ class FieldElem:
         else:
             (ma, Fa), (mb, Fb) = a._fac, b._fac
             m = math.lcm(ma, mb)
-            L, cofa, cofb = _lcm(Fa, Fb)
+            L, (cofa, cofb), _ = _lcm((Fa, Fb))
             A, B = _scaled(a.num, m // ma, cofa), _scaled(b.num, m // mb, cofb)
             fac = (m, L)
             d = _scaled(_POLY_ONE, *fac)
@@ -574,6 +631,13 @@ class FieldElem:
         if btxt.startswith("-"):
             return f"{self.a.pretty()} - {btxt[1:]}"
         return f"{self.a.pretty()} + {btxt}"
+
+
+def fe_sum(cs):
+    """The sum of a list of FieldElems, each part reduced once (rf_sum)."""
+    if len(cs) == 1:
+        return cs[0]
+    return FieldElem(rf_sum([c.a for c in cs]), rf_sum([c.b for c in cs]))
 
 
 FE_ZERO = FieldElem(RF_ZERO)

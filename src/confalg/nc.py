@@ -28,6 +28,10 @@ letter table (D/J/C span a subalgebra) and derivations only ever introduce
 D/J letters, so rewriting terminates; the budget guards against bugs, not
 against the mathematics.
 
+The coefficients of an output word are collected in a list (_acc) and summed
+once by field.fe_sum (_summed) when an operation returns or stores a memo
+entry, so each is reduced once rather than after every binary addition.
+
 Confluence is certified, not sampled: tests/test_nc.py resolves every overlap
 of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
 schedule and memoizes its rewrites in the four Algebra memos; the derivation
@@ -38,7 +42,7 @@ Randomized schedules live only in tests.
 from fractions import Fraction
 
 from .errors import RewriteBudgetExceeded
-from .field import FE_ONE, FE_M, FieldElem, has_toplevel_space
+from .field import FE_ONE, FE_M, FieldElem, fe_sum, has_toplevel_space
 
 # ---- letters -------------------------------------------------------------
 
@@ -282,17 +286,15 @@ class Algebra:
                 if w:
                     for z, e in self.deriv(w[0], h).items():
                         _acc(out, z, e * c * Fraction(1, 2))
-        out = {w: c for w, c in out.items() if not c.is_zero()}
+        out = _summed(out)
         self._mono_memo[key] = out
         return out
 
-    def _deriv_poly(self, a, p, with_m):
-        """(a, p) for a polynomial p, times M when with_m: {word: FieldElem}."""
-        out = {}
+    def _deriv_poly(self, a, p, with_m, out):
+        """Accumulate (a, p) in out for a polynomial p, times M when with_m."""
         for exps, c in p.terms.items():
             for w, h in self._deriv_mono(a, exps, with_m).items():
                 _acc(out, w, h * c)
-        return {w: c for w, c in out.items() if not c.is_zero()}
 
     def deriv(self, a, g):
         """(a, g) for letter a and coefficient g, as {word: FieldElem}.
@@ -302,21 +304,23 @@ class Algebra:
         gives {}, as every derivation of a polynomial of degree 0 is empty.
         """
         A, B, d, dinv = g.as_quotient()
-        num = self._deriv_poly(a, A, False)
-        for w, c in self._deriv_poly(a, B, True).items():
-            _acc(num, w, c)
-        num = {w: c for w, c in num.items() if not c.is_zero()}
+        num = {}
+        self._deriv_poly(a, A, False, num)
+        self._deriv_poly(a, B, True, num)
+        num = _summed(num)
         if dinv == FE_ONE:
             return num
         # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
         #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1
         # and N * d^-1 is g itself, a pure left coefficient.
+        dd = {}
+        self._deriv_poly(a, d, False, dd)
         out = {}
         for w, c in self._raw_mul_terms(num, {(): dinv}):
             _acc(out, w, c)
-        for w, c in self._raw_mul_terms(self._deriv_poly(a, d, False), {(): dinv}):
+        for w, c in self._raw_mul_terms(_summed(dd), {(): dinv}):
             _acc(out, w, -(g * c))
-        return {w: c for w, c in out.items() if not c.is_zero()}
+        return _summed(out)
 
     # ---- coefficient movement and products ----
 
@@ -340,7 +344,7 @@ class Algebra:
             for z2, h2 in self._shift(head, hd).items():
                 for zw, c in self._sort_word(z2 + zd).items():
                     _acc(out, zw, h2 * c)
-        out = {w: c for w, c in out.items() if not c.is_zero()}
+        out = _summed(out)
         self._shift_memo[key] = out
         return out
 
@@ -352,11 +356,12 @@ class Algebra:
                     yield w, f * g
                     continue
                 for z, h in self._shift(u, g).items():
+                    fh = f * h
                     if not w:
-                        yield z, f * h
+                        yield z, fh
                     else:
                         for zw, c in self._sort_word(z + w).items():
-                            yield zw, (f * h) * c
+                            yield zw, fh * c
 
     # ---- public operations ----
 
@@ -365,7 +370,7 @@ class Algebra:
         out = {}
         for w, c in self._raw_mul_terms(x.terms, y.terms):
             _acc(out, w, c)
-        return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
+        return NCExpr(_summed(out))
 
     def dot(self, x, y):
         """Symmetrized product (x*y + y*x) / 2."""
@@ -388,7 +393,7 @@ class Algebra:
                     self._acc_moved(out, f, u, g, w)
                 if w and not f.is_rational():
                     self._acc_moved(out, -g, w, f, u)
-        return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
+        return NCExpr(_summed(out))
 
     def _comm(self, u, w):
         """uw - wu for sorted words u, w: {word: int}, shared, read-only."""
@@ -429,13 +434,24 @@ class Algebra:
         for u, f in x.terms.items():
             for w, c in self._sort_word(u).items():
                 _acc(out, w, f * c)
-        return NCExpr({w: c for w, c in out.items() if not c.is_zero()})
+        return NCExpr(_summed(out))
 
 
 def _acc(out, w, c):
+    """Add the term c*w to the accumulator out: {word: [FieldElem]}."""
     s = out.get(w)
     if s is None:
-        out[w] = c
+        out[w] = [c]
     else:
-        out[w] = s + c
+        s.append(c)
+
+
+def _summed(out):
+    """{word: FieldElem} of an accumulator, each list summed once, zeros dropped."""
+    res = {}
+    for w, cs in out.items():
+        c = fe_sum(cs)
+        if not c.is_zero():
+            res[w] = c
+    return res
 

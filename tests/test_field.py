@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: polynomials, reduced rational functions,
 and the quadratic extension by the mass symbol."""
 
+import functools
 import itertools
 import math
 import random
@@ -17,6 +18,8 @@ from confalg.field import (
     Q_POLY,
     FieldElem,
     RationalFunction,
+    fe_sum,
+    rf_sum,
 )
 from confalg.poly import (
     Polynomial,
@@ -564,10 +567,12 @@ def test_factored_arithmetic_matches_gcd_reference():
     assert all(f in field._PRIMES for f in _FRESH_SPLIT)
     shared = _FRESH_SHARED[0] * _FRESH_SHARED[1]
     cubic = _FRESH_CUBIC[0] * _FRESH_CUBIC[1]
+    held = []
     for composite in (shared, cubic):
         x = RationalFunction(P3, composite)
         assert composite in x._fac[1]
         assert composite not in field._PRIMES
+        held.append(x)
 
     # a numerator that holds one form of an uncertified product splits it:
     # in a product, into two certified primes here
@@ -590,6 +595,53 @@ def test_factored_arithmetic_matches_gcd_reference():
     assert _parts(rx + rc0) == _ref_add(x, c0)
     assert _parts(rx * rc0.inv()) == _ref_mul(x, _ref_inv(c0))
     _assert_quotient(FieldElem(rx, rc0), x, c0)
+
+    # n-ary sums against a fold of the binary reference
+    def assert_sum(xs):
+        z = rf_sum(xs)
+        assert _parts(z) == functools.reduce(_ref_add, map(_parts, xs), (ZERO, ONE))
+        assert _scaled_product(*z._fac) == z.den
+        return z
+
+    p, r = P0 + P1, P0 - P3
+    for f in (p, r):
+        RationalFunction(ONE, f)
+        assert f in field._PRIMES
+    # only one operand carries p^2: p divides every other term, so it is no
+    # candidate and stays
+    z = assert_sum([
+        RationalFunction(ONE, p * p), RationalFunction(P2, p), RationalFunction(P1, r),
+    ])
+    assert z._fac[1] == {p: 2, r: 1}
+    # two operands carry p^2, and their numerators add up to p
+    z = assert_sum([
+        RationalFunction(ONE, p * p), RationalFunction(p - ONE, p * p),
+        RationalFunction(P1, r),
+    ])
+    assert z._fac[1] == {p: 1, r: 1}
+    # the cubic product, uncertified, cancels between two operands; sx still
+    # lists the shared product as one uncertified factor, while the fourth
+    # operand, admitted after its primes were certified, lists them apart
+    sx, cx = held
+    assert shared in sx._fac[1] and cubic in cx._fac[1]
+    z = assert_sum([
+        cx, sx, RationalFunction(_FRESH_CUBIC[0] - P3, cubic),
+        RationalFunction(_FRESH_SHARED[0] - P3, shared), RationalFunction(P2, p),
+    ])
+    assert set(z._fac[1]) == {_FRESH_CUBIC[1], _FRESH_SHARED[1], p}
+    # sums that vanish, on factor lists and on unit lists
+    assert assert_sum([sx, cx, -(sx + cx)]) is field.RF_ZERO
+    polys = [RationalFunction.from_poly(q) for q in (P0, P1 * P2, -(P0 + P1 * P2))]
+    assert assert_sum(polys) is field.RF_ZERO
+    assert assert_sum(polys[:2])._fac == (1, {})
+    # no operand, only zeros, and one operand
+    assert rf_sum([]) is field.RF_ZERO
+    assert rf_sum([field.RF_ZERO, field.RF_ZERO]).is_zero()
+    assert rf_sum([sx]) is sx
+    assert assert_sum([field.RF_ZERO, sx, field.RF_ZERO]) is sx
+    fes = [FieldElem(sx, cx), FieldElem(cx), FieldElem(field.RF_ZERO, sx)]
+    assert fe_sum(fes) == fes[0] + fes[1] + fes[2]
+    assert fe_sum(fes[:1]) is fes[0]
 
     atoms = (
         P0, P1, P2, P3, Q_POLY, S_POLY, P0 + P1, P0 - P3, _lin(2, 0, -1, 0, 1),
@@ -618,7 +670,7 @@ def test_factored_arithmetic_matches_gcd_reference():
     pool = [rand_pair() for _ in range(12)]
     for _ in range(300):
         (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op == 0:
             z, rz = x + y, _ref_add(rx, ry)
         elif op == 1:
@@ -627,6 +679,10 @@ def test_factored_arithmetic_matches_gcd_reference():
             z, rz = x * y, _ref_mul(rx, ry)
         elif op == 3 and not x.is_zero():
             z, rz = x.inv(), _ref_inv(rx)
+        elif op == 5:
+            terms = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
+            z = rf_sum([t for t, _ in terms])
+            rz = functools.reduce(_ref_add, [rt for _, rt in terms])
         else:
             _assert_quotient(FieldElem(x, y), rx, ry)
             continue
@@ -758,6 +814,7 @@ def test_unit_operands_skip_the_factor_list_machinery(monkeypatch):
         monkeypatch.setattr(field, name, general_path)
     assert _parts(x * y) == (a * b, ONE)
     assert _parts(x + y) == (a + b, ONE)
+    assert _parts(rf_sum([x, y, x])) == (a + b + a, ONE)
     assert (x - x).is_zero()
     assert fe * 1 is fe
     assert fe * Fraction(1) is fe
