@@ -9,13 +9,14 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 usage or
 parse or configuration error, 3 engine error (rewrite budget exhausted,
-division by a non-invertible coefficient, or a failed self-check), 141 the
-reader closed standard output early (as in `confalg list | head -1`), the
-code a shell gives a command killed by SIGPIPE; no traceback is printed.
+recursion too deep, division by a non-invertible coefficient, or a failed
+self-check), 141 the reader closed standard output early (as in `confalg
+list | head -1`), the code a shell gives a command killed by SIGPIPE; no
+traceback is printed.
 
-The rewrite budget defaults to 10^6 steps and can be set with --budget or
-the CONFALG_REWRITE_BUDGET environment variable; the flag wins when both
-are given. Budgets below 10^3 are rejected.
+The rewrite budget (nc.operation_cost) defaults to 10^6 and can be set with
+--budget or the CONFALG_REWRITE_BUDGET environment variable; the flag wins
+when both are given. Budgets below 10^3 are rejected.
 """
 
 import argparse
@@ -244,7 +245,7 @@ def main(argv=None):
     except _PARSE_ERRORS as exc:
         print(f"confalg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ConfalgError as exc:
+    except (ConfalgError, RecursionError) as exc:
         print(f"confalg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -427,7 +427,7 @@ def elaborate(ast, assignment, obs):
     divides by a nonzero numeral, P[i], M or a power of these, and the
     rest is built from such pieces with + - * . ^ br sum and unary minus.
     A "*", "." or br whose left operand is zero returns that zero without
-    elaborating a skippable right operand, and so spends no fuel on it.
+    elaborating a skippable right operand, and so spends no budget on it.
     A sum that is skippable where it is met and whose body is a chain
     a*b*...*z (any mix of "*", "." and br, associated left) binds its
     names in the order in which the chain's prefixes first need them, and

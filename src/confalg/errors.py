@@ -22,7 +22,7 @@ class NotInvertible(ConfalgError):
 # ---- noncommutative engine ----
 
 class RewriteBudgetExceeded(ConfalgError):
-    """Normalization used more rewrite steps than the configured budget."""
+    """An engine operation whose cost exceeds the configured rewrite budget."""
 
 
 class ConsistencyFailure(ConfalgError):

@@ -22,11 +22,11 @@ x*y and y*x are never formed. With the scaling baked into the registry
 tables its structure constants are the integer ones of the operator
 algebra, so no imaginary unit ever appears.
 
-All rewriting is fueled: an Algebra counts steps per top-level operation and
-raises RewriteBudgetExceeded past its budget. Letter words close under the
-letter table (D/J/C span a subalgebra) and derivations only ever introduce
-D/J letters, so rewriting terminates; the budget guards against bugs, not
-against the mathematics.
+mul, bracket and normalize each raise RewriteBudgetExceeded, before any
+rewriting, when the operation_cost of their operands exceeds the budget.
+Letter words close under the letter table (D/J/C span a subalgebra) and
+derivations only ever introduce D/J letters, so rewriting terminates; the
+budget bounds operand size, not time.
 
 The coefficients of an output word are collected in a list (_acc) and summed
 once by field.fe_sum (_summed) when an operation returns or stores a memo
@@ -165,6 +165,8 @@ class Algebra:
     words), _shift_memo (u * g for a word u and coefficient g), _mono_memo
     (a letter's derivation on a monomial) and _comm_memo (uw - wu). deriv
     keeps none of its own; its results are rebuilt from the last three.
+    budget is the largest operation_cost that mul, bracket and normalize
+    accept; _check reads no memo, so no memo can change a verdict.
     """
 
     def __init__(self, letter_table, momentum_rules, budget=DEFAULT_BUDGET):
@@ -175,16 +177,6 @@ class Algebra:
         self._shift_memo = {}
         self._mono_memo = {}
         self._comm_memo = {}
-        self._steps = 0
-
-    # ---- fuel ----
-
-    def _tick(self):
-        self._steps += 1
-        if self._steps > self.budget:
-            raise RewriteBudgetExceeded(
-                f"normalization exceeded the rewrite budget of {self.budget} steps"
-            )
 
     # ---- constructors ----
 
@@ -233,15 +225,10 @@ class Algebra:
             return hit
         i = self._inversion(w)
         if i is None:
-            out = {w: 1}
-            self._word_memo[w] = out
+            self._word_memo[w] = out = {w: 1}
             return out
-        self._tick()
         a, b = w[i], w[i + 1]
-        out = {}
-        swapped = w[:i] + (b, a) + w[i + 2:]
-        for z, c in self._sort_word(swapped).items():
-            out[z] = out.get(z, 0) + c
+        out = dict(self._sort_word(w[:i] + (b, a) + w[i + 2:]))
         for mid, c in self.letter_table[(a, b)].items():
             corr = w[:i] + mid + w[i + 2:]
             for z, c2 in self._sort_word(corr).items():
@@ -250,7 +237,6 @@ class Algebra:
                     out[z] = s
                 elif z in out:
                     del out[z]
-        out = {z: c for z, c in out.items() if c}
         self._word_memo[w] = out
         return out
 
@@ -266,15 +252,12 @@ class Algebra:
         (a, g) = sum over nu of dot(d_nu g, Y_nu) with Y_nu = (a, P[nu]).
         A D or J rule Y_nu is a pure coefficient. The words of a C rule are
         single D or J letters w, and Y_nu*h = h*Y_nu + (w, h) for each, so
-        each adds half its coefficient times (w, d_nu g). One tick per
-        factor of g on a miss.
+        each adds half its coefficient times (w, d_nu g).
         """
         key = (a, exps, with_m)
         hit = self._mono_memo.get(key)
         if hit is not None:
             return hit
-        for _ in range(sum(exps) + with_m):
-            self._tick()
         g = FieldElem.monomial(exps, with_m)
         out = {}
         for nu in range(4):
@@ -334,7 +317,6 @@ class Algebra:
         hit = self._shift_memo.get(key)
         if hit is not None:
             return hit
-        self._tick()
         head, a = u[:-1], u[-1]
         out = {}
         for z, h in self._shift(head, g).items():
@@ -365,8 +347,15 @@ class Algebra:
 
     # ---- public operations ----
 
+    def _check(self, x, y=None):
+        cost = operation_cost(x, y)
+        if cost > self.budget:
+            raise RewriteBudgetExceeded(
+                f"operation cost {cost} exceeds the rewrite budget of {self.budget}"
+            )
+
     def mul(self, x, y):
-        self._steps = 0
+        self._check(x, y)
         out = {}
         for w, c in self._raw_mul_terms(x.terms, y.terms):
             _acc(out, w, c)
@@ -379,8 +368,8 @@ class Algebra:
 
     def bracket(self, x, y):
         """The scaled commutator x*y - y*x, formed term by term (see the
-        module docstring); one top-level operation, so one fuel reset."""
-        self._steps = 0
+        module docstring); one top-level operation, so one budget check."""
+        self._check(x, y)
         out = {}
         for u, f in x.terms.items():
             for w, g in y.terms.items():
@@ -429,12 +418,22 @@ class Algebra:
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""
-        self._steps = 0
+        self._check(x)
         out = {}
         for u, f in x.terms.items():
             for w, c in self._sort_word(u).items():
                 _acc(out, w, f * c)
         return NCExpr(_summed(out))
+
+
+def operation_cost(x, y=None):
+    """normalize(x) costs the sum over terms u of 1 + len(u); mul(x, y) and
+    bracket(x, y) the sum over term pairs (u, w) of 1 + len(u) + len(w)."""
+    nx, lx = len(x.terms), sum(map(len, x.terms))
+    if y is None:
+        return nx + lx
+    ny, ly = len(y.terms), sum(map(len, y.terms))
+    return nx * ny + ny * lx + nx * ly
 
 
 def _acc(out, w, c):

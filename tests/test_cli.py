@@ -53,12 +53,6 @@ def test_skipped_operand_spends_no_fuel(capsys):
     assert capsys.readouterr().out == "0\n"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="fuel is counted only on memo misses, so each failed attempt warms "
-    "the memos and the fifth attempt fits the budget",
-)
 def test_budget_verdict_does_not_depend_on_history():
     # a private algebra leaves the shared context, and with it the attempt
     # order the exit-code tests rely on, untouched
@@ -72,6 +66,16 @@ def test_budget_verdict_does_not_depend_on_history():
         except RewriteBudgetExceeded:
             outcomes.append("exceeded")
     assert len(set(outcomes)) == 1, outcomes
+
+
+@pytest.mark.parametrize("text", ["C[0]*D^1200", "C[0]^40*D^40", "D^1200*P[0]"])
+def test_deep_recursion_exits_three(capsys, text):
+    # each fits the default budget, but sorting the word (or moving P[0]
+    # through it) recurses deeper than the interpreter allows
+    assert main(["normalize", text]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("confalg: RecursionError: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +146,35 @@ def test_run_reports_failure_with_exit_one(monkeypatch, capsys):
 
 
 def test_run_canonical_within_min_budget(run_cli):
-    # each bracket is one fuelled operation; the heaviest of the canonical
-    # suite still fits the smallest budget the command line accepts
+    # each bracket is one budgeted operation; the costliest of the canonical
+    # suite (96) fits the smallest budget the command line accepts
     r = run_cli("run", "--suite", "canonical", "--budget", "1000")
     assert r.returncode == 0, r.stderr
     assert "overall: pass" in r.stdout
 
 
 def test_run_position_spin_alone_within_min_budget(run_cli):
-    # run alone, with cold memos, this identity has the catalogue's largest
-    # per-operation peak (949 steps), above the 855 steps of the warm run
-    # the suite-level test above covers
+    # run alone, with cold memos, this identity gets the verdict it gets in
+    # the suite run above: an operation's cost does not read the memos
     r = run_cli(
         "run", "--identity", "canonical-position-spin", "--budget", "1000"
     )
     assert r.returncode == 0, r.stderr
     assert "overall: pass" in r.stdout
+
+
+@pytest.mark.parametrize(
+    "ident_id", ["canonical-position-commutators", "canonical-position-spin"]
+)
+def test_single_assignments_within_min_budget(ident_id):
+    # each assignment alone, on cold memos, as `run --assignment` runs it
+    ident = suites.find_identity(ident_id)
+    for assignment in suites.identity_assignments(ident):
+        if assignment["i"] == assignment["j"]:
+            continue
+        alg = build_algebra(1000)
+        ctx = suites.Context(alg, Observables(alg))
+        assert suites.run_identity(ident, ctx, assignment=assignment).passed
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from confalg.conformal import (
 )
 from confalg.errors import ConfalgError, RewriteBudgetExceeded
 from confalg.field import FE_M, FE_ONE, FieldElem
-from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name
+from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name, operation_cost
 from confalg.observables import Observables
 from confalg.poly import Polynomial
 
@@ -287,101 +287,106 @@ def test_rewrite_budget_enforced():
     small.normalize(NCExpr({(1, 0): FE_ONE}))
 
 
-def test_bracket_is_one_fuelled_operation():
+def _memo_sizes(alg):
+    return tuple(
+        len(m)
+        for m in (alg._word_memo, alg._shift_memo, alg._mono_memo, alg._comm_memo)
+    )
+
+
+def _moving_operands(alg):
+    """Two operands that both carry a word and a non-rational coefficient,
+    so a bracket moves each coefficient through the other operand's word."""
     p0, p1, p2 = (FieldElem.momentum(mu) for mu in range(3))
-    # both operands carry a word and a non-rational coefficient, so both
-    # coefficients are moved through the other operand's word
-    x_src = lambda a: a.mul(a.scalar(p1 * p0.inv()), a.C(0))
-    y_src = lambda a: a.mul(a.scalar(p2 * (p0 + FE_M).inv()), a.J(0, 1))
-    # every step of a bracket counts against one budget: no reset midway
-    counted = build_algebra()
-    x, y = x_src(counted), y_src(counted)
-    ticks = []
-    tick = counted._tick
-    counted._tick = lambda: (ticks.append(1), tick())
-    counted.bracket(x, y)
-    assert counted._steps == len(ticks) > 10
-    small = build_algebra()
-    x, y = x_src(small), y_src(small)
-    small.budget = 10
-    with pytest.raises(
-        RewriteBudgetExceeded,
-        match=r"^normalization exceeded the rewrite budget of 10 steps$",
-    ):
-        small.bracket(x, y)
-    # the next operation starts with a full budget: a one-swap bracket fits
-    assert small.bracket(small.C(0), small.D()) == small.C(0)
+    x = alg.mul(alg.scalar(p1 * p0.inv()), alg.C(0))
+    y = alg.mul(alg.scalar(p2 * (p0 + FE_M).inv()), alg.J(0, 1))
+    return x, y
 
 
-# (op, steps) after each top-level operation of a fresh algebra: "m" for mul
-# (dot is two), "b" for bracket, "n" for normalize. The first 22 are
-# build_algebra's own; then come br(C[mu], X[nu]) for every mu and nu,
-# br(C[0], Xi[j]) for each j and br(C[1], Tau). The memos make each count
-# depend on everything before it, so a change to how a step is taken, or
-# to what is memoized, shows here.
-_FUEL_SEQUENCE = [
-    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
-    ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0), ("m", 0),
-    ("m", 4), ("m", 0), ("m", 2), ("m", 0), ("m", 1), ("m", 0), ("m", 0),
-    ("m", 0),
-    # the brackets, and the observables they need
-    ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1),
-    ("m", 0), ("b", 23), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1),
-    ("m", 0), ("m", 1), ("m", 0), ("b", 3), ("m", 1), ("m", 0), ("m", 1),
-    ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("b", 3), ("m", 1),
-    ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0), ("m", 1), ("m", 0),
-    ("b", 2), ("b", 23), ("b", 4), ("b", 3), ("b", 2), ("b", 18), ("b", 5),
-    ("b", 3), ("b", 2), ("b", 13), ("b", 3), ("b", 3), ("b", 2), ("m", 0),
-    ("m", 1), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
-    ("m", 3), ("m", 3), ("m", 3), ("m", 0), ("m", 3), ("m", 0), ("m", 0),
-    ("m", 2), ("m", 0), ("b", 959), ("m", 0), ("m", 1), ("m", 3), ("m", 3),
-    ("m", 0), ("m", 3), ("m", 0), ("m", 0), ("m", 2), ("m", 3), ("m", 0),
-    ("b", 205), ("m", 0), ("m", 1), ("m", 3), ("m", 2), ("m", 0), ("b", 4),
-    ("m", 0), ("m", 7), ("m", 0), ("m", 7), ("m", 0), ("m", 7), ("m", 4),
-    ("m", 0), ("b", 246),
-]
+def test_bracket_is_one_fuelled_operation():
+    reference = build_algebra()
+    x, y = _moving_operands(reference)
+    want = reference.bracket(x, y)
+    cost = operation_cost(x, y)
+    assert cost == 3
+    # a bracket whose cost is exactly the budget fits, cold or warm
+    for alg in (build_algebra(), reference):
+        alg.budget = cost
+        assert alg.bracket(x, y) == want
+    # one less refuses it, however warm the memos are
+    for alg in (build_algebra(), reference):
+        alg.budget = cost - 1
+        with pytest.raises(
+            RewriteBudgetExceeded,
+            match=r"^operation cost 3 exceeds the rewrite budget of 2$",
+        ):
+            alg.bracket(x, y)
+        # nothing is left behind: the next operation is judged on its own
+        assert alg.bracket(alg.D(), alg.momentum(0)) == alg.momentum(0)
+
+
+def test_operation_cost():
+    alg = build_algebra()
+    w = NCExpr({tuple(range(N_LETTERS - 1, -1, -1)): FE_ONE})
+    x = alg.C(0) + alg.D() + alg.one()
+    # terms of length 1, 1 and 0: 3 + 2 for normalize
+    assert operation_cost(x) == 5
+    assert operation_cost(w) == 12
+    # pairs: 3 * 1 + 1 * 2 + 3 * 11
+    assert operation_cost(x, w) == operation_cost(w, x) == 38
+    assert operation_cost(alg.zero()) == operation_cost(alg.zero(), w) == 0
+    # D^k costs k + 1 as D^(k-1) * D, so D^1000 is the first power refused
+    # at the smallest budget the command line accepts
+    d999 = NCExpr({(0,) * 999: FE_ONE})
+    assert operation_cost(d999, alg.D()) == 1001
+
+
+def test_refused_operation_has_no_effect():
+    alg = build_algebra()
+    x, y = _moving_operands(alg)
+    w = NCExpr({tuple(range(N_LETTERS - 1, -1, -1)): FE_ONE})
+    xw = alg.mul(x, alg.J(2, 3))
+    for name, args in (("mul", (w, xw)), ("bracket", (xw, y)), ("normalize", (w,))):
+        op = getattr(alg, name)
+        alg.budget = operation_cost(*args) - 1
+        before = _memo_sizes(alg)
+        for _ in range(3):
+            with pytest.raises(RewriteBudgetExceeded):
+                op(*args)
+            assert _memo_sizes(alg) == before, name
+        # at its cost the operation runs, and it does rewrite
+        alg.budget = operation_cost(*args)
+        op(*args)
+        assert _memo_sizes(alg) != before, name
 
 
 def _record_ops(monkeypatch):
-    """A list that gets (op, steps) after each top-level operation."""
+    """A list that gets (op, cost) for each top-level operation."""
     seq = []
     for name in ("mul", "bracket", "normalize"):
         op = getattr(Algebra, name)
 
         def recorded(self, *args, _op=op, _tag=name[0]):
-            out = _op(self, *args)
-            seq.append((_tag, self._steps))
-            return out
+            seq.append((_tag, operation_cost(*args)))
+            return _op(self, *args)
 
         monkeypatch.setattr(Algebra, name, recorded)
     return seq
 
 
-def test_fuel_sequence_is_pinned(monkeypatch):
-    seq = _record_ops(monkeypatch)
-    alg = build_algebra()
-    obs = Observables(alg)
-    for mu, nu in itertools.product(range(4), repeat=2):
-        alg.bracket(alg.C(mu), obs.X(nu))
-    for j in range(1, 4):
-        alg.bracket(alg.C(0), obs.xi(j))
-    alg.bracket(alg.C(1), obs.tau())
-    assert seq == _FUEL_SEQUENCE
-    steps = [s for _, s in seq]
-    assert (len(seq), sum(steps), max(steps)) == (115, 1619, 959)
-
-
-# (count, total steps, peak) of the operations that spend fuel in a fresh
-# suite run, and a ceiling on all its top-level operations: the sweeps share
-# their generator brackets through Observables, so each is built once, and so
-# are the conformal-factor sweeps' second-level brackets ((g, X[nu]), P[mu])
-# and ((g, P[mu]), X[nu]); the localisation and canonical sums pin the order
-# in which a sum binds its names
+# (count, total cost, peak) of the operations with a nonzero cost in a fresh
+# suite run, the sizes of the four memos after it (word, shift, mono, comm),
+# and a ceiling on all its top-level operations: the sweeps share their
+# generator brackets through Observables, so each is built once, and so are
+# the conformal-factor sweeps' second-level brackets ((g, X[nu]), P[mu]) and
+# ((g, P[mu]), X[nu]); the localisation and canonical sums pin the order in
+# which a sum binds its names. A change to the operations a suite makes, or
+# to what is memoized, shows here.
 _FRESH_SUITES = {
-    "structure": ((143, 171, 2), 10350),
-    "localisation": ((96, 257, 22), 1572),
-    "conformal-factor": ((125, 385, 13), 1157),
-    "canonical": ((77, 1968, 865), 749),
+    "structure": ((5625, 13875, 3), (133, 95, 122, 121), 10350),
+    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572),
+    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157),
+    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749),
 }
 
 
@@ -392,9 +397,10 @@ def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     ctx = suites.Context(alg, Observables(alg))
     del seq[:]
     assert suites.run_suite(tag, ctx).passed
-    steps = [s for _, s in seq if s]
-    fuel, ceiling = _FRESH_SUITES[tag]
-    assert (len(steps), sum(steps), max(steps)) == fuel
+    costs = [c for _, c in seq if c]
+    fuel, memos, ceiling = _FRESH_SUITES[tag]
+    assert (len(costs), sum(costs), max(costs)) == fuel
+    assert _memo_sizes(alg) == memos
     assert len(seq) <= ceiling
 
 
