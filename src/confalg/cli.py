@@ -14,9 +14,11 @@ self-check), 141 the reader closed standard output early (as in `confalg
 list | head -1`), the code a shell gives a command killed by SIGPIPE; no
 traceback is printed.
 
-The rewrite budget (nc.operation_cost) defaults to 10^6 and can be set with
---budget or the CONFALG_REWRITE_BUDGET environment variable; the flag wins
-when both are given. Budgets below 10^3 are rejected.
+The rewrite budget bounds the nc.operation_cost of each product an
+expression names and of the bracket command's bracket; engine methods take
+no budget. It defaults to 10^6 and can be set with --budget or the
+CONFALG_REWRITE_BUDGET environment variable; the flag wins when both are
+given. Budgets below 10^3 are rejected.
 """
 
 import argparse
@@ -34,7 +36,7 @@ from .errors import (
     UnknownIdentity,
     UnknownSymbol,
 )
-from .nc import DEFAULT_BUDGET, MIN_BUDGET
+from .nc import DEFAULT_BUDGET, MIN_BUDGET, check_budget
 
 BUDGET_ENV = "CONFALG_REWRITE_BUDGET"
 EXIT_BROKEN_PIPE = 141
@@ -127,8 +129,7 @@ def _parse_assignment(text):
 
 
 def _elaborate_closed(src, ctx):
-    ast = dsl.parse(src)
-    return dsl.elaborate(ast, {}, ctx.obs)
+    return dsl.elaborate(dsl.parse(src), {}, ctx.obs, ctx.budget)
 
 
 def _shift_lines(ctx):
@@ -141,7 +142,7 @@ def _shift_lines(ctx):
 
 
 def _cmd_run(args):
-    budget = _resolve_budget(args.budget)
+    ctx = suites.get_context(_resolve_budget(args.budget))
 
     if args.identity is not None and args.suite is not None:
         raise _UsageError("--suite and --identity are mutually exclusive")
@@ -160,7 +161,6 @@ def _cmd_run(args):
                 raise _UsageError(
                     f"{ident.id} has no assignment {args.assignment!r}"
                 )
-        ctx = suites.get_context(budget)
         result = suites.run_identity(ident, ctx, assignment=assignment)
         report = suites.SuiteReport(suite=ident.tag, results=[result])
         reports = [report]
@@ -171,7 +171,6 @@ def _cmd_run(args):
                 f"unknown suite {tag!r}; choose from "
                 f"{', '.join(suites.SUITE_TAGS)} or all"
             )
-        ctx = suites.get_context(budget)
         if tag == "all":
             reports = suites.run_all(ctx)
         else:
@@ -214,6 +213,7 @@ def _cmd_bracket(args):
     ctx = suites.get_context(_resolve_budget(args.budget))
     left = _elaborate_closed(args.left, ctx)
     right = _elaborate_closed(args.right, ctx)
+    check_budget(ctx.budget, left, right)
     print(ctx.alg.bracket(left, right).pretty())
     return 0
 

@@ -30,7 +30,6 @@ from .errors import ConsistencyFailure
 from .field import FE_M, FE_Q, FieldElem
 from .nc import (
     Algebra,
-    DEFAULT_BUDGET,
     LETTER_D,
     letter_C,
     letter_J,
@@ -206,10 +205,10 @@ def mass_rule_residual(alg, code):
     return lhs - rhs
 
 
-def build_algebra(budget=DEFAULT_BUDGET):
+def build_algebra():
     """The full rewrite engine, once every letter's mass rule (a, M), which
     the engine derives, has passed its check against M^2 = Q."""
-    alg = Algebra(letter_table(), momentum_rules(), budget=budget)
+    alg = Algebra(letter_table(), momentum_rules())
     for code in LETTER_CODES:
         residual = mass_rule_residual(alg, code)
         if not residual.is_zero():

@@ -37,6 +37,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .field import FE_ZERO
+from .nc import DEFAULT_BUDGET, check_budget
 
 __all__ = [
     "Num", "Sym", "Bin", "Neg", "Pow", "Sum",
@@ -413,19 +414,22 @@ def _check_range(name, vals):
             )
 
 
-def elaborate(ast, assignment, obs):
+def elaborate(ast, assignment, obs, budget=DEFAULT_BUDGET):
     """Expand an AST into a normalized operator.
 
     assignment maps index-variable names to concrete values; obs is the
-    observable cache whose algebra receives the result.
+    observable cache whose algebra receives the result. Each product it
+    names ("*", ".", br, each step of "^") first passes nc.check_budget.
 
-    Work that multiplies by zero is skipped where skipping cannot hide an
-    error. An operand is skippable where it is met when its elaboration
-    there can raise no ConfalgError but RewriteBudgetExceeded: every index
-    is bound and in range for its symbol (a name at its current value, the
-    name of a sum inside the operand over all of index_range), every "/"
-    divides by a nonzero numeral, P[i], M or a power of these, and the
-    rest is built from such pieces with + - * . ^ br sum and unary minus.
+    Work that multiplies by zero is skipped where skipping cannot hide a
+    ConfalgError. It can hide a RecursionError (see the README's rewrite
+    budget section): "0*(C[0]*D^1200)" gives 0. An operand is skippable
+    where it is met when its elaboration there can raise no ConfalgError
+    but RewriteBudgetExceeded: every index is bound and in range for its
+    symbol (a name at its current value, the name of a sum inside the
+    operand over all of index_range), every "/" divides by a nonzero
+    numeral, P[i], M or a power of these, and the rest is built from such
+    pieces with + - * . ^ br sum and unary minus.
     A "*", "." or br whose left operand is zero returns that zero without
     elaborating a skippable right operand, and so spends no budget on it.
     A sum that is skippable where it is met and whose body is a chain
@@ -438,7 +442,7 @@ def elaborate(ast, assignment, obs):
     A "/" whose numerator is zero returns it without inverting a nonzero
     divisor; a zero or non-scalar divisor still raises.
     """
-    return _elaborate(ast, assignment, obs)
+    return _elaborate(ast, assignment, obs, budget)
 
 
 def _dependencies(node):
@@ -516,7 +520,7 @@ def _binding_plan(node, scope):
     return tuple(order), tuple(factors), tuple(links), tuple(need)
 
 
-def _elaborate(node, scope, obs):
+def _elaborate(node, scope, obs, budget):
     alg = obs.alg
     if isinstance(node, Num):
         return alg.scalar(node.value)
@@ -526,23 +530,24 @@ def _elaborate(node, scope, obs):
         return _SYMBOLS[node.name][1](obs, vals)
     if isinstance(node, Sum):
         plan = _binding_plan(node, scope)
-        return _bind(0, 0, None, alg.zero(), plan, dict(scope), obs)
+        return _bind(0, 0, None, alg.zero(), plan, dict(scope), obs, budget)
     if isinstance(node, Neg):
-        return -_elaborate(node.arg, scope, obs)
+        return -_elaborate(node.arg, scope, obs, budget)
     if isinstance(node, Pow):
-        base = _elaborate(node.base, scope, obs)
+        base = _elaborate(node.base, scope, obs, budget)
         out = base
         for _ in range(node.exponent - 1):
-            out = alg.mul(out, base)
+            out = _link(alg, "*", out, base, budget)
         return out
     if isinstance(node, Bin):
         op = node.op
-        left = _elaborate(node.left, scope, obs)
+        left = _elaborate(node.left, scope, obs, budget)
         if op in _PRODUCTS:
             if left.is_zero() and _safe(node.right, scope):
                 return left
-            return _link(alg, op, left, _elaborate(node.right, scope, obs))
-        right = _elaborate(node.right, scope, obs)
+            right = _elaborate(node.right, scope, obs, budget)
+            return _link(alg, op, left, right, budget)
+        right = _elaborate(node.right, scope, obs, budget)
         if op == "+":
             return left + right
         if op == "-":
@@ -555,8 +560,9 @@ def _elaborate(node, scope, obs):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _link(alg, op, left, right):
-    """The product that op ("*", "." or br) names, of left and right."""
+def _link(alg, op, left, right, budget):
+    """The product op ("*", "." or br) names, of left and right, in budget."""
+    check_budget(budget, left, right)
     if op == "*":
         return alg.mul(left, right)
     if op == ".":
@@ -564,7 +570,7 @@ def _link(alg, op, left, right):
     return alg.bracket(left, right)
 
 
-def _bind(level, k, prefix, total, plan, scope, obs):
+def _bind(level, k, prefix, total, plan, scope, obs, budget):
     """total plus the sum's terms over the names from order[level] on.
 
     order[:level] is bound in scope, and prefix is the product of
@@ -574,8 +580,8 @@ def _bind(level, k, prefix, total, plan, scope, obs):
     """
     order, factors, links, need = plan
     while k < len(factors) and need[k] == level:
-        right = _elaborate(factors[k], scope, obs)
-        prefix = right if k == 0 else _link(obs.alg, links[k], prefix, right)
+        right = _elaborate(factors[k], scope, obs, budget)
+        prefix = _link(obs.alg, links[k], prefix, right, budget) if k else right
         if prefix.is_zero():
             return total
         k += 1
@@ -584,7 +590,7 @@ def _bind(level, k, prefix, total, plan, scope, obs):
     name = order[level]
     for v in index_range(name):
         scope[name] = v
-        total = _bind(level + 1, k, prefix, total, plan, scope, obs)
+        total = _bind(level + 1, k, prefix, total, plan, scope, obs, budget)
     return total
 
 

@@ -22,7 +22,7 @@ class NotInvertible(ConfalgError):
 # ---- noncommutative engine ----
 
 class RewriteBudgetExceeded(ConfalgError):
-    """An engine operation whose cost exceeds the configured rewrite budget."""
+    """A product of outside input whose cost exceeds the rewrite budget."""
 
 
 class ConsistencyFailure(ConfalgError):

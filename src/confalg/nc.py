@@ -22,8 +22,9 @@ x*y and y*x are never formed. With the scaling baked into the registry
 tables its structure constants are the integer ones of the operator
 algebra, so no imaginary unit ever appears.
 
-mul, bracket and normalize each raise RewriteBudgetExceeded, before any
-rewriting, when the operation_cost of their operands exceeds the budget.
+Engine methods take no rewrite budget: check_budget raises
+RewriteBudgetExceeded when the operation_cost of two operands exceeds one,
+where outside input becomes engine work (dsl products, the CLI bracket).
 Letter words close under the letter table (D/J/C span a subalgebra) and
 derivations only ever introduce D/J letters, so rewriting terminates; the
 budget bounds operand size, not time.
@@ -165,14 +166,12 @@ class Algebra:
     words), _shift_memo (u * g for a word u and coefficient g), _mono_memo
     (a letter's derivation on a monomial) and _comm_memo (uw - wu). deriv
     keeps none of its own; its results are rebuilt from the last three.
-    budget is the largest operation_cost that mul, bracket and normalize
-    accept; _check reads no memo, so no memo can change a verdict.
+    No method checks a rewrite budget, so one algebra serves every budget.
     """
 
-    def __init__(self, letter_table, momentum_rules, budget=DEFAULT_BUDGET):
+    def __init__(self, letter_table, momentum_rules):
         self.letter_table = letter_table
         self.momentum_rules = momentum_rules
-        self.budget = budget
         self._word_memo = {}
         self._shift_memo = {}
         self._mono_memo = {}
@@ -347,15 +346,7 @@ class Algebra:
 
     # ---- public operations ----
 
-    def _check(self, x, y=None):
-        cost = operation_cost(x, y)
-        if cost > self.budget:
-            raise RewriteBudgetExceeded(
-                f"operation cost {cost} exceeds the rewrite budget of {self.budget}"
-            )
-
     def mul(self, x, y):
-        self._check(x, y)
         out = {}
         for w, c in self._raw_mul_terms(x.terms, y.terms):
             _acc(out, w, c)
@@ -368,8 +359,7 @@ class Algebra:
 
     def bracket(self, x, y):
         """The scaled commutator x*y - y*x, formed term by term (see the
-        module docstring); one top-level operation, so one budget check."""
-        self._check(x, y)
+        module docstring)."""
         out = {}
         for u, f in x.terms.items():
             for w, g in y.terms.items():
@@ -418,7 +408,6 @@ class Algebra:
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""
-        self._check(x)
         out = {}
         for u, f in x.terms.items():
             for w, c in self._sort_word(u).items():
@@ -426,14 +415,21 @@ class Algebra:
         return NCExpr(_summed(out))
 
 
-def operation_cost(x, y=None):
-    """normalize(x) costs the sum over terms u of 1 + len(u); mul(x, y) and
-    bracket(x, y) the sum over term pairs (u, w) of 1 + len(u) + len(w)."""
+def operation_cost(x, y):
+    """The cost of mul(x, y) or bracket(x, y): the sum over term pairs
+    (u, w) of 1 + len(u) + len(w). It reads operand sizes only."""
     nx, lx = len(x.terms), sum(map(len, x.terms))
-    if y is None:
-        return nx + lx
     ny, ly = len(y.terms), sum(map(len, y.terms))
     return nx * ny + ny * lx + nx * ly
+
+
+def check_budget(budget, x, y):
+    """Raise RewriteBudgetExceeded when operation_cost(x, y) exceeds budget."""
+    cost = operation_cost(x, y)
+    if cost > budget:
+        raise RewriteBudgetExceeded(
+            f"operation cost {cost} exceeds the rewrite budget of {budget}"
+        )
 
 
 def _acc(out, w, c):

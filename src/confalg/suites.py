@@ -199,23 +199,21 @@ def find_identity(ident_id):
 
 @dataclass
 class Context:
+    """An algebra, its observables, and the budget of dsl products in it."""
     alg: object
     obs: object
+    budget: int = DEFAULT_BUDGET
 
 
-# a dict, not functools.cache, which would key get_context() and
-# get_context(DEFAULT_BUDGET) apart and build two algebras
-_CONTEXTS = {}
+@cache
+def _engine():
+    alg = conformal.build_algebra()
+    return alg, Observables(alg)
 
 
 def get_context(budget=DEFAULT_BUDGET):
-    """Shared algebra + observable cache, one per rewrite budget."""
-    ctx = _CONTEXTS.get(budget)
-    if ctx is None:
-        alg = conformal.build_algebra(budget=budget)
-        ctx = Context(alg=alg, obs=Observables(alg))
-        _CONTEXTS[budget] = ctx
-    return ctx
+    """The process's one algebra and observable cache, with budget."""
+    return Context(*_engine(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +296,14 @@ def _shift_consistency_residual(ctx, asg):
     return None if r.is_zero() else r.pretty()
 
 
-def _cfactor_sym_momentum_residual(ctx, asg):
+def _cfactor_sym_residual(name, ctx, asg):
+    """b(g, mu, nu) + b(g, nu, mu) - 2*eta[mu,nu]*lambda_g(X), b the bracket
+    method called name, looked up on obs so that a wrapped method is called."""
     obs = ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
     mu, nu = asg["mu"], asg["nu"]
-    lhs = obs.momentum_shift(g, mu, nu) + obs.momentum_shift(g, nu, mu)
-    r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
-    return None if r.is_zero() else r.pretty()
-
-
-def _cfactor_sym_position_residual(ctx, asg):
-    obs = ctx.obs
-    g = _GEN_BY_NAME[asg["g"]]
-    mu, nu = asg["mu"], asg["nu"]
-    lhs = obs.shift_momentum(g, nu, mu) + obs.shift_momentum(g, mu, nu)
+    bracket = getattr(obs, name)
+    lhs = bracket(g, mu, nu) + bracket(g, nu, mu)
     r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
     return None if r.is_zero() else r.pretty()
 
@@ -360,8 +352,12 @@ _BUILTINS = {
     "cfactor_mass": (partial(_grid, ("g",), (_GEN_NAMES,)), _cfactor_mass_residual),
     "pair_invariance": (_gen_munu, _pair_invariance_residual),
     "shift_consistency": (_gen_munu, _shift_consistency_residual),
-    "cfactor_sym_momentum": (_gen_munu, _cfactor_sym_momentum_residual),
-    "cfactor_sym_position": (_gen_munu, _cfactor_sym_position_residual),
+    "cfactor_sym_momentum": (
+        _gen_munu, partial(_cfactor_sym_residual, "momentum_shift"),
+    ),
+    "cfactor_sym_position": (
+        _gen_munu, partial(_cfactor_sym_residual, "shift_momentum"),
+    ),
     "canonical_partials": (
         _canonical_partials_assignments,
         _canonical_partials_residual,
@@ -407,8 +403,8 @@ def evaluate_assignment(ident, asg, ctx):
     """Residual text for one assignment, or None when it holds."""
     if ident.builtin is not None:
         return _BUILTINS[ident.builtin][1](ctx, asg)
-    lhs = dsl.elaborate(ident.lhs_ast, asg, ctx.obs)
-    rhs = dsl.elaborate(ident.rhs_ast, asg, ctx.obs)
+    lhs = dsl.elaborate(ident.lhs_ast, asg, ctx.obs, ctx.budget)
+    rhs = dsl.elaborate(ident.rhs_ast, asg, ctx.obs, ctx.budget)
     r = lhs - rhs
     return None if r.is_zero() else r.pretty()
 

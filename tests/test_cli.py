@@ -1,5 +1,6 @@
 """Command-line contract: output bytes, exit codes, budget handling."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -13,6 +14,7 @@ from confalg.dsl import elaborate, parse
 from confalg.errors import RewriteBudgetExceeded
 from confalg.observables import Observables
 from confalg.suites import Identity
+from test_acceptance import REPORT_SHA256
 
 _REVERSED_WORD = "C[3]*C[2]*C[1]*C[0]*J[2,3]*J[1,3]*J[1,2]*J[0,3]*J[0,2]*J[0,1]*D"
 
@@ -46,6 +48,23 @@ def test_engine_error_exits_three(capsys):
     assert "RewriteBudgetExceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, cost",
+    [
+        # D^k is built as k - 1 products, the last of which costs k + 1
+        (["normalize", "D^4000"], 1001),
+        # the operands fit, the top-level bracket of the command does not
+        (["bracket", "D^600", "D^600"], 1201),
+    ],
+)
+def test_budget_error_names_cost_and_budget(capsys, argv, cost):
+    assert main([*argv, "--budget", "1000"]) == 3
+    assert capsys.readouterr().err == (
+        "confalg: RewriteBudgetExceeded: "
+        f"operation cost {cost} exceeds the rewrite budget of 1000\n"
+    )
+
+
 def test_skipped_operand_spends_no_fuel(capsys):
     # a zero left factor skips an operand that can raise nothing but the
     # budget error, so the word's rewriting is never run
@@ -56,12 +75,12 @@ def test_skipped_operand_spends_no_fuel(capsys):
 def test_budget_verdict_does_not_depend_on_history():
     # a private algebra leaves the shared context, and with it the attempt
     # order the exit-code tests rely on, untouched
-    obs = Observables(build_algebra(1000))
+    obs = Observables(build_algebra())
     ast = parse(_REVERSED_WORD)
     outcomes = []
     for _ in range(5):
         try:
-            elaborate(ast, {}, obs)
+            elaborate(ast, {}, obs, 1000)
             outcomes.append("ok")
         except RewriteBudgetExceeded:
             outcomes.append("exceeded")
@@ -153,6 +172,13 @@ def test_run_canonical_within_min_budget(run_cli):
     assert "overall: pass" in r.stdout
 
 
+def test_run_all_json_within_min_budget(run_cli):
+    # the smallest budget the command line accepts changes no report byte
+    r = run_cli("run", "--suite", "all", "--format", "json", "--budget", "1000")
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == REPORT_SHA256
+
+
 def test_run_position_spin_alone_within_min_budget(run_cli):
     # run alone, with cold memos, this identity gets the verdict it gets in
     # the suite run above: an operation's cost does not read the memos
@@ -172,8 +198,8 @@ def test_single_assignments_within_min_budget(ident_id):
     for assignment in suites.identity_assignments(ident):
         if assignment["i"] == assignment["j"]:
             continue
-        alg = build_algebra(1000)
-        ctx = suites.Context(alg, Observables(alg))
+        alg = build_algebra()
+        ctx = suites.Context(alg, Observables(alg), 1000)
         assert suites.run_identity(ident, ctx, assignment=assignment).passed
 
 

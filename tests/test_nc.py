@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from confalg import suites
+from confalg import dsl, suites
 from confalg.conformal import (
     GENERATORS,
     build_algebra,
@@ -18,7 +18,17 @@ from confalg.conformal import (
 )
 from confalg.errors import ConfalgError, RewriteBudgetExceeded
 from confalg.field import FE_M, FE_ONE, FieldElem
-from confalg.nc import Algebra, N_LETTERS, NCExpr, letter_name, operation_cost
+from confalg.dsl import Bin, elaborate, parse
+from confalg.nc import (
+    DEFAULT_BUDGET,
+    MIN_BUDGET,
+    Algebra,
+    N_LETTERS,
+    NCExpr,
+    check_budget,
+    letter_name,
+    operation_cost,
+)
 from confalg.observables import Observables
 from confalg.poly import Polynomial
 
@@ -277,14 +287,20 @@ def test_schedule_confluence(random_schedule_algebra):
     assert "_inversion" in vars(Algebra)
 
 
+# the word of all eleven letters in reverse normal order
+_REVERSED_WORD = "*".join(letter_name(c) for c in range(N_LETTERS - 1, -1, -1))
+
+
+def _elaborated(text, obs, budget=DEFAULT_BUDGET):
+    return elaborate(parse(text), {}, obs, budget)
+
+
 def test_rewrite_budget_enforced():
-    small = build_algebra()
-    small.budget = 10
-    w = tuple(range(N_LETTERS - 1, -1, -1))
+    obs = Observables(build_algebra())
     with pytest.raises(RewriteBudgetExceeded):
-        small.normalize(NCExpr({w: FE_ONE}))
-    # the aborted operation leaves no spent fuel behind: a one-swap word fits
-    small.normalize(NCExpr({(1, 0): FE_ONE}))
+        _elaborated(_REVERSED_WORD, obs, budget=10)
+    # the refused product leaves no spent fuel behind: a one-swap word fits
+    assert _elaborated("C[0]*D", obs, budget=10).pretty() == "D*C[0] + C[0]"
 
 
 def _memo_sizes(alg):
@@ -294,76 +310,76 @@ def _memo_sizes(alg):
     )
 
 
-def _moving_operands(alg):
-    """Two operands that both carry a word and a non-rational coefficient,
-    so a bracket moves each coefficient through the other operand's word."""
-    p0, p1, p2 = (FieldElem.momentum(mu) for mu in range(3))
-    x = alg.mul(alg.scalar(p1 * p0.inv()), alg.C(0))
-    y = alg.mul(alg.scalar(p2 * (p0 + FE_M).inv()), alg.J(0, 1))
-    return x, y
+# two operands that both carry a word and a non-rational coefficient, so a
+# bracket moves each coefficient through the other operand's word
+_MOVING = ("P[1]/P[0]*C[0]", "P[2]/(P[0] + M)*J[0,1]")
 
 
 def test_bracket_is_one_fuelled_operation():
-    reference = build_algebra()
-    x, y = _moving_operands(reference)
-    want = reference.bracket(x, y)
+    reference = Observables(build_algebra())
+    x, y = (_elaborated(t, reference) for t in _MOVING)
+    ast = Bin("br", *map(parse, _MOVING))
+    want = reference.alg.bracket(x, y)
     cost = operation_cost(x, y)
     assert cost == 3
     # a bracket whose cost is exactly the budget fits, cold or warm
-    for alg in (build_algebra(), reference):
-        alg.budget = cost
-        assert alg.bracket(x, y) == want
-    # one less refuses it, however warm the memos are
-    for alg in (build_algebra(), reference):
-        alg.budget = cost - 1
+    for obs in (Observables(build_algebra()), reference):
+        assert elaborate(ast, {}, obs, cost) == want
+    # one less refuses it, however warm the memos are; building each
+    # operand costs 2, so only the bracket is refused
+    for obs in (Observables(build_algebra()), reference):
         with pytest.raises(
             RewriteBudgetExceeded,
             match=r"^operation cost 3 exceeds the rewrite budget of 2$",
         ):
-            alg.bracket(x, y)
-        # nothing is left behind: the next operation is judged on its own
-        assert alg.bracket(alg.D(), alg.momentum(0)) == alg.momentum(0)
+            elaborate(ast, {}, obs, cost - 1)
+        # nothing is left behind: the next product is judged on its own
+        assert _elaborated("br(D, P[0])", obs, budget=cost - 1).pretty() == "P[0]"
 
 
 def test_operation_cost():
     alg = build_algebra()
     w = NCExpr({tuple(range(N_LETTERS - 1, -1, -1)): FE_ONE})
     x = alg.C(0) + alg.D() + alg.one()
-    # terms of length 1, 1 and 0: 3 + 2 for normalize
-    assert operation_cost(x) == 5
-    assert operation_cost(w) == 12
     # pairs: 3 * 1 + 1 * 2 + 3 * 11
     assert operation_cost(x, w) == operation_cost(w, x) == 38
-    assert operation_cost(alg.zero()) == operation_cost(alg.zero(), w) == 0
+    assert operation_cost(alg.zero(), w) == 0
     # D^k costs k + 1 as D^(k-1) * D, so D^1000 is the first power refused
     # at the smallest budget the command line accepts
     d999 = NCExpr({(0,) * 999: FE_ONE})
     assert operation_cost(d999, alg.D()) == 1001
+    check_budget(1001, d999, alg.D())
+    with pytest.raises(
+        RewriteBudgetExceeded,
+        match=r"^operation cost 1001 exceeds the rewrite budget of 1000$",
+    ):
+        check_budget(MIN_BUDGET, d999, alg.D())
 
 
 def test_refused_operation_has_no_effect():
-    alg = build_algebra()
-    x, y = _moving_operands(alg)
-    w = NCExpr({tuple(range(N_LETTERS - 1, -1, -1)): FE_ONE})
-    xw = alg.mul(x, alg.J(2, 3))
-    for name, args in (("mul", (w, xw)), ("bracket", (xw, y)), ("normalize", (w,))):
-        op = getattr(alg, name)
-        alg.budget = operation_cost(*args) - 1
-        before = _memo_sizes(alg)
+    x, y = map(parse, _MOVING)
+    xw = Bin("*", x, parse("J[2,3]"))
+    for op, left, right in (("*", y, xw), (".", xw, y), ("br", xw, y)):
+        obs = Observables(build_algebra())
+        ast = Bin(op, left, right)
+        cost = operation_cost(*(elaborate(a, {}, obs) for a in (left, right)))
+        before = _memo_sizes(obs.alg)
         for _ in range(3):
-            with pytest.raises(RewriteBudgetExceeded):
-                op(*args)
-            assert _memo_sizes(alg) == before, name
-        # at its cost the operation runs, and it does rewrite
-        alg.budget = operation_cost(*args)
-        op(*args)
-        assert _memo_sizes(alg) != before, name
+            # the product itself is refused, not the building of an operand
+            with pytest.raises(
+                RewriteBudgetExceeded, match=rf"^operation cost {cost} exceeds"
+            ):
+                elaborate(ast, {}, obs, cost - 1)
+            assert _memo_sizes(obs.alg) == before, op
+        # at its cost the product runs, and it does rewrite
+        elaborate(ast, {}, obs, cost)
+        assert _memo_sizes(obs.alg) != before, op
 
 
 def _record_ops(monkeypatch):
-    """A list that gets (op, cost) for each top-level operation."""
+    """A list that gets (op, cost) for each top-level mul and bracket."""
     seq = []
-    for name in ("mul", "bracket", "normalize"):
+    for name in ("mul", "bracket"):
         op = getattr(Algebra, name)
 
         def recorded(self, *args, _op=op, _tag=name[0]):
@@ -372,6 +388,39 @@ def _record_ops(monkeypatch):
 
         monkeypatch.setattr(Algebra, name, recorded)
     return seq
+
+
+# The peak operation_cost of what the engine builds on its own, on a fresh
+# algebra: every symbol of the expression language at every legal index,
+# then the builtin sweeps of each suite. Only outside input is checked
+# against the rewrite budget, which is safe while these stay far below the
+# smallest budget the command line accepts; an observable or a sweep that
+# grows shows here.
+_ENGINE_PEAKS = {
+    "symbols": 11, "structure": 3, "conformal-factor": 62, "canonical": 96,
+}
+
+
+def test_engine_constructions_fit_min_budget(monkeypatch):
+    seq = _record_ops(monkeypatch)
+    alg = build_algebra()
+    ctx = suites.Context(alg, Observables(alg))
+    peaks = {}
+    del seq[:]
+    for name, (arity, build) in dsl._SYMBOLS.items():
+        for vals in itertools.product(sorted(dsl._LEGAL[name]), repeat=arity):
+            build(ctx.obs, list(vals))
+    peaks["symbols"] = max(c for _, c in seq)
+    for tag in suites.SUITE_TAGS:
+        del seq[:]
+        for ident in suites.catalog_by_suite(tag):
+            if ident.builtin is not None:
+                for asg in suites.identity_assignments(ident):
+                    assert suites.evaluate_assignment(ident, asg, ctx) is None
+        if seq:
+            peaks[tag] = max(c for _, c in seq)
+    assert peaks == _ENGINE_PEAKS
+    assert max(peaks.values()) < MIN_BUDGET
 
 
 # (count, total cost, peak) of the operations with a nonzero cost in a fresh

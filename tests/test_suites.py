@@ -9,6 +9,7 @@ import pytest
 from confalg import conformal
 from confalg.dsl import index_range, parse
 from confalg.errors import ConstructionFailure, UnknownIdentity
+from confalg.nc import DEFAULT_BUDGET
 from confalg.suites import (
     SUITE_TAGS,
     Identity,
@@ -162,6 +163,15 @@ def test_assignment_order_is_pinned():
     listed = [[i.id, identity_assignments(i)] for i in catalog()]
     digest = hashlib.sha256(json.dumps(listed).encode()).hexdigest()
     assert digest == _ASSIGNMENT_ORDER_SHA256
+
+
+def test_one_engine_per_process():
+    # the budget is a field of the context, not of the algebra, so every
+    # budget shares the one algebra, its memos and its observable cache
+    small, default = get_context(1000), get_context()
+    assert small.alg is default.alg
+    assert small.obs is default.obs
+    assert (small.budget, default.budget) == (1000, DEFAULT_BUDGET)
 
 
 def test_find_identity(ctx):
