@@ -14,13 +14,19 @@ of the generator g, a differential operator in P[0..3] (Mack & Salam, Ann.
 Phys. 53:174, 1969): it is built from the registry rules (g, P[nu]) and the
 partial derivatives of f, and (g, M) follows from M^2 = Q.
 
-The bracket (x, y) is the commutator x*y - y*x, formed term by term: for
+The bracket (x, y) is the commutator x*y - y*x, formed by bilinearity: for
 terms f*u and g*w, (f*u, g*w) = f*g*(uw - wu) + f*R(u, g)*w - g*R(w, f)*u,
-where R(u, g) = u*g - g*u is what moving g through u adds. The word part
-uw - wu is memoized with int coefficients, so the terms that cancel between
-x*y and y*x are never formed. With the scaling baked into the registry
-tables its structure constants are the integer ones of the operator
-algebra, so no imaginary unit ever appears.
+where R(u, g) = u*g - g*u is what moving g through u adds. Summed over both
+operands, (x, y) = sum_u f*A_u - sum_w g*B_w, with
+A_u = sum_w (g*(uw - wu) + R(u, g)*w) and B_w = sum_u R(w, f)*u. Each of
+A_u and B_w is summed once, and the operand coefficient then multiplies each
+of its nonzero words once, not each shifted term; a unit f multiplies
+nothing, so its A_u is summed with the output. The word part uw - wu is
+memoized with int coefficients, so the terms that cancel between x*y and
+y*x are never formed. With the scaling baked into the registry tables its
+structure constants are the integer ones of the operator algebra, so no
+imaginary unit ever appears. The symmetrized product is
+dot(x, y) = x*y - (x, y)/2, one product and one bracket.
 
 Engine methods take no rewrite budget: check_budget raises
 RewriteBudgetExceeded when the operation_cost of two operands exceeds one,
@@ -353,25 +359,32 @@ class Algebra:
         return NCExpr(_summed(out))
 
     def dot(self, x, y):
-        """Symmetrized product (x*y + y*x) / 2."""
-        half = Fraction(1, 2)
-        return (self.mul(x, y) + self.mul(y, x)).scale(half)
+        """Symmetrized product (x*y + y*x)/2, formed as x*y - (x, y)/2."""
+        return self.mul(x, y) + self.bracket(x, y).scale(Fraction(-1, 2))
 
     def bracket(self, x, y):
-        """The scaled commutator x*y - y*x, formed term by term (see the
-        module docstring)."""
+        """The scaled commutator x*y - y*x, as sum_u f*A_u - sum_w g*B_w
+        over the terms f*u of x and g*w of y (see the module docstring)."""
         out = {}
         for u, f in x.terms.items():
+            # a unit coefficient multiplies nothing: A_u goes straight to out
+            part = out if f is FE_ONE else {}
             for w, g in y.terms.items():
-                comm = self._comm(u, w)
-                if comm:
-                    fg = f * g
-                    for z, c in comm.items():
-                        _acc(out, z, fg * c)
+                for z, c in self._comm(u, w).items():
+                    _acc(part, z, g * c)
                 if u and not g.is_rational():
-                    self._acc_moved(out, f, u, g, w)
-                if w and not f.is_rational():
-                    self._acc_moved(out, -g, w, f, u)
+                    self._acc_moved(part, u, g, w)
+            if part and part is not out:
+                _acc_times(out, part, f)
+        for w, g in y.terms.items():
+            if not w:
+                continue
+            part = {}
+            for u, f in x.terms.items():
+                if not f.is_rational():
+                    self._acc_moved(part, w, f, u)
+            if part:
+                _acc_times(out, part, -g)
         return NCExpr(_summed(out))
 
     def _comm(self, u, w):
@@ -392,19 +405,18 @@ class Algebra:
         self._comm_memo[key] = out
         return out
 
-    def _acc_moved(self, out, f, u, g, w):
-        """Accumulate f*R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
+    def _acc_moved(self, out, u, g, w):
+        """Accumulate R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
         for z, h in self._shift(u, g).items():
             if z == u:
                 if h == g:
                     continue
                 h = h - g
-            fh = f * h
             if not w:
-                _acc(out, z, fh)
+                _acc(out, z, h)
             else:
                 for zw, c in self._sort_word(z + w).items():
-                    _acc(out, zw, fh * c)
+                    _acc(out, zw, h * c)
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""
@@ -439,6 +451,15 @@ def _acc(out, w, c):
         out[w] = [c]
     else:
         s.append(c)
+
+
+def _acc_times(out, part, f):
+    """Add f times the accumulator part to out: each list of part is summed
+    once and its nonzero sum multiplied by f once."""
+    for w, cs in part.items():
+        c = fe_sum(cs)
+        if not c.is_zero():
+            _acc(out, w, f * c)
 
 
 def _summed(out):

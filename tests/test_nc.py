@@ -202,32 +202,37 @@ def test_bracket_matches_products_on_roster(alg):
     assert not mismatched
 
 
+def _random_pairs(algebra, count):
+    """count pairs of random depth-3 trees, the same draws on every algebra."""
+    rng = random.Random(20261018)
+    pool = [
+        algebra.D(), algebra.J(0, 1), algebra.J(1, 3), algebra.J(2, 3),
+        algebra.C(0), algebra.C(2), algebra.momentum(1),
+        algebra.momentum(3), algebra.mass(),
+    ]
+    for _ in range(count):
+        x = _rand_tree(algebra, pool, rng)
+        yield x, _rand_tree(algebra, pool, rng)
+
+
 def test_bracket_matches_products_on_random_pool(random_schedule_algebra):
-    # the memo-less algebra runs the direct bracket without its commutator
-    # memo; depth-3 trees have a heavy tail there (one 9 x 49-term pair
-    # takes 9 s), so on it pairs of more than 40 term pairs are left out,
-    # while the default algebra compares every draw (the five largest take
-    # 5 s together)
-    for algebra, count, limit in (
-        (build_algebra(), 60, None),
-        (random_schedule_algebra(5), 20, 40),
-    ):
-        rng = random.Random(20261018)
-        pool = [
-            algebra.D(), algebra.J(0, 1), algebra.J(1, 3), algebra.J(2, 3),
-            algebra.C(0), algebra.C(2), algebra.momentum(1),
-            algebra.momentum(3), algebra.mass(),
-        ]
-        compared = 0
-        for k in range(count):
-            x = _rand_tree(algebra, pool, rng)
-            y = _rand_tree(algebra, pool, rng)
-            if limit is not None and len(x.terms) * len(y.terms) > limit:
-                continue
+    # every draw is compared on both algebras, so the factored bracket's
+    # per-word cancellation is checked without memos too; the memo-less
+    # algebra runs it without its commutator memo, and its largest draw
+    # (draw 11, a 9 x 49-term pair) takes 2-3 s there
+    for algebra, count in ((build_algebra(), 60), (random_schedule_algebra(5), 20)):
+        for k, (x, y) in enumerate(_random_pairs(algebra, count)):
             assert algebra.bracket(x, y) == _commutator(algebra, x, y), k
-            compared += 1
-        assert compared >= count * 3 // 4
     assert not algebra._comm_memo
+
+
+def test_dot_matches_products_on_random_pool(random_schedule_algebra):
+    # dot is formed as x*y - (x, y)/2; the reference is the two products
+    half = Fraction(1, 2)
+    for algebra, count in ((build_algebra(), 60), (random_schedule_algebra(7), 20)):
+        for k, (x, y) in enumerate(_random_pairs(algebra, count)):
+            want = (algebra.mul(x, y) + algebra.mul(y, x)).scale(half)
+            assert algebra.dot(x, y) == want, k
 
 
 def test_bracket_edge_operands(alg):
@@ -425,18 +430,35 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 
 # (count, total cost, peak) of the operations with a nonzero cost in a fresh
 # suite run, the sizes of the four memos after it (word, shift, mono, comm),
-# and a ceiling on all its top-level operations: the sweeps share their
-# generator brackets through Observables, so each is built once, and so are
-# the conformal-factor sweeps' second-level brackets ((g, X[nu]), P[mu]) and
-# ((g, P[mu]), X[nu]); the localisation and canonical sums pin the order in
-# which a sum binds its names. A change to the operations a suite makes, or
-# to what is memoized, shows here.
+# a ceiling on all its top-level operations, and the number of FieldElem x
+# FieldElem products it makes: the sweeps share their generator brackets
+# through Observables, so each is built once, and so are the conformal-factor
+# sweeps' second-level brackets ((g, X[nu]), P[mu]) and ((g, P[mu]), X[nu]);
+# the localisation and canonical sums pin the order in which a sum binds its
+# names; a bracket multiplies each operand coefficient into each summed
+# output word once, and dot is one product and one bracket. A change to the
+# operations a suite makes, to what is memoized, or to how often the engine
+# multiplies coefficients shows here.
 _FRESH_SUITES = {
-    "structure": ((5625, 13875, 3), (133, 95, 122, 121), 10350),
-    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572),
-    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157),
-    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749),
+    "structure": ((5625, 13875, 3), (133, 95, 122, 121), 10350, 1296),
+    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 3191),
+    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 3598),
+    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 4564),
 }
+
+
+def _count_field_products(monkeypatch):
+    """A one-item list that counts each FieldElem x FieldElem product."""
+    count = [0]
+    product = FieldElem.__mul__
+
+    def counted(self, other):
+        if isinstance(other, FieldElem):
+            count[0] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    return count
 
 
 @pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
@@ -445,12 +467,14 @@ def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     alg = build_algebra()
     ctx = suites.Context(alg, Observables(alg))
     del seq[:]
+    products = _count_field_products(monkeypatch)
     assert suites.run_suite(tag, ctx).passed
     costs = [c for _, c in seq if c]
-    fuel, memos, ceiling = _FRESH_SUITES[tag]
+    fuel, memos, ceiling, field_products = _FRESH_SUITES[tag]
     assert (len(costs), sum(costs), max(costs)) == fuel
     assert _memo_sizes(alg) == memos
     assert len(seq) <= ceiling
+    assert products[0] == field_products
 
 
 # ---------------------------------------------------------------------------
