@@ -28,6 +28,16 @@ A sum of n operands (rf_sum, and __add__ for n = 2) forms one numerator and
 reduces it once. A certified prime can cancel from it only if at least two
 operands carry its largest exponent: otherwise it divides every term but
 one, whose numerator is coprime to it.
+A product of two field elements with M on either side forms each part,
+a1*a2 + Q*b1*b2 and a1*b2 + b1*a2, as one sum of unreduced products
+(_product_sum), reduced once by the same tail as rf_sum. An unreduced
+product multiplies the numerators and adds the exponents; M^2 = Q is
+applied by dropping Q's exponent in the list when Q is there, and by
+multiplying the numerator otherwise. Its numerator can share a factor with
+any factor of the summed list, so every one is a candidate of _cancel. A
+part that is one product with no Q is the binary product, whose numerators
+can only share the factors that the other operand brings. FieldElem.inv
+forms its norm a^2 - Q*b^2 as a product sum too.
 A factor is either a certified prime, proved irreducible by
 poly.certify_or_split and kept in _PRIMES for the whole process, or
 uncertified. Distinct certified primes are coprime without any work. An
@@ -350,7 +360,7 @@ class RationalFunction:
         m = math.lcm(m1, m2)
         L, (cof1, cof2), tops = _lcm((F1, F2))
         num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, m // m2, cof2)
-        return _reduced_sum(num, m, L, tops)
+        return _reduced_sum(num, m, L, _sum_candidates(L, tops))
 
     def __sub__(self, other):
         return self + (-other)
@@ -434,19 +444,33 @@ def _poly_sum(ps):
     return Polynomial(terms)
 
 
-def _reduced_sum(num, m, L, tops):
-    """num / (m * prod f^e over L) in lowest terms, where num is a sum of
-    operands over that denominator and tops comes from _lcm of their lists.
+def _sum_candidates(L, tops):
+    """The candidates of _cancel in a sum of reduced operands: every
+    uncertified factor, and the certified primes that at least two operands
+    carry with their largest exponent (see the module docstring)."""
+    return [f for f in L if f not in _PRIMES or tops[f] > 1]
 
-    The candidates of _cancel are every uncertified factor and the certified
-    primes that at least two operands carry with their largest exponent
-    (see the module docstring).
-    """
+
+def _reduced_sum(num, m, L, cands):
+    """num / (m * prod f^e over L) in lowest terms, where num is a sum of
+    terms over that denominator and cands holds every factor of L that can
+    share a factor with num."""
     if num.is_zero():
         return RF_ZERO
-    num = _cancel(num, L, [f for f in L if f not in _PRIMES or tops[f] > 1])
+    num = _cancel(num, L, cands)
     num, den, fac = _lowest_terms(num, m, L)
     return RationalFunction(num, den, _fac=fac)
+
+
+def _over_lcm(terms):
+    """(num, m, L, tops): the sum of the terms (num_i, m_i, F_i) over their
+    common denominator m * prod f^e over L, with tops from _lcm."""
+    m = math.lcm(*[mi for _, mi, _ in terms])
+    L, cofs, tops = _lcm([F for _, _, F in terms])
+    num = _poly_sum(
+        [_scaled(p, m // mi, cof) for (p, mi, _), cof in zip(terms, cofs)]
+    )
+    return num, m, L, tops
 
 
 def rf_sum(xs):
@@ -466,12 +490,43 @@ def rf_sum(xs):
         if num.is_zero():
             return RF_ZERO
         return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
-    m = math.lcm(*[x._fac[0] for x in xs])
-    L, cofs, tops = _lcm([x._fac[1] for x in xs])
-    num = _poly_sum(
-        [_scaled(x.num, m // x._fac[0], cof) for x, cof in zip(xs, cofs)]
-    )
-    return _reduced_sum(num, m, L, tops)
+    num, m, L, tops = _over_lcm([(x.num, *x._fac) for x in xs])
+    return _reduced_sum(num, m, L, _sum_candidates(L, tops))
+
+
+def _unreduced_product(x, y, q):
+    """(num, m, F) of x * y * Q^q, q 0 or 1, with no reduction: numerators
+    multiplied and exponents added. Q lowers its own exponent when the list
+    holds it, and multiplies the numerator otherwise."""
+    (m1, F1), (m2, F2) = x._fac, y._fac
+    num = x.num * y.num
+    F = dict(F1)
+    for f, e in F2.items():
+        F[f] = F.get(f, 0) + e
+    if q:
+        e = F.pop(Q_POLY, 0)
+        if e > 1:
+            F[Q_POLY] = e - 1
+        elif not e:
+            num = num * Q_POLY
+    return num, m1 * m2, F
+
+
+def _product_sum(terms):
+    """The sum of x * y * Q^q over terms (x, y, q), reduced once.
+
+    The products are left unreduced, so every factor of the summed list is a
+    candidate of _cancel. A single product with no Q is the binary one.
+    """
+    terms = [(x, y, q) for x, y, q in terms if x.num.terms and y.num.terms]
+    if not terms:
+        return RF_ZERO
+    if len(terms) == 1 and not terms[0][2]:
+        x, y, _ = terms[0]
+        return x * y
+    terms = [_unreduced_product(*t) for t in terms]
+    num, m, L, _ = _over_lcm(terms)
+    return _reduced_sum(num, m, L, list(L))
 
 
 def _integral(p):
@@ -499,7 +554,6 @@ def has_toplevel_space(text):
 
 RF_ZERO = RationalFunction.from_poly(Polynomial.zero())
 RF_ONE = RationalFunction.from_poly(Polynomial.one())
-RF_Q = RationalFunction.from_poly(Q_POLY)
 #: d/dP[v] M = M * d/dP[v] Q / (2Q), from M^2 = Q
 _DM_OVER_M = tuple(RationalFunction(Q_POLY.derivative(v), Q_POLY * 2) for v in range(4))
 
@@ -561,7 +615,10 @@ class FieldElem:
         a2, b2 = other.a, other.b
         if b1.is_zero() and b2.is_zero():
             return FieldElem(a1 * a2)
-        return FieldElem(a1 * a2 + b1 * b2 * RF_Q, a1 * b2 + b1 * a2)
+        return FieldElem(
+            _product_sum(((a1, a2, 0), (b1, b2, 1))),
+            _product_sum(((a1, b2, 0), (b1, a2, 0))),
+        )
 
     __rmul__ = __mul__
 
@@ -575,7 +632,7 @@ class FieldElem:
             raise DivisionByZero("inverse of the zero field element")
         if self.b.is_zero():
             return FieldElem(self.a.inv())
-        norm = self.a * self.a - self.b * self.b * RF_Q
+        norm = _product_sum(((self.a, self.a, 0), (-self.b, self.b, 1)))
         if norm.is_zero():
             raise NotInvertible("field element with vanishing conjugate norm")
         ninv = norm.inv()
@@ -643,4 +700,4 @@ def fe_sum(cs):
 FE_ZERO = FieldElem(RF_ZERO)
 FE_ONE = FieldElem(RF_ONE)
 FE_M = FieldElem(RF_ZERO, RF_ONE)
-FE_Q = FieldElem(RF_Q)
+FE_Q = FieldElem(_integral(Q_POLY))

@@ -668,7 +668,30 @@ def test_factored_arithmetic_matches_gcd_reference():
         return RationalFunction(num, den), _ref_new(num, den)
 
     pool = [rand_pair() for _ in range(12)]
+    # field element products draw from the pool and from these: Q and Q^2 in
+    # a denominator, and the uncertified composites held above. They use
+    # their own generator, so the pool evolves as without them.
+    extra = [
+        (RationalFunction(num, den), _ref_new(num, den))
+        for num, den in ((P1, Q_POLY), (P0 + P2, Q_POLY * Q_POLY * 2))
+    ] + [(h, _parts(h)) for h in held]
+    fe_rng = random.Random(20261027)
     for _ in range(300):
+        # (x + y*M)(u + v*M), each part against the binary reference with
+        # M^2 = Q multiplied into one reference numerator; the degree bound
+        # keeps the reference's gcds small
+        fe_ops = fe_rng.sample(pool + extra, 4)
+        if sum(_total_degree(t.den) for t, _ in fe_ops) <= 10:
+            (x, rx), (y, ry), (u, ru), (v, rv) = fe_ops
+            fz = FieldElem(x, y) * FieldElem(u, v)
+            ryq = _ref_new(ry[0] * Q_POLY, ry[1])
+            for part, ref in (
+                (fz.a, _ref_add(_ref_mul(rx, ru), _ref_mul(ryq, rv))),
+                (fz.b, _ref_add(_ref_mul(rx, rv), _ref_mul(ry, ru))),
+            ):
+                assert _parts(part) == ref, (x, y, u, v)
+                assert _scaled_product(*part._fac) == part.den
+                assert integer_content(part.den) == part._fac[0]
         (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
         op = rng.randrange(6)
         if op == 0:
@@ -818,6 +841,49 @@ def test_unit_operands_skip_the_factor_list_machinery(monkeypatch):
     assert (x - x).is_zero()
     assert fe * 1 is fe
     assert fe * Fraction(1) is fe
+
+
+def test_field_product_reduces_each_part_once(monkeypatch):
+    from confalg import field
+
+    RationalFunction(ONE, Q_POLY)
+    assert Q_POLY in field._PRIMES
+    a1, b1 = RationalFunction(P0, P1), RationalFunction(P2, Q_POLY)
+    a2, b2 = RationalFunction(P3, P0 + P1), RationalFunction(ONE, P1 * Q_POLY)
+    x, y = FieldElem(a1, b1), FieldElem(a2, b2)
+    want = (a1 * a2 + b1 * b2 * FE_Q.a, a1 * b2 + b1 * a2)
+    plain = FieldElem(a1 * a2)
+    calls = {"_lowest_terms": 0, "__mul__": 0}
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        field, "_lowest_terms", counted(field._lowest_terms, "_lowest_terms")
+    )
+    monkeypatch.setattr(
+        RationalFunction, "__mul__", counted(RationalFunction.__mul__, "__mul__")
+    )
+    # M on both sides: one reduction per part, and no binary product
+    z = x * y
+    assert calls == {"_lowest_terms": 2, "__mul__": 0}
+    assert (z.a, z.b) == want
+    # no M on either side: the binary product and its cross-cancellation
+    calls.update(dict.fromkeys(calls, 0))
+    assert FieldElem(a1) * FieldElem(a2) == plain
+    assert calls["__mul__"] == 1
+
+    # the Q of M^2 = Q lowers Q's exponent when the product's list holds
+    # it, and multiplies the numerator only when it does not
+    num, m, F = field._unreduced_product(b1, b2, 1)
+    assert (num, m, F) == (P2, 1, {P1: 1, Q_POLY: 1})
+    num, m, F = field._unreduced_product(b1, a1, 1)
+    assert (num, m, F) == (P0 * P2, 1, {P1: 1})
+    num, m, F = field._unreduced_product(a1, a2, 1)
+    assert (num, m, F) == (P0 * P3 * Q_POLY, 1, {P1: 1, P0 + P1: 1})
 
 
 def _scaled_product(m, F):
