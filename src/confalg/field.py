@@ -24,20 +24,22 @@ factors. An operation builds its result's list from its operands' lists: a
 product adds exponents, a sum takes the largest ones and multiplies each
 numerator by the expanded cofactor. Reducing a numerator against its
 denominator is then trial division by the few factors that can divide it.
-A sum of n operands (rf_sum, and __add__ for n = 2) forms one numerator and
-reduces it once. A certified prime can cancel from it only if at least two
-operands carry its largest exponent: otherwise it divides every term but
-one, whose numerator is coprime to it.
-A product of two field elements with M on either side forms each part,
-a1*a2 + Q*b1*b2 and a1*b2 + b1*a2, as one sum of unreduced products
-(_product_sum), reduced once by the same tail as rf_sum. An unreduced
-product multiplies the numerators and adds the exponents; M^2 = Q is
-applied by dropping Q's exponent in the list when Q is there, and by
-multiplying the numerator otherwise. Its numerator can share a factor with
-any factor of the summed list, so every one is a candidate of _cancel. A
-part that is one product with no Q is the binary product, whose numerators
-can only share the factors that the other operand brings. FieldElem.inv
-forms its norm a^2 - Q*b^2 as a product sum too.
+Sums of products: product_sum adds terms k * x * y * Q^q, k an int, over
+one common denominator and reduces the sum once, with one lcm, one _cancel
+and one _lowest_terms. k scales a term's numerator. An operand x alone is
+reduced; a product x * y is left unreduced: numerators multiplied,
+exponents added, and M^2 = Q applied by dropping Q's exponent in the list
+when Q is there and by multiplying the numerator otherwise. A certified
+prime can cancel from a sum only if at least two operands carry its
+largest exponent, or if an unreduced product carries it: otherwise it
+divides every term but one, whose numerator is coprime to it. One operand
+alone is x * k, and one product with no Q is the binary product, whose
+numerators can only share the factors that the other operand brings.
+scaled_sum adds scaled products k * x * y of field elements, one
+product_sum per part: a product of two field elements with M on either
+side is one, each part a1*a2 + Q*b1*b2 or a1*b2 + b1*a2, and
+FieldElem.inv forms its norm a^2 - Q*b^2 as a product_sum. The binary
+RationalFunction.__add__ keeps its own path, with the same candidates.
 A factor is either a certified prime, proved irreducible by
 poly.certify_or_split and kept in _PRIMES for the whole process, or
 uncertified. Distinct certified primes are coprime without any work. An
@@ -53,8 +55,9 @@ lists, so d is not factored again.
 Unit lists: a list (1, {}) means den = 1 and a numerator with integer
 coefficients (_canon and _lowest_terms see to it). On such operands the lcm,
 the cofactors, _cancel and _lowest_terms all reduce to the identity, so a sum
-of polynomials, or a product of two, is formed directly. FieldElem times a
-scalar 1 returns the operand itself.
+of polynomials, or a product of two, is formed directly; a product_sum on
+unit lists goes into one term map. FieldElem times a scalar 1 returns the
+operand itself.
 """
 
 import math
@@ -379,16 +382,7 @@ class RationalFunction:
             return RF_ZERO
         if self._fac == _UNIT and other._fac == _UNIT:
             return RationalFunction(self.num * other.num, _POLY_ONE, _fac=_UNIT)
-        # cross-cancellation: each numerator is coprime to its own
-        # denominator, so it can only share factors the other one brings
-        (m1, F1), (m2, F2) = self._fac, other._fac
-        F = dict(F1)
-        for f, e in F2.items():
-            F[f] = F.get(f, 0) + e
-        a = _cancel(self.num, F, [f for f in F2 if f not in F1])
-        c = _cancel(other.num, F, [f for f in F1 if f not in F2])
-        num, den, fac = _lowest_terms(a * c, m1 * m2, F)
-        return RationalFunction(num, den, _fac=fac)
+        return _cross_product(self, other, 1)
 
     __rmul__ = __mul__
 
@@ -444,11 +438,26 @@ def _poly_sum(ps):
     return Polynomial(terms)
 
 
-def _sum_candidates(L, tops):
-    """The candidates of _cancel in a sum of reduced operands: every
-    uncertified factor, and the certified primes that at least two operands
-    carry with their largest exponent (see the module docstring)."""
-    return [f for f in L if f not in _PRIMES or tops[f] > 1]
+def _cross_product(x, y, k):
+    """k * x * y for nonzero x, y with cross-cancellation: each numerator is
+    coprime to its own denominator, so it can only share factors the other
+    one brings."""
+    (m1, F1), (m2, F2) = x._fac, y._fac
+    F = dict(F1)
+    for f, e in F2.items():
+        F[f] = F.get(f, 0) + e
+    a = _cancel(x.num, F, [f for f in F2 if f not in F1])
+    c = _cancel(y.num, F, [f for f in F1 if f not in F2])
+    num, den, fac = _lowest_terms(a * c * k, m1 * m2, F)
+    return RationalFunction(num, den, _fac=fac)
+
+
+def _sum_candidates(L, tops, products=()):
+    """The candidates of _cancel in a sum: every uncertified factor, every
+    factor of an unreduced product's list, and the certified primes that at
+    least two operands carry with their largest exponent (see the module
+    docstring)."""
+    return [f for f in L if f not in _PRIMES or tops[f] > 1 or f in products]
 
 
 def _reduced_sum(num, m, L, cands):
@@ -463,35 +472,15 @@ def _reduced_sum(num, m, L, cands):
 
 
 def _over_lcm(terms):
-    """(num, m, L, tops): the sum of the terms (num_i, m_i, F_i) over their
-    common denominator m * prod f^e over L, with tops from _lcm."""
-    m = math.lcm(*[mi for _, mi, _ in terms])
-    L, cofs, tops = _lcm([F for _, _, F in terms])
+    """(num, m, L, tops): the sum of the terms k_i * num_i / (m_i * prod F_i)
+    over terms (num_i, m_i, F_i, k_i), over their common denominator
+    m * prod f^e over L, with tops from _lcm."""
+    m = math.lcm(*[mi for _, mi, _, _ in terms])
+    L, cofs, tops = _lcm([F for _, _, F, _ in terms])
     num = _poly_sum(
-        [_scaled(p, m // mi, cof) for (p, mi, _), cof in zip(terms, cofs)]
+        [_scaled(p, k * (m // mi), cof) for (p, mi, _, k), cof in zip(terms, cofs)]
     )
     return num, m, L, tops
-
-
-def rf_sum(xs):
-    """The sum of a list of RationalFunctions, reduced once.
-
-    One lcm over all the factor lists, one numerator and one reduction; on
-    the unit list, one pass over a single term map. A list of one returns
-    its element.
-    """
-    if len(xs) == 1:
-        return xs[0]
-    xs = [x for x in xs if x.num.terms]
-    if len(xs) < 2:
-        return xs[0] if xs else RF_ZERO
-    if all(x._fac == _UNIT for x in xs):
-        num = _poly_sum([x.num for x in xs])
-        if num.is_zero():
-            return RF_ZERO
-        return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
-    num, m, L, tops = _over_lcm([(x.num, *x._fac) for x in xs])
-    return _reduced_sum(num, m, L, _sum_candidates(L, tops))
 
 
 def _unreduced_product(x, y, q):
@@ -512,21 +501,72 @@ def _unreduced_product(x, y, q):
     return num, m1 * m2, F
 
 
-def _product_sum(terms):
-    """The sum of x * y * Q^q over terms (x, y, q), reduced once.
+def _add_product(acc, k, a, b):
+    """Add k * a * b to the term map acc, for term maps a and b."""
+    get = acc.get
+    for (a0, a1, a2, a3), ca in a.items():
+        ca *= k
+        for (b0, b1, b2, b3), cb in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            acc[e] = get(e, 0) + ca * cb
 
-    The products are left unreduced, so every factor of the summed list is a
-    candidate of _cancel. A single product with no Q is the binary one.
-    """
-    terms = [(x, y, q) for x, y, q in terms if x.num.terms and y.num.terms]
-    if not terms:
+
+def _unit_sum(parts):
+    """product_sum of terms on unit lists, in one term map."""
+    acc = {}
+    get = acc.get
+    for k, x, y, q in parts:
+        if y is None:
+            # x's own exponent tuples become keys, as in Polynomial * int
+            for e, c in x.num.terms.items():
+                acc[e] = get(e, 0) + k * c
+            continue
+        b = y.num.terms
+        if q:
+            b = {}
+            _add_product(b, 1, y.num.terms, Q_POLY.terms)
+        _add_product(acc, k, x.num.terms, b)
+    num = Polynomial(acc)
+    if num.is_zero():
         return RF_ZERO
-    if len(terms) == 1 and not terms[0][2]:
-        x, y, _ = terms[0]
-        return x * y
-    terms = [_unreduced_product(*t) for t in terms]
-    num, m, L, _ = _over_lcm(terms)
-    return _reduced_sum(num, m, L, list(L))
+    return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+
+
+def product_sum(terms):
+    """The sum of k * x * y * Q^q over terms (k, x, y, q), reduced once.
+
+    k is an int and x a RationalFunction; y is one too, or None for x
+    alone, and then q is 0. An operand alone is reduced; a product is left
+    unreduced, and every factor of its list is a candidate of _cancel. On
+    unit lists the products go into one term map. A list of one operand
+    alone is x itself for k = 1 and x * k otherwise, and one product with
+    no Q is the binary one.
+    """
+    parts = [
+        t for t in terms
+        if t[0] and t[1].num.terms and (t[2] is None or t[2].num.terms)
+    ]
+    if not parts:
+        return RF_ZERO
+    k, x, y, q = parts[0]
+    if len(parts) == 1 and y is None and k == 1:
+        return x
+    if all(
+        x._fac == _UNIT and (y is None or y._fac == _UNIT) for _, x, y, _ in parts
+    ):
+        return _unit_sum(parts)
+    if len(parts) == 1 and not q:
+        return x * k if y is None else _cross_product(x, y, k)
+    terms, products = [], set()
+    for k, x, y, q in parts:
+        if y is None:
+            terms.append((x.num, *x._fac, k))
+        else:
+            num, m, F = _unreduced_product(x, y, q)
+            terms.append((num, m, F, k))
+            products.update(F)
+    num, m, L, tops = _over_lcm(terms)
+    return _reduced_sum(num, m, L, _sum_candidates(L, tops, products))
 
 
 def _integral(p):
@@ -611,14 +651,9 @@ class FieldElem:
             return FieldElem(self.a * other, self.b * other)
         if not isinstance(other, FieldElem):
             return NotImplemented  # so a float operand raises TypeError
-        a1, b1 = self.a, self.b
-        a2, b2 = other.a, other.b
-        if b1.is_zero() and b2.is_zero():
-            return FieldElem(a1 * a2)
-        return FieldElem(
-            _product_sum(((a1, a2, 0), (b1, b2, 1))),
-            _product_sum(((a1, b2, 0), (b1, a2, 0))),
-        )
+        if self.b.is_zero() and other.b.is_zero():
+            return FieldElem(self.a * other.a)
+        return scaled_sum(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -632,7 +667,7 @@ class FieldElem:
             raise DivisionByZero("inverse of the zero field element")
         if self.b.is_zero():
             return FieldElem(self.a.inv())
-        norm = _product_sum(((self.a, self.a, 0), (-self.b, self.b, 1)))
+        norm = product_sum(((1, self.a, self.a, 0), (-1, self.b, self.b, 1)))
         if norm.is_zero():
             raise NotInvertible("field element with vanishing conjugate norm")
         ninv = norm.inv()
@@ -690,11 +725,30 @@ class FieldElem:
         return f"{self.a.pretty()} + {btxt}"
 
 
-def fe_sum(cs):
-    """The sum of a list of FieldElems, each part reduced once (rf_sum)."""
-    if len(cs) == 1:
-        return cs[0]
-    return FieldElem(rf_sum([c.a for c in cs]), rf_sum([c.b for c in cs]))
+def scaled_sum(terms):
+    """The sum of k * x * y over terms (k, x, y), k an int and x, y
+    FieldElems, y None for x alone; each part is one product_sum. A list of
+    one x alone returns x."""
+    if len(terms) == 1:
+        k, x, y = terms[0]
+        if k == 1 and y is None:
+            return x
+    a, b = [], []
+    for k, x, y in terms:
+        xa, xb = x.a, x.b
+        if y is None:
+            a.append((k, xa, None, 0))
+            if xb.num.terms:
+                b.append((k, xb, None, 0))
+            continue
+        ya, yb = y.a, y.b
+        a.append((k, xa, ya, 0))
+        if yb.num.terms:
+            b.append((k, xa, yb, 0))
+        if xb.num.terms:
+            a.append((k, xb, yb, 1))
+            b.append((k, xb, ya, 0))
+    return FieldElem(product_sum(a), product_sum(b))
 
 
 FE_ZERO = FieldElem(RF_ZERO)

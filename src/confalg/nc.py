@@ -35,9 +35,12 @@ Letter words close under the letter table (D/J/C span a subalgebra) and
 derivations only ever introduce D/J letters, so rewriting terminates; the
 budget bounds operand size, not time.
 
-The coefficients of an output word are collected in a list (_acc) and summed
-once by field.fe_sum (_summed) when an operation returns or stores a memo
-entry, so each is reduced once rather than after every binary addition.
+The coefficients of an output word are collected in a list (_acc) of scaled
+products k*x*y: an int k, such as a structure constant, times one or two
+field elements. The list is summed once by field.scaled_sum (_summed) when an
+operation returns or stores a memo entry: the products are summed unreduced
+and each part is reduced once, so no product is formed on its own and no
+sum is reduced after every binary addition.
 
 Confluence is certified, not sampled: tests/test_nc.py resolves every overlap
 of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
@@ -49,7 +52,7 @@ Randomized schedules live only in tests.
 from fractions import Fraction
 
 from .errors import RewriteBudgetExceeded
-from .field import FE_ONE, FE_M, FieldElem, fe_sum, has_toplevel_space
+from .field import FE_ONE, FE_M, FieldElem, has_toplevel_space, scaled_sum
 
 # ---- letters -------------------------------------------------------------
 
@@ -173,6 +176,9 @@ class Algebra:
     (a letter's derivation on a monomial) and _comm_memo (uw - wu). deriv
     keeps none of its own; its results are rebuilt from the last three.
     No method checks a rewrite budget, so one algebra serves every budget.
+    Each operation collects an output word's terms as scaled products
+    k*x*y and reduces their sum once (_acc, _summed); every coefficient it
+    returns or memoizes is reduced.
     """
 
     def __init__(self, letter_table, momentum_rules):
@@ -270,10 +276,11 @@ class Algebra:
             if h.is_zero():
                 continue
             for w, c in self.momentum_rules[(a, nu)].items():
-                _acc(out, w, h * c)
+                _acc(out, w, h, c)
                 if w:
+                    half = c * Fraction(1, 2)
                     for z, e in self.deriv(w[0], h).items():
-                        _acc(out, z, e * c * Fraction(1, 2))
+                        _acc(out, z, e, half)
         out = _summed(out)
         self._mono_memo[key] = out
         return out
@@ -282,7 +289,7 @@ class Algebra:
         """Accumulate (a, p) in out for a polynomial p, times M when with_m."""
         for exps, c in p.terms.items():
             for w, h in self._deriv_mono(a, exps, with_m).items():
-                _acc(out, w, h * c)
+                _acc(out, w, h, None, c)
 
     def deriv(self, a, g):
         """(a, g) for letter a and coefficient g, as {word: FieldElem}.
@@ -303,11 +310,12 @@ class Algebra:
         # and N * d^-1 is g itself, a pure left coefficient.
         dd = {}
         self._deriv_poly(a, d, False, dd)
-        out = {}
-        for w, c in self._raw_mul_terms(num, {(): dinv}):
-            _acc(out, w, c)
-        for w, c in self._raw_mul_terms(_summed(dd), {(): dinv}):
-            _acc(out, w, -(g * c))
+        out, part = {}, {}
+        for w, f, h, c in self._raw_mul_terms(num, {(): dinv}):
+            _acc(out, w, f, h, c)
+        for w, f, h, c in self._raw_mul_terms(_summed(dd), {(): dinv}):
+            _acc(part, w, f, h, c)
+        _acc_times(out, part, g, -1)
         return _summed(out)
 
     # ---- coefficient movement and products ----
@@ -326,36 +334,36 @@ class Algebra:
         out = {}
         for z, h in self._shift(head, g).items():
             for zw, c in self._sort_word(z + (a,)).items():
-                _acc(out, zw, h * c)
+                _acc(out, zw, h, None, c)
         for zd, hd in self.deriv(a, g).items():
             for z2, h2 in self._shift(head, hd).items():
                 for zw, c in self._sort_word(z2 + zd).items():
-                    _acc(out, zw, h2 * c)
+                    _acc(out, zw, h2, None, c)
         out = _summed(out)
         self._shift_memo[key] = out
         return out
 
     def _raw_mul_terms(self, xterms, yterms):
-        """Product of two term maps, yielding (word, coeff) pairs (unmerged)."""
+        """Product of two term maps, yielding unmerged terms (word, f, h, c),
+        each the scaled product c*f*h with c an int, for _acc."""
         for u, f in xterms.items():
             for w, g in yterms.items():
                 if not u:
-                    yield w, f * g
+                    yield w, f, g, 1
                     continue
                 for z, h in self._shift(u, g).items():
-                    fh = f * h
                     if not w:
-                        yield z, fh
+                        yield z, f, h, 1
                     else:
                         for zw, c in self._sort_word(z + w).items():
-                            yield zw, fh * c
+                            yield zw, f, h, c
 
     # ---- public operations ----
 
     def mul(self, x, y):
         out = {}
-        for w, c in self._raw_mul_terms(x.terms, y.terms):
-            _acc(out, w, c)
+        for w, f, h, c in self._raw_mul_terms(x.terms, y.terms):
+            _acc(out, w, f, h, c)
         return NCExpr(_summed(out))
 
     def dot(self, x, y):
@@ -371,7 +379,7 @@ class Algebra:
             part = out if f is FE_ONE else {}
             for w, g in y.terms.items():
                 for z, c in self._comm(u, w).items():
-                    _acc(part, z, g * c)
+                    _acc(part, z, g, None, c)
                 if u and not g.is_rational():
                     self._acc_moved(part, u, g, w)
             if part and part is not out:
@@ -384,7 +392,7 @@ class Algebra:
                 if not f.is_rational():
                     self._acc_moved(part, w, f, u)
             if part:
-                _acc_times(out, part, -g)
+                _acc_times(out, part, g, -1)
         return NCExpr(_summed(out))
 
     def _comm(self, u, w):
@@ -408,22 +416,25 @@ class Algebra:
     def _acc_moved(self, out, u, g, w):
         """Accumulate R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
         for z, h in self._shift(u, g).items():
-            if z == u:
-                if h == g:
-                    continue
-                h = h - g
+            less_g = z == u
+            if less_g and h == g:
+                continue
             if not w:
                 _acc(out, z, h)
+                if less_g:
+                    _acc(out, z, g, None, -1)
             else:
                 for zw, c in self._sort_word(z + w).items():
-                    _acc(out, zw, h * c)
+                    _acc(out, zw, h, None, c)
+                    if less_g:
+                        _acc(out, zw, g, None, -c)
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""
         out = {}
         for u, f in x.terms.items():
             for w, c in self._sort_word(u).items():
-                _acc(out, w, f * c)
+                _acc(out, w, f, None, c)
         return NCExpr(_summed(out))
 
 
@@ -444,29 +455,30 @@ def check_budget(budget, x, y):
         )
 
 
-def _acc(out, w, c):
-    """Add the term c*w to the accumulator out: {word: [FieldElem]}."""
+def _acc(out, w, x, y=None, k=1):
+    """Add the term k*x*y*w (k*x*w when y is None) to the accumulator out:
+    {word: [(k, x, y)]}, a list of scaled products for field.scaled_sum."""
     s = out.get(w)
     if s is None:
-        out[w] = [c]
+        out[w] = [(k, x, y)]
     else:
-        s.append(c)
+        s.append((k, x, y))
 
 
-def _acc_times(out, part, f):
-    """Add f times the accumulator part to out: each list of part is summed
-    once and its nonzero sum multiplied by f once."""
-    for w, cs in part.items():
-        c = fe_sum(cs)
+def _acc_times(out, part, f, k=1):
+    """Add k*f times the accumulator part to out: each list of part is
+    summed once and its nonzero sum enters out as one scaled product."""
+    for w, ts in part.items():
+        c = scaled_sum(ts)
         if not c.is_zero():
-            _acc(out, w, f * c)
+            _acc(out, w, f, c, k)
 
 
 def _summed(out):
     """{word: FieldElem} of an accumulator, each list summed once, zeros dropped."""
     res = {}
-    for w, cs in out.items():
-        c = fe_sum(cs)
+    for w, ts in out.items():
+        c = scaled_sum(ts)
         if not c.is_zero():
             res[w] = c
     return res

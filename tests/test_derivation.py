@@ -31,7 +31,7 @@ from confalg.conformal import (
 )
 from confalg.dsl import elaborate, parse
 from confalg.field import FE_M, FE_ONE, FieldElem
-from confalg.nc import LETTER_D, Algebra, letter_C, letter_J
+from confalg.nc import LETTER_D, Algebra, NCExpr, letter_C, letter_J
 from confalg.observables import Observables
 
 
@@ -77,7 +77,7 @@ class LeibnizAlgebra(Algebra):
             else:
                 f, rule = FE_M, self.mass_rules[a]
             step = {}
-            for w, c in self._raw_mul_terms(rule, {(): rest}):
+            for w, c in self.mul(NCExpr(rule), self.scalar(rest)).terms.items():
                 _add(step, w, c)
             for w, c in out.items():
                 _add(step, w, f * c)

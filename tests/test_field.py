@@ -18,8 +18,8 @@ from confalg.field import (
     Q_POLY,
     FieldElem,
     RationalFunction,
-    fe_sum,
-    rf_sum,
+    product_sum,
+    scaled_sum,
 )
 from confalg.poly import (
     Polynomial,
@@ -598,7 +598,7 @@ def test_factored_arithmetic_matches_gcd_reference():
 
     # n-ary sums against a fold of the binary reference
     def assert_sum(xs):
-        z = rf_sum(xs)
+        z = product_sum(_alone(xs))
         assert _parts(z) == functools.reduce(_ref_add, map(_parts, xs), (ZERO, ONE))
         assert _scaled_product(*z._fac) == z.den
         return z
@@ -635,13 +635,13 @@ def test_factored_arithmetic_matches_gcd_reference():
     assert assert_sum(polys) is field.RF_ZERO
     assert assert_sum(polys[:2])._fac == (1, {})
     # no operand, only zeros, and one operand
-    assert rf_sum([]) is field.RF_ZERO
-    assert rf_sum([field.RF_ZERO, field.RF_ZERO]).is_zero()
-    assert rf_sum([sx]) is sx
+    assert product_sum([]) is field.RF_ZERO
+    assert product_sum(_alone([field.RF_ZERO, field.RF_ZERO])).is_zero()
+    assert product_sum(_alone([sx])) is sx
     assert assert_sum([field.RF_ZERO, sx, field.RF_ZERO]) is sx
     fes = [FieldElem(sx, cx), FieldElem(cx), FieldElem(field.RF_ZERO, sx)]
-    assert fe_sum(fes) == fes[0] + fes[1] + fes[2]
-    assert fe_sum(fes[:1]) is fes[0]
+    assert scaled_sum([(1, c, None) for c in fes]) == fes[0] + fes[1] + fes[2]
+    assert scaled_sum([(1, fes[0], None)]) is fes[0]
 
     atoms = (
         P0, P1, P2, P3, Q_POLY, S_POLY, P0 + P1, P0 - P3, _lin(2, 0, -1, 0, 1),
@@ -704,7 +704,7 @@ def test_factored_arithmetic_matches_gcd_reference():
             z, rz = x.inv(), _ref_inv(rx)
         elif op == 5:
             terms = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
-            z = rf_sum([t for t, _ in terms])
+            z = product_sum(_alone([t for t, _ in terms]))
             rz = functools.reduce(_ref_add, [rt for _, rt in terms])
         else:
             _assert_quotient(FieldElem(x, y), rx, ry)
@@ -716,6 +716,11 @@ def test_factored_arithmetic_matches_gcd_reference():
             pool[rng.randrange(len(pool))] = (z, rz)
         if rng.random() < 0.1:
             pool[rng.randrange(len(pool))] = rand_pair()
+
+
+def _alone(xs):
+    """product_sum terms for the plain sum of the RationalFunctions xs."""
+    return [(1, x, None, 0) for x in xs]
 
 
 def _assert_quotient(z, rx, ry):
@@ -837,7 +842,7 @@ def test_unit_operands_skip_the_factor_list_machinery(monkeypatch):
         monkeypatch.setattr(field, name, general_path)
     assert _parts(x * y) == (a * b, ONE)
     assert _parts(x + y) == (a + b, ONE)
-    assert _parts(rf_sum([x, y, x])) == (a + b + a, ONE)
+    assert _parts(product_sum(_alone([x, y, x]))) == (a + b + a, ONE)
     assert (x - x).is_zero()
     assert fe * 1 is fe
     assert fe * Fraction(1) is fe
@@ -884,6 +889,99 @@ def test_field_product_reduces_each_part_once(monkeypatch):
     assert (num, m, F) == (P0 * P2, 1, {P1: 1})
     num, m, F = field._unreduced_product(a1, a2, 1)
     assert (num, m, F) == (P0 * P3 * Q_POLY, 1, {P1: 1, P0 + P1: 1})
+
+
+# forms no other test uses: two linear forms in P2 and P3 whose product
+# stays one uncertified factor, and two cubics no certificate covers
+_SUM_SHARED = (_lin(0, 0, 1, 3, 31), _lin(0, 0, 4, -1, 37))
+_SUM_CUBIC = (P2 ** 3 + P3 ** 3 + ONE * 5, P2 ** 3 - P3 ** 3 + P3 * 2 + ONE * 7)
+
+
+def test_scaled_product_sums_match_binary_operators():
+    from confalg import field
+
+    shared = _SUM_SHARED[0] * _SUM_SHARED[1]
+    cubic = _SUM_CUBIC[0] * _SUM_CUBIC[1]
+    held = [RationalFunction(P3, shared), RationalFunction(P0 + ONE, cubic)]
+    for x, composite in zip(held, (shared, cubic)):
+        assert x._fac[1] == {composite: 1}
+        assert composite not in field._PRIMES
+    rng = random.Random(20261028)
+    units = [
+        RationalFunction.from_poly(p)
+        for p in (P0, P1 * P2 - ONE * 3, Q_POLY, ONE * -4, P3 * P3 + P0 * 2)
+    ] + [field.RF_ONE]
+    # a numerator that meets one factor of a composite splits it
+    meet = [RationalFunction.from_poly(f) for f in (_SUM_SHARED[0], _SUM_CUBIC[1])]
+    pool = units + meet + held + [
+        RationalFunction(P1, Q_POLY),
+        RationalFunction(P0 + P2, Q_POLY * Q_POLY * 2),
+        RationalFunction(Q_POLY * P2, P0 + P1),
+        RationalFunction(P2 * 3, P1 * P3 * 4),
+        RationalFunction(_SUM_SHARED[0] * 2 - P0, shared * P1),
+        field.RF_ZERO,
+    ]
+    rq = RationalFunction.from_poly(Q_POLY)
+    ks = (1, -1, 1, -1, 2, -3, 12, -35)
+
+    def binary(terms):
+        """sum(k * (x * y) * Q^q) folded with the binary operators."""
+        z = field.RF_ZERO
+        for k, x, y, q in terms:
+            t = x if y is None else x * y
+            z = z + (t * rq if q else t) * k
+        return z
+
+    def check(z, want):
+        assert z == want
+        assert _scaled_product(*z._fac) == z.den
+        assert integer_content(z.den) == z._fac[0]
+
+    seen = set()
+    for _ in range(160):
+        terms = []
+        for _ in range(rng.choice((1, 1, 2, 3, 4))):
+            k, x = rng.choice(ks), rng.choice(pool)
+            if rng.random() < 0.3:
+                terms.append((k, x, None, 0))
+            else:
+                terms.append((k, x, rng.choice(pool), rng.randrange(2)))
+        z = product_sum(terms)
+        check(z, binary(terms))
+        operands = [t for k, x, y, q in terms for t in (x, y) if t is not None]
+        if all(t._fac == (1, {}) for t in operands):
+            _assert_unit(z)
+            seen.add("unit")
+        if len(terms) == 1:
+            seen.add(("one term", terms[0][2] is not None, terms[0][3]))
+        if any(t in held for t in operands):
+            seen.add("composite")
+    assert seen >= {
+        "unit", "composite",
+        ("one term", False, 0), ("one term", True, 0), ("one term", True, 1),
+    }
+
+    # field elements: each part of sum(k * x * y) against the binary
+    # operators on the parts, with M^2 = Q
+    fes = [FE_ONE, FE_M, FieldElem(units[1], units[0]), FieldElem(held[0])]
+    fes += [FieldElem(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+    for _ in range(60):
+        terms = [
+            (rng.choice(ks), rng.choice(fes), rng.choice((None, *fes)))
+            for _ in range(rng.choice((1, 2, 3)))
+        ]
+        a, b = [], []
+        for k, x, y in terms:
+            if y is None:
+                a.append((k, x.a, None, 0))
+                b.append((k, x.b, None, 0))
+            else:
+                a += (k, x.a, y.a, 0), (k, x.b, y.b, 1)
+                b += (k, x.a, y.b, 0), (k, x.b, y.a, 0)
+        z = scaled_sum(terms)
+        check(z.a, binary(a))
+        check(z.b, binary(b))
+    assert scaled_sum([(1, fes[3], None)]) is fes[3]
 
 
 def _scaled_product(m, F):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from confalg import dsl, suites
+from confalg import dsl, field, suites
 from confalg.conformal import (
     GENERATORS,
     build_algebra,
@@ -430,20 +430,24 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 
 # (count, total cost, peak) of the operations with a nonzero cost in a fresh
 # suite run, the sizes of the four memos after it (word, shift, mono, comm),
-# a ceiling on all its top-level operations, and the number of FieldElem x
-# FieldElem products it makes: the sweeps share their generator brackets
-# through Observables, so each is built once, and so are the conformal-factor
+# a ceiling on all its top-level operations, the number of FieldElem x
+# FieldElem products it makes, and the number of rational functions it
+# brings to lowest terms (field._lowest_terms): the sweeps share their
+# generator brackets through Observables, so each is built once, and so are
+# the conformal-factor
 # sweeps' second-level brackets ((g, X[nu]), P[mu]) and ((g, P[mu]), X[nu]);
 # the localisation and canonical sums pin the order in which a sum binds its
 # names; a bracket multiplies each operand coefficient into each summed
-# output word once, and dot is one product and one bracket. A change to the
-# operations a suite makes, to what is memoized, or to how often the engine
-# multiplies coefficients shows here.
+# output word once, and dot is one product and one bracket; the engine's
+# accumulators sum scaled products k*x*y of coefficients unreduced, so they
+# form no field product of their own, and reduce each output word once. A
+# change to the operations a suite makes, to what is memoized, or to how
+# often the engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
-    "structure": ((5625, 13875, 3), (133, 95, 122, 121), 10350, 1296),
-    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 3191),
-    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 3598),
-    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 4564),
+    "structure": ((5625, 13875, 3), (133, 95, 122, 121), 10350, 0, 32),
+    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 240, 2826),
+    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 16, 3758),
+    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 150, 4139),
 }
 
 
@@ -461,6 +465,19 @@ def _count_field_products(monkeypatch):
     return count
 
 
+def _count_lowest_terms(monkeypatch):
+    """A one-item list that counts each call of field._lowest_terms."""
+    count = [0]
+    lowest_terms = field._lowest_terms
+
+    def counted(*args):
+        count[0] += 1
+        return lowest_terms(*args)
+
+    monkeypatch.setattr(field, "_lowest_terms", counted)
+    return count
+
+
 @pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
 def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     seq = _record_ops(monkeypatch)
@@ -468,13 +485,15 @@ def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     ctx = suites.Context(alg, Observables(alg))
     del seq[:]
     products = _count_field_products(monkeypatch)
+    reductions = _count_lowest_terms(monkeypatch)
     assert suites.run_suite(tag, ctx).passed
     costs = [c for _, c in seq if c]
-    fuel, memos, ceiling, field_products = _FRESH_SUITES[tag]
+    fuel, memos, ceiling, field_products, lowest_terms = _FRESH_SUITES[tag]
     assert (len(costs), sum(costs), max(costs)) == fuel
     assert _memo_sizes(alg) == memos
     assert len(seq) <= ceiling
     assert products[0] == field_products
+    assert reductions[0] == lowest_terms
 
 
 # ---------------------------------------------------------------------------
