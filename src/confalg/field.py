@@ -27,9 +27,13 @@ denominator is then trial division by the few factors that can divide it.
 Sums of products: product_sum adds terms k * x * y * Q^q, k an int, over
 one common denominator and reduces the sum once, with one lcm, one _cancel
 and one _lowest_terms. k scales a term's numerator. An operand x alone is
-reduced; a product x * y is left unreduced: numerators multiplied,
-exponents added, and M^2 = Q applied by dropping Q's exponent in the list
-when Q is there and by multiplying the numerator otherwise. A certified
+reduced; a product x * y is left unreduced: exponents added, and M^2 = Q
+applied by dropping Q's exponent in the list when Q is there and by
+multiplying y's numerator otherwise. The terms are grouped by cofactor
+L / F_i, with m // m_i folded into k: the numerator products of a group
+are multiply-accumulated into one term map, which the group's expanded
+cofactor then multiplies once, so each distinct cofactor costs one
+product however many terms share it. A certified
 prime can cancel from a sum only if at least two operands carry its
 largest exponent, or if an unreduced product carries it: otherwise it
 divides every term but one, whose numerator is coprime to it. One operand
@@ -56,8 +60,9 @@ Unit lists: a list (1, {}) means den = 1 and a numerator with integer
 coefficients (_canon and _lowest_terms see to it). On such operands the lcm,
 the cofactors, _cancel and _lowest_terms all reduce to the identity, so a sum
 of polynomials, or a product of two, is formed directly; a product_sum on
-unit lists goes into one term map. FieldElem times a scalar 1 returns the
-operand itself.
+unit lists goes into one term map, with no grouping. An integer polynomial
+is put on the unit list without _admit. FieldElem times a scalar 1 returns
+the operand itself.
 """
 
 import math
@@ -222,8 +227,9 @@ def _expand(F):
     key = frozenset(F.items())
     p = _PRODUCTS.get(key)
     if p is None:
-        p = _POLY_ONE
-        for f, e in F.items():
+        (f, e), *rest = F.items()
+        p = f**e
+        for f, e in rest:
             p = p * f**e
         if len(_PRODUCTS) >= _PRODUCTS_CAP:
             _PRODUCTS.clear()
@@ -335,6 +341,9 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p):
+        """p / 1; an integer p is already in lowest terms on the unit list."""
+        if all(type(c) is int for c in p.terms.values()):
+            return _integral(p)
         return cls(p, Polynomial.one())
 
     @classmethod
@@ -428,16 +437,6 @@ class RationalFunction:
         return f"{ntxt}/{dtxt}"
 
 
-def _poly_sum(ps):
-    """The sum of two or more polynomials, in one pass over one term map."""
-    terms = dict(ps[0].terms)
-    get = terms.get
-    for p in ps[1:]:
-        for e, c in p.terms.items():
-            terms[e] = get(e, 0) + c
-    return Polynomial(terms)
-
-
 def _cross_product(x, y, k):
     """k * x * y for nonzero x, y with cross-cancellation: each numerator is
     coprime to its own denominator, so it can only share factors the other
@@ -471,24 +470,40 @@ def _reduced_sum(num, m, L, cands):
     return RationalFunction(num, den, _fac=fac)
 
 
-def _over_lcm(terms):
-    """(num, m, L, tops): the sum of the terms k_i * num_i / (m_i * prod F_i)
-    over terms (num_i, m_i, F_i, k_i), over their common denominator
-    m * prod f^e over L, with tops from _lcm."""
-    m = math.lcm(*[mi for _, mi, _, _ in terms])
-    L, cofs, tops = _lcm([F for _, _, F, _ in terms])
-    num = _poly_sum(
-        [_scaled(p, k * (m // mi), cof) for (p, mi, _, k), cof in zip(terms, cofs)]
-    )
-    return num, m, L, tops
+def _add_scaled(acc, k, a):
+    """Add k * a to the term map acc, for a term map a."""
+    get = acc.get
+    for e, c in a.items():
+        acc[e] = get(e, 0) + k * c
 
 
-def _unreduced_product(x, y, q):
-    """(num, m, F) of x * y * Q^q, q 0 or 1, with no reduction: numerators
-    multiplied and exponents added. Q lowers its own exponent when the list
-    holds it, and multiplies the numerator otherwise."""
+def _add_product(acc, k, a, b):
+    """Add k * a * b to the term map acc, for term maps a and b. A zero
+    coefficient of a, left by a partial sum that cancelled, is skipped."""
+    get = acc.get
+    for (a0, a1, a2, a3), ca in a.items():
+        if not ca:
+            continue
+        ca *= k
+        for (b0, b1, b2, b3), cb in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            acc[e] = get(e, 0) + ca * cb
+
+
+def _times_q(a):
+    """The term map of a * Q, for a term map a."""
+    out = {}
+    _add_product(out, 1, a, Q_POLY.terms)
+    return out
+
+
+def _product_term(x, y, q):
+    """(a, b, m, F) of x * y * Q^q, q 0 or 1, left unreduced: a * b is the
+    numerator, as term maps, and m * prod f^e over F the denominator, with
+    the operands' exponents added. Q lowers its own exponent when the list
+    holds it, and multiplies b otherwise."""
     (m1, F1), (m2, F2) = x._fac, y._fac
-    num = x.num * y.num
+    b = y.num.terms
     F = dict(F1)
     for f, e in F2.items():
         F[f] = F.get(f, 0) + e
@@ -497,39 +512,58 @@ def _unreduced_product(x, y, q):
         if e > 1:
             F[Q_POLY] = e - 1
         elif not e:
-            num = num * Q_POLY
-    return num, m1 * m2, F
-
-
-def _add_product(acc, k, a, b):
-    """Add k * a * b to the term map acc, for term maps a and b."""
-    get = acc.get
-    for (a0, a1, a2, a3), ca in a.items():
-        ca *= k
-        for (b0, b1, b2, b3), cb in b.items():
-            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            acc[e] = get(e, 0) + ca * cb
+            b = _times_q(b)
+    return x.num.terms, b, m1 * m2, F
 
 
 def _unit_sum(parts):
     """product_sum of terms on unit lists, in one term map."""
     acc = {}
-    get = acc.get
     for k, x, y, q in parts:
         if y is None:
-            # x's own exponent tuples become keys, as in Polynomial * int
-            for e, c in x.num.terms.items():
-                acc[e] = get(e, 0) + k * c
-            continue
-        b = y.num.terms
-        if q:
-            b = {}
-            _add_product(b, 1, y.num.terms, Q_POLY.terms)
-        _add_product(acc, k, x.num.terms, b)
+            _add_scaled(acc, k, x.num.terms)
+        else:
+            b = y.num.terms
+            _add_product(acc, k, x.num.terms, _times_q(b) if q else b)
     num = Polynomial(acc)
     if num.is_zero():
         return RF_ZERO
     return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+
+
+def _cofactor_sum(parts):
+    """product_sum of terms, not all on unit lists, over the lcm of their
+    lists.
+
+    The terms are grouped by cofactor L / F_i, with m // m_i folded into k:
+    each group's products go into one term map, which its expanded cofactor
+    multiplies once. _lcm runs over every term's own list, so tops counts
+    terms, not groups."""
+    terms, products = [], set()
+    for k, x, y, q in parts:
+        if y is None:
+            terms.append((k, x.num.terms, None, *x._fac))
+        else:
+            a, b, m, F = _product_term(x, y, q)
+            terms.append((k, a, b, m, F))
+            products.update(F)
+    m = math.lcm(*[t[3] for t in terms])
+    L, cofs, tops = _lcm([t[4] for t in terms])
+    groups = {}
+    for (k, a, b, mi, _), cof in zip(terms, cofs):
+        key = tuple(cof.items())
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (cof, {})
+        if b is None:
+            _add_scaled(group[1], k * (m // mi), a)
+        else:
+            _add_product(group[1], k * (m // mi), a, b)
+    total = groups.pop((), (None, {}))[1]
+    for cof, acc in groups.values():
+        _add_product(total, 1, acc, _expand(cof).terms)
+    num = Polynomial(total)
+    return _reduced_sum(num, m, L, _sum_candidates(L, tops, products))
 
 
 def product_sum(terms):
@@ -538,9 +572,10 @@ def product_sum(terms):
     k is an int and x a RationalFunction; y is one too, or None for x
     alone, and then q is 0. An operand alone is reduced; a product is left
     unreduced, and every factor of its list is a candidate of _cancel. On
-    unit lists the products go into one term map. A list of one operand
-    alone is x itself for k = 1 and x * k otherwise, and one product with
-    no Q is the binary one.
+    unit lists the products go into one term map, and on other lists one
+    term map per cofactor (_cofactor_sum). A list of one operand alone is x
+    itself for k = 1 and x * k otherwise, and one product with no Q is the
+    binary one.
     """
     parts = [
         t for t in terms
@@ -557,16 +592,7 @@ def product_sum(terms):
         return _unit_sum(parts)
     if len(parts) == 1 and not q:
         return x * k if y is None else _cross_product(x, y, k)
-    terms, products = [], set()
-    for k, x, y, q in parts:
-        if y is None:
-            terms.append((x.num, *x._fac, k))
-        else:
-            num, m, F = _unreduced_product(x, y, q)
-            terms.append((num, m, F, k))
-            products.update(F)
-    num, m, L, tops = _over_lcm(terms)
-    return _reduced_sum(num, m, L, _sum_candidates(L, tops, products))
+    return _cofactor_sum(parts)
 
 
 def _integral(p):

@@ -158,12 +158,20 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = _P_ONE
+        if not n:
+            return _P_ONE
+        # floor(log2 n) squarings and popcount(n) - 1 products, from the
+        # lowest set bit of n up
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

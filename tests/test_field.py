@@ -882,13 +882,16 @@ def test_field_product_reduces_each_part_once(monkeypatch):
     assert calls["__mul__"] == 1
 
     # the Q of M^2 = Q lowers Q's exponent when the product's list holds
-    # it, and multiplies the numerator only when it does not
-    num, m, F = field._unreduced_product(b1, b2, 1)
-    assert (num, m, F) == (P2, 1, {P1: 1, Q_POLY: 1})
-    num, m, F = field._unreduced_product(b1, a1, 1)
-    assert (num, m, F) == (P0 * P2, 1, {P1: 1})
-    num, m, F = field._unreduced_product(a1, a2, 1)
-    assert (num, m, F) == (P0 * P3 * Q_POLY, 1, {P1: 1, P0 + P1: 1})
+    # it, and multiplies the second factor only when it does not
+    def term(x, y, q):
+        a, b, m, F = field._product_term(x, y, q)
+        return Polynomial(a) * Polynomial(b), m, F
+
+    assert term(b1, b2, 1) == (P2, 1, {P1: 1, Q_POLY: 1})
+    assert term(b1, a1, 1) == (P0 * P2, 1, {P1: 1})
+    assert term(a1, a2, 1) == (P0 * P3 * Q_POLY, 1, {P1: 1, P0 + P1: 1})
+    assert field._product_term(a1, a2, 1)[1] == (P3 * Q_POLY).terms
+    assert term(a1, a2, 0) == (P0 * P3, 1, {P1: 1, P0 + P1: 1})
 
 
 # forms no other test uses: two linear forms in P2 and P3 whose product
@@ -982,6 +985,178 @@ def test_scaled_product_sums_match_binary_operators():
         check(z.a, binary(a))
         check(z.b, binary(b))
     assert scaled_sum([(1, fes[3], None)]) is fes[3]
+
+
+def test_cofactor_sums_match_binary_operators():
+    """The grouped product_sum against the fold of the binary operators:
+    terms that share a list, terms with distinct lists, Q terms with and
+    without Q in the list, unit and non-unit terms together, uncertified
+    composites, and sums that cancel to zero."""
+    from confalg import field
+
+    RationalFunction(ONE, P1 * (P0 + P1) * Q_POLY)
+    shared = _SUM_SHARED[0] * _SUM_SHARED[1]
+    rng = random.Random(20261103)
+    units = [RationalFunction.from_poly(p) for p in (P0, P1 * P2 - ONE * 3, Q_POLY)]
+    units.append(RationalFunction.const(-4))
+    over_q = [
+        RationalFunction(P1, Q_POLY),
+        RationalFunction(P0 + P2, Q_POLY),
+        RationalFunction(P2 * 3, Q_POLY * 2),
+        RationalFunction(P3, Q_POLY * Q_POLY),
+    ]
+    over_lin = [
+        RationalFunction(P3, P0 + P1),
+        RationalFunction(Q_POLY * P2, P0 + P1),
+        RationalFunction(ONE * 5, P1 * (P0 + P1)),
+        RationalFunction(P2, P1),
+        RationalFunction(P0, P0 + P1),
+    ]
+    # the composite is built on its list, so it stays uncertified whatever
+    # an earlier test certified
+    composite = [
+        RationalFunction(P3, shared, _fac=(1, {shared: 1})),
+        RationalFunction(P0 + P2, shared * 3, _fac=(3, {shared: 1})),
+        RationalFunction.from_poly(_SUM_SHARED[0]),
+    ]
+    pool = units + over_q + over_lin + composite
+    rq = RationalFunction.from_poly(Q_POLY)
+
+    def binary(terms):
+        z = field.RF_ZERO
+        for k, x, y, q in terms:
+            t = x if y is None else x * y
+            z = z + (t * rq if q else t) * k
+        return z
+
+    def lists(terms):
+        return [
+            (x._fac, None if y is None else y._fac, q) for _, x, y, q in terms
+        ]
+
+    seen = set()
+    for _ in range(150):
+        terms = []
+        for _ in range(rng.randint(2, 5)):
+            k, x = rng.choice((1, -1, 2, -3, 6)), rng.choice(pool)
+            if rng.random() < 0.3:
+                terms.append((k, x, None, 0))
+            else:
+                terms.append((k, x, rng.choice(pool), rng.randrange(2)))
+        if rng.random() < 0.25:
+            terms += [(-k, x, y, q) for k, x, y, q in terms]
+            rng.shuffle(terms)
+        z = product_sum(terms)
+        assert z == binary(terms)
+        assert _scaled_product(*z._fac) == z.den
+        assert integer_content(z.den) == z._fac[0]
+        facs = lists(terms)
+        if z.is_zero():
+            seen.add("zero")
+        if len(set(map(repr, facs))) < len(facs):
+            seen.add("shared list")
+        for (fx, fy, q) in facs:
+            if q:
+                held = Q_POLY in fx[1] or Q_POLY in fy[1]
+                seen.add(("Q", held))
+        units_here = [f == (1, {}) for fx, fy, _ in facs for f in (fx, fy) if f]
+        if any(units_here) and not all(units_here):
+            seen.add("mixed")
+        if any(x in composite[:2] or y in composite[:2] for _, x, y, _ in terms):
+            seen.add("composite")
+    assert seen >= {
+        "zero", "shared list", ("Q", True), ("Q", False), "mixed", "composite",
+    }
+    # P0 + P1 is certified and divides the sum of the two operands that
+    # carry it, one group of terms, so it is a candidate and cancels
+    z = product_sum([
+        (1, over_lin[4], None, 0), (1, RationalFunction(P1, P0 + P1), None, 0),
+        (1, over_q[0], None, 0),
+    ])
+    assert z == field.RF_ONE + over_q[0] and z._fac == (1, {Q_POLY: 1})
+
+    # field elements over the same pool
+    fes = [FE_M] + [FieldElem(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+    for _ in range(40):
+        terms = [
+            (rng.choice((1, -2, 3)), rng.choice(fes), rng.choice((None, *fes)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        z = scaled_sum(terms)
+        want = FE_ZERO
+        for k, x, y in terms:
+            want = want + (x if y is None else x * y) * k
+        assert z == want
+        zero = scaled_sum(terms + [(-k, x, y) for k, x, y in terms])
+        assert zero.is_zero()
+
+
+def test_cofactor_sum_multiplies_each_distinct_cofactor_once(monkeypatch):
+    from confalg import field
+
+    f1, f2 = P0 + P1, P0 - P2 * 2
+    RationalFunction(ONE, f1 * f2)
+    assert f1 in field._PRIMES and f2 in field._PRIMES
+    on_f1 = [RationalFunction(P2, f1), RationalFunction(P3 * 2, f1)]
+    on_f2 = [RationalFunction(P2, f2), RationalFunction(ONE, f2 * 3)]
+    both = RationalFunction(P3, f1 * f2)
+    unit = RationalFunction.from_poly(P0)
+    # nine terms over L = f1 * f2, with three distinct non-empty cofactors:
+    # f2 for the lists {f1}, f1 for {f2}, f1 * f2 for the unit list
+    terms = [
+        (1, on_f1[0], None, 0), (3, on_f1[1], unit, 0), (-1, on_f1[0], unit, 1),
+        (2, on_f2[0], None, 0), (1, on_f2[1], unit, 0),
+        (1, on_f1[0], on_f2[1], 0), (5, both, None, 0), (1, both, unit, 1),
+        (-7, unit, unit, 1),
+    ]
+    want = FE_ZERO.a
+    for k, x, y, q in terms:
+        t = x if y is None else x * y
+        want = want + (t * FE_Q.a if q else t) * k
+    expanded = []
+    expand = field._expand
+
+    def counted(F):
+        expanded.append(dict(F))
+        return expand(F)
+
+    monkeypatch.setattr(field, "_expand", counted)
+    assert product_sum(terms) == want
+    # one _expand per cofactor, then one for the denominator in _lowest_terms
+    assert len(expanded) == 4
+    cofactors = {frozenset(F.items()) for F in expanded[:3]}
+    assert cofactors == {
+        frozenset({f2: 1}.items()),
+        frozenset({f1: 1}.items()),
+        frozenset({f1: 1, f2: 1}.items()),
+    }
+
+
+def test_integer_from_poly_matches_admitted_quotient(monkeypatch):
+    from confalg import field
+
+    polys = (
+        P0 * 3 - P1 * P2 + ONE * 7,
+        P0 * Fraction(1, 2) + P3 * Fraction(2, 3),
+        Polynomial.zero(),
+        ONE * -5,
+        ONE * Fraction(3, 4),
+    )
+    admitted = [RationalFunction(p, ONE) for p in polys]
+    calls = [0]
+    admit = field._admit
+
+    def counted(num, den):
+        calls[0] += 1
+        return admit(num, den)
+
+    monkeypatch.setattr(field, "_admit", counted)
+    for p, want in zip(polys, admitted):
+        z = RationalFunction.from_poly(p)
+        assert (z.num, z.den, z._fac) == (want.num, want.den, want._fac)
+        assert all(type(c) is int for c in z.num.terms.values())
+    # only the two polynomials with Fraction coefficients are admitted
+    assert calls[0] == 2
 
 
 def _scaled_product(m, F):

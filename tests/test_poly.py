@@ -110,6 +110,23 @@ def test_power_matches_repeated_product():
         P0**-1
 
 
+def test_power_makes_no_wasted_products(monkeypatch):
+    p = P0 + P1 * 2 - ONE
+    assert p**1 is p
+    calls = [0]
+    product = Polynomial.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for n in range(1, 40):
+        calls[0] = 0
+        p**n
+        assert calls[0] == n.bit_length() - 1 + bin(n).count("1") - 1
+
+
 def test_derivative_rules():
     assert (P0 * P0 * P1).derivative(0) == P0 * P1 * 2
     assert (P0 * P0 * P1).derivative(2).is_zero()
