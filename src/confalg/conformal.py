@@ -24,7 +24,9 @@ realizations are checked against each other pair by pair; they share nothing
 but the table above, so agreement is meaningful.
 """
 
+from functools import cache
 from itertools import combinations
+from operator import mul
 
 from .errors import ConsistencyFailure
 from .field import FE_M, FE_Q, FieldElem
@@ -236,7 +238,15 @@ def table_expr(alg, coeffs):
 
 def jacobi_residual(alg, a, b, c, pair):
     """((a,b),c) - (a,(b,c)) + (b,(a,c)); pair(x, y) gives the bracket (x, y)
-    of two generators, so a caller can share them across calls."""
+    of two generators, so a caller can share them across calls.
+
+    With an antisymmetric bracket this is minus the cyclic sum
+    (a,(b,c)) + (b,(c,a)) + (c,(a,b)), which is alternating: permuting the
+    triple multiplies it by the permutation's sign. The engine's bracket is
+    antisymmetric by construction, so Observables.jacobi builds it once per
+    unordered triple and signs it by parity, and the value is the same as
+    this direct form gives for every ordering, on a broken engine too.
+    """
     t1 = alg.bracket(pair(a, b), gen_expr(alg, c))
     t2 = alg.bracket(gen_expr(alg, a), pair(b, c))
     t3 = alg.bracket(gen_expr(alg, b), pair(a, c))
@@ -249,8 +259,10 @@ def _x_lower(mu):
     return Polynomial.var(mu) * eta(mu, mu)
 
 
+@cache
 def classical_deformation(g):
-    """Spacetime deformation field of a generator: four polynomials in x."""
+    """Spacetime deformation field of a generator: four polynomials in x,
+    built once per generator (the structure-constant table is not read)."""
     kind = g[0]
     zero = Polynomial.zero()
     if kind == "P":
@@ -332,18 +344,18 @@ def _mat_scale(x, c):
 
 
 def _mat_mul(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(6)) for j in range(6))
-        for i in range(6)
-    )
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
 
 def _mat_comm(x, y):
     return _mat_add(_mat_mul(x, y), _mat_mul(y, x), sign=-1)
 
 
+@cache
 def matrix_rep(g):
-    """Exact 6x6 matrix of one generator."""
+    """Exact 6x6 matrix of one generator, built once per generator (the
+    structure-constant table is not read)."""
     kind = g[0]
     if kind == "J":
         return _mat_basis(g[1], g[2])

@@ -12,6 +12,8 @@ coefficient field:
 * (g, h), (g, X[nu]), ((g, X[nu]), P[mu]) and ((g, P[mu]), X[nu]) for
           generators g, h: the brackets the builtin sweeps share, built once
           each
+* the Jacobi residual of three generators, built once per unordered triple
+          (680 of them) and signed by the parity of the ordering asked for
 
 Index convention: symbols carry lower indices; raising is an explicit metric
 contraction and the metric is its own inverse. Spatial indices run 1..3.
@@ -24,8 +26,12 @@ language).
 
 from fractions import Fraction
 
-from .conformal import eps4, eta, gen_expr
+# jacobi_residual is looked up on the module, where perfbench's tracer wraps it
+from . import conformal
+from .conformal import GENERATORS, eps4, eta, gen_expr
 from .field import FE_M, FE_Q, FieldElem
+
+_GEN_RANK = {g: i for i, g in enumerate(GENERATORS)}
 
 
 def _mom_over_q(sig, sign=1):
@@ -177,6 +183,25 @@ class Observables:
             ("P_shift", g, mu, nu),
             lambda: alg.bracket(self.gen_bracket(g, ("P", mu)), self.X(nu)),
         )
+
+    def jacobi(self, a, b, c):
+        """conformal.jacobi_residual of three generators.
+
+        The residual is minus the cyclic sum (a,(b,c)) + (b,(c,a)) +
+        (c,(a,b)), which is alternating because the engine's bracket is
+        antisymmetric by construction, perturbed rule tables included. So
+        it is built once, on the triple sorted into GENERATORS order, and
+        negated when the ordering asked for is an odd permutation of it
+        (equal generators count as no inversion).
+        """
+        i, j, k = _GEN_RANK[a], _GEN_RANK[b], _GEN_RANK[c]
+        triple = sorted((a, b, c), key=_GEN_RANK.__getitem__)
+        r = self._get(
+            ("jacobi", *triple),
+            lambda: conformal.jacobi_residual(self.alg, *triple, self.gen_bracket),
+        )
+        # the parity of the number of inversions
+        return -r if (i > j) ^ (i > k) ^ (j > k) else r
 
     # ---- conformal factors evaluated on the localisation observable ----
 

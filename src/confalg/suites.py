@@ -246,13 +246,7 @@ def _antisym_residual(ctx, asg):
 
 
 def _jacobi_residual(ctx, asg):
-    r = conformal.jacobi_residual(
-        ctx.alg,
-        _GEN_BY_NAME[asg["a"]],
-        _GEN_BY_NAME[asg["b"]],
-        _GEN_BY_NAME[asg["c"]],
-        ctx.obs.gen_bracket,
-    )
+    r = ctx.obs.jacobi(*(_GEN_BY_NAME[asg[name]] for name in "abc"))
     return None if r.is_zero() else r.pretty()
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from confalg import dsl, field, suites
+from confalg import conformal, dsl, field, suites
 from confalg.conformal import (
     GENERATORS,
     build_algebra,
@@ -436,6 +436,8 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # generator brackets through Observables, so each is built once, and so are
 # the conformal-factor
 # sweeps' second-level brackets ((g, X[nu]), P[mu]) and ((g, P[mu]), X[nu]);
+# the structure suite's Jacobi sweep builds one residual per unordered
+# generator triple (Observables.jacobi);
 # the localisation and canonical sums pin the order in which a sum binds its
 # names; a bracket multiplies each operand coefficient into each summed
 # output word once, and dot is one product and one bracket; the engine's
@@ -444,7 +446,7 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # change to the operations a suite makes, to what is memoized, or to how
 # often the engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
-    "structure": ((5625, 13875, 3), (133, 95, 122, 121), 10350, 0, 32),
+    "structure": ((1140, 2812, 3), (133, 95, 122, 117), 2160, 0, 32),
     "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 240, 2826),
     "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 16, 3758),
     "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 150, 4139),
@@ -494,6 +496,24 @@ def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     assert len(seq) <= ceiling
     assert products[0] == field_products
     assert reductions[0] == lowest_terms
+
+
+def test_jacobi_sweep_builds_each_unordered_triple_once(monkeypatch):
+    seq = _record_ops(monkeypatch)
+    alg = build_algebra()
+    ctx = suites.Context(alg, Observables(alg))
+
+    def jacobi_keys():
+        return sum(1 for key in ctx.obs._cache if key[0] == "jacobi")
+
+    assert suites.run_suite("structure", ctx).passed
+    # the multisets of three of the fifteen generators: C(17, 3)
+    assert jacobi_keys() == 680
+    # a second sweep reads all 3,375 residuals from the cache
+    del seq[:]
+    assert suites.run_identity(suites.find_identity("jacobi-sweep"), ctx).passed
+    assert not [op for op, _ in seq if op == "b"]
+    assert jacobi_keys() == 680
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +656,44 @@ def test_builtin_fails_on_a_perturbed_rule(key):
         if _fails_somewhere(_ENGINE_BUILTINS[key], ctx):
             return
     pytest.fail(f"{key} passes on every perturbed algebra")
+
+
+# a letter perturbation and momentum perturbations that break the Jacobi
+# sweep, each with the number of triples whose residual is nonzero
+_JACOBI_CROSS_CHECKS = {
+    ("letter", (2, 1)): 72,
+    ("letter", (7, 0)): 78,
+    ("momentum", (0, 0)): 78,
+    ("momentum", (7, 0)): 72,
+}
+
+
+def test_signed_jacobi_residuals_match_the_direct_form():
+    # the sweep builds one residual per unordered triple and signs it by
+    # parity; on engines that break the Jacobi identity, every ordered triple
+    # still reads exactly what the direct three-bracket form gives
+    ident = suites.find_identity("jacobi-sweep")
+    assignments = suites.identity_assignments(ident)
+    assert len(assignments) == 15**3
+    checked = 0
+    for kind, key, entry in _perturbations():
+        if (kind, key) not in _JACOBI_CROSS_CHECKS:
+            continue
+        letters, momenta = letter_table(), momentum_rules()
+        (letters if kind == "letter" else momenta)[key] = entry
+        bad = Algebra(letters, momenta)
+        ctx = suites.Context(bad, Observables(bad))
+        direct = Observables(bad)
+        nonzero = 0
+        for asg in assignments:
+            a, b, c = (suites._GEN_BY_NAME[asg[name]] for name in "abc")
+            r = conformal.jacobi_residual(bad, a, b, c, direct.gen_bracket)
+            want = None if r.is_zero() else r.pretty()
+            assert suites._jacobi_residual(ctx, asg) == want, (kind, key, asg)
+            nonzero += want is not None
+        assert nonzero == _JACOBI_CROSS_CHECKS[kind, key], (kind, key)
+        checked += 1
+    assert checked == len(_JACOBI_CROSS_CHECKS)
 
 
 # ---------------------------------------------------------------------------
