@@ -246,11 +246,13 @@ def jacobi_residual(alg, a, b, c, pair):
     antisymmetric by construction, so Observables.jacobi builds it once per
     unordered triple and signs it by parity, and the value is the same as
     this direct form gives for every ordering, on a broken engine too.
+    The three brackets are summed in one Algebra.combine.
     """
-    t1 = alg.bracket(pair(a, b), gen_expr(alg, c))
-    t2 = alg.bracket(gen_expr(alg, a), pair(b, c))
-    t3 = alg.bracket(gen_expr(alg, b), pair(a, c))
-    return t1 - t2 + t3
+    return alg.combine((
+        (1, "br", pair(a, b), gen_expr(alg, c)),
+        (-1, "br", gen_expr(alg, a), pair(b, c)),
+        (1, "br", gen_expr(alg, b), pair(a, c)),
+    ))
 
 
 # ---- classical oracle: polynomial vector fields on spacetime --------------

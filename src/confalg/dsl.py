@@ -26,6 +26,7 @@ caller's assignment.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .conformal import eps4, eta
 from .errors import (
@@ -72,7 +73,7 @@ _PREC_ATOM = 5
 
 # Binary operators: op -> (precedence, spelling between the operands);
 # br(a, b) prints as a call, so it binds like an atom. _PRODUCTS are the
-# operators that multiply their operands.
+# operators that multiply their operands, _SUMS those that add them.
 _BINARY = {
     "+": (_PREC_ADD, " + "),
     "-": (_PREC_ADD, " - "),
@@ -82,6 +83,7 @@ _BINARY = {
     "br": (_PREC_ATOM, None),
 }
 _PRODUCTS = ("*", ".", "br")
+_SUMS = ("+", "-")
 
 
 @dataclass(frozen=True)
@@ -441,6 +443,13 @@ def elaborate(ast, assignment, obs, budget=DEFAULT_BUDGET):
     plain tree walk's do.
     A "/" whose numerator is zero returns it without inverting a nonzero
     divisor; a zero or non-scalar divisor still raises.
+    A left-nested chain of "+" and "-" with a "*", "." or br among its
+    leaves is one Algebra.combine: each product leaf is skipped or passes
+    check_budget as above and enters as a signed term (a "." as the two
+    terms of dot), any other leaf as its signed value. The leaves are
+    elaborated left to right as combine asks for them, so engine work runs
+    in the order of the binary fold and the first error is the same. A
+    chain of no product leaf is the binary fold.
     """
     return _elaborate(ast, assignment, obs, budget)
 
@@ -503,8 +512,7 @@ def _binding_plan(node, scope):
     """
     chained = _safe(node, scope)
     factors, links = [node.body], [None]
-    while (chained and isinstance(factors[0], Bin)
-           and factors[0].op in _PRODUCTS):
+    while chained and _is_product(factors[0]):
         link = factors[0]
         factors[0:1] = [link.left, link.right]
         links[0:1] = [None, link.op]
@@ -541,6 +549,8 @@ def _elaborate(node, scope, obs, budget):
         return out
     if isinstance(node, Bin):
         op = node.op
+        if op in _SUMS:
+            return _chain_sum(node, scope, obs, budget)
         left = _elaborate(node.left, scope, obs, budget)
         if op in _PRODUCTS:
             if left.is_zero() and _safe(node.right, scope):
@@ -548,16 +558,60 @@ def _elaborate(node, scope, obs, budget):
             right = _elaborate(node.right, scope, obs, budget)
             return _link(alg, op, left, right, budget)
         right = _elaborate(node.right, scope, obs, budget)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
         c = _as_coefficient(right)
         # Q is not a square, so every nonzero element of Q(P)[M] is invertible
         if left.is_zero() and not c.is_zero():
             return left
         return left.scale(c.inv())
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _is_product(node):
+    return isinstance(node, Bin) and node.op in _PRODUCTS
+
+
+def _chain_leaves(node):
+    """The (sign, leaf) pairs of a left-nested "+"/"-" chain, left to right."""
+    leaves = []
+    while isinstance(node, Bin) and node.op in _SUMS:
+        leaves.append((-1 if node.op == "-" else 1, node.right))
+        node = node.left
+    leaves.append((1, node))
+    leaves.reverse()
+    return leaves
+
+
+def _chain_sum(node, scope, obs, budget):
+    """The value of a left-nested "+"/"-" chain (see elaborate)."""
+    leaves = _chain_leaves(node)
+    if any(_is_product(leaf) for _, leaf in leaves):
+        return obs.alg.combine(_chain_terms(leaves, scope, obs, budget))
+    total = _elaborate(leaves[0][1], scope, obs, budget)
+    for sign, leaf in leaves[1:]:
+        x = _elaborate(leaf, scope, obs, budget)
+        total = total + x if sign > 0 else total - x
+    return total
+
+
+def _chain_terms(leaves, scope, obs, budget):
+    """The Algebra.combine terms of a chain's signed leaves, each leaf
+    elaborated when its terms are asked for. A product leaf skips and
+    passes check_budget as a lone product does."""
+    for sign, leaf in leaves:
+        if not _is_product(leaf):
+            yield sign, None, _elaborate(leaf, scope, obs, budget), None
+            continue
+        left = _elaborate(leaf.left, scope, obs, budget)
+        if left.is_zero() and _safe(leaf.right, scope):
+            continue
+        right = _elaborate(leaf.right, scope, obs, budget)
+        check_budget(budget, left, right)
+        if leaf.op == ".":
+            # dot(x, y) = x*y - (x, y)/2, as Algebra.dot forms it
+            yield sign, "*", left, right
+            yield Fraction(-sign, 2), "br", left, right
+        else:
+            yield sign, leaf.op, left, right
 
 
 def _link(alg, op, left, right, budget):

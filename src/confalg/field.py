@@ -43,7 +43,8 @@ scaled_sum adds scaled products k * x * y of field elements, one
 product_sum per part: a product of two field elements with M on either
 side is one, each part a1*a2 + Q*b1*b2 or a1*b2 + b1*a2, and
 FieldElem.inv forms its norm a^2 - Q*b^2 as a product_sum. The binary
-RationalFunction.__add__ keeps its own path, with the same candidates.
+RationalFunction.__add__ keeps its own path, with the same candidates;
+__sub__ shares it, with the sign folded into the subtrahend's integer scale.
 A factor is either a certified prime, proved irreducible by
 poly.certify_or_split and kept in _PRIMES for the whole process, or
 uncertified. Distinct certified primes are coprime without any work. An
@@ -359,23 +360,29 @@ class RationalFunction:
     # ---- field operations ----
 
     def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def _plus(self, other, minus):
+        """self + other, or self - other when minus; other is not negated:
+        off the unit lists, the sign joins its integer scale."""
         if self.num.is_zero():
-            return other
+            return -other if minus else other
         if other.num.is_zero():
             return self
         if self._fac == _UNIT and other._fac == _UNIT:
-            num = self.num + other.num
+            num = self.num - other.num if minus else self.num + other.num
             if num.is_zero():
                 return RF_ZERO
             return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
         (m1, F1), (m2, F2) = self._fac, other._fac
         m = math.lcm(m1, m2)
         L, (cof1, cof2), tops = _lcm((F1, F2))
-        num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, m // m2, cof2)
+        k2 = -(m // m2) if minus else m // m2
+        num = _scaled(self.num, m // m1, cof1) + _scaled(other.num, k2, cof2)
         return _reduced_sum(num, m, L, _sum_candidates(L, tops))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den, _fac=self._fac)

@@ -25,8 +25,16 @@ nothing, so its A_u is summed with the output. The word part uw - wu is
 memoized with int coefficients, so the terms that cancel between x*y and
 y*x are never formed. With the scaling baked into the registry tables its
 structure constants are the integer ones of the operator algebra, so no
-imaginary unit ever appears. The symmetrized product is
-dot(x, y) = x*y - (x, y)/2, one product and one bracket.
+imaginary unit ever appears.
+
+One routine sums products: combine forms sum_i k_i*op_i(x_i, y_i), each
+op a product, a bracket or x alone and each k an int or a Fraction, in
+one accumulator, and sums each output word once. mul and bracket are one
+term of it, and the symmetrized product dot(x, y) = x*y - (x, y)/2 is two;
+a bracket carries its sign k into its accumulators, and a Fraction k = p/q
+collects its term on its own and adds it as one scaled product p*(1/q)*c
+per word. The expression language sends its +/- chains of products here,
+and the Jacobi residual is one combine of its three brackets.
 
 Engine methods take no rewrite budget: check_budget raises
 RewriteBudgetExceeded when the operation_cost of two operands exceeds one,
@@ -99,29 +107,39 @@ class NCExpr:
         return not self.terms
 
     def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def _plus(self, other, minus):
+        """self + other, or self - other when minus; other is not negated."""
         out = dict(self.terms)
         for w, c in other.terms.items():
             s = out.get(w)
             if s is None:
-                out[w] = c
+                out[w] = -c if minus else c
             else:
-                s = s + c
+                s = s - c if minus else s + c
                 if s.is_zero():
                     del out[w]
                 else:
                     out[w] = s
         return NCExpr(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return NCExpr({w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
-        """self times c, an int, a Fraction or a FieldElem."""
-        out = {w: f * c for w, f in self.terms.items()}
-        return NCExpr({w: f for w, f in out.items() if not f.is_zero()})
+        """self times c, an int, a Fraction or a FieldElem. A field has no
+        zero divisors, so a nonzero c leaves every term nonzero."""
+        if isinstance(c, FieldElem):
+            zero = c.is_zero()
+        else:
+            zero = isinstance(c, (int, Fraction)) and not c
+        if zero:
+            return NCExpr({})
+        return NCExpr({w: f * c for w, f in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, NCExpr) and self.terms == other.terms
@@ -360,30 +378,63 @@ class Algebra:
 
     # ---- public operations ----
 
-    def mul(self, x, y):
+    def combine(self, terms):
+        """The sum of k*op(x, y) over terms (k, op, x, y), summed once.
+
+        op is "*" (x*y), "br" (the bracket (x, y)) or None (x alone; y is
+        unused), and k an int or a Fraction. Every term goes into one
+        accumulator. A Fraction k = p/q collects its term in a part of its
+        own, which then enters as p*(1/q) times each summed word. The terms
+        are read in order, so an iterator can build each one after the
+        previous one is accumulated.
+        """
         out = {}
-        for w, f, h, c in self._raw_mul_terms(x.terms, y.terms):
-            _acc(out, w, f, h, c)
+        for k, op, x, y in terms:
+            if type(k) is int:
+                self._acc_op(out, k, op, x, y)
+            else:
+                part = {}
+                self._acc_op(part, 1, op, x, y)
+                _acc_times(out, part, FieldElem.const(Fraction(1, k.denominator)),
+                           k.numerator)
         return NCExpr(_summed(out))
+
+    def _acc_op(self, out, k, op, x, y):
+        """Accumulate k*op(x, y) in out, for an int k (see combine)."""
+        if op == "*":
+            for w, f, h, c in self._raw_mul_terms(x.terms, y.terms):
+                _acc(out, w, f, h, k * c)
+        elif op == "br":
+            self._bracket_acc(x, y, out, k)
+        else:
+            for w, f in x.terms.items():
+                _acc(out, w, f, None, k)
+
+    def mul(self, x, y):
+        return self.combine(((1, "*", x, y),))
 
     def dot(self, x, y):
         """Symmetrized product (x*y + y*x)/2, formed as x*y - (x, y)/2."""
-        return self.mul(x, y) + self.bracket(x, y).scale(Fraction(-1, 2))
+        return self.combine(((1, "*", x, y), (Fraction(-1, 2), "br", x, y)))
 
     def bracket(self, x, y):
-        """The scaled commutator x*y - y*x, as sum_u f*A_u - sum_w g*B_w
-        over the terms f*u of x and g*w of y (see the module docstring)."""
-        out = {}
+        """The scaled commutator x*y - y*x."""
+        return self.combine(((1, "br", x, y),))
+
+    def _bracket_acc(self, x, y, out, k):
+        """Accumulate k*(x, y) in out, as sum_u f*A_u - sum_w g*B_w over the
+        terms f*u of x and g*w of y (see the module docstring)."""
         for u, f in x.terms.items():
             # a unit coefficient multiplies nothing: A_u goes straight to out
-            part = out if f is FE_ONE else {}
+            unit = f is FE_ONE
+            part, ku = (out, k) if unit else ({}, 1)
             for w, g in y.terms.items():
                 for z, c in self._comm(u, w).items():
-                    _acc(part, z, g, None, c)
+                    _acc(part, z, g, None, ku * c)
                 if u and not g.is_rational():
-                    self._acc_moved(part, u, g, w)
-            if part and part is not out:
-                _acc_times(out, part, f)
+                    self._acc_moved(part, u, g, w, ku)
+            if part and not unit:
+                _acc_times(out, part, f, k)
         for w, g in y.terms.items():
             if not w:
                 continue
@@ -392,8 +443,7 @@ class Algebra:
                 if not f.is_rational():
                     self._acc_moved(part, w, f, u)
             if part:
-                _acc_times(out, part, g, -1)
-        return NCExpr(_summed(out))
+                _acc_times(out, part, g, -k)
 
     def _comm(self, u, w):
         """uw - wu for sorted words u, w: {word: int}, shared, read-only."""
@@ -413,21 +463,21 @@ class Algebra:
         self._comm_memo[key] = out
         return out
 
-    def _acc_moved(self, out, u, g, w):
-        """Accumulate R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
+    def _acc_moved(self, out, u, g, w, k=1):
+        """Accumulate k*R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
         for z, h in self._shift(u, g).items():
             less_g = z == u
             if less_g and h == g:
                 continue
             if not w:
-                _acc(out, z, h)
+                _acc(out, z, h, None, k)
                 if less_g:
-                    _acc(out, z, g, None, -1)
+                    _acc(out, z, g, None, -k)
             else:
                 for zw, c in self._sort_word(z + w).items():
-                    _acc(out, zw, h, None, c)
+                    _acc(out, zw, h, None, k * c)
                     if less_g:
-                        _acc(out, zw, g, None, -c)
+                        _acc(out, zw, g, None, -k * c)
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""

@@ -110,21 +110,25 @@ class Polynomial:
     # ---- ring operations ----
 
     def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def _plus(self, other, minus):
+        """self + other, or self - other when minus; other is not negated."""
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
             if s is None:
-                out[e] = c
+                out[e] = -c if minus else c
             else:
-                s = s + c
+                s = s - c if minus else s + c
                 if s:
                     out[e] = s
                 else:
                     del out[e]
         return Polynomial(out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return Polynomial({e: -c for e, c in self.terms.items()})

@@ -14,9 +14,10 @@ blank-line-separated block:
                                                as "lhs = rhs" for dsl ones)
     builtin <sweep key>                                       (builtin records)
 
-A dsl record is verified by normalizing lhs - rhs for every assignment of
-its free variables (single-letter variables run over 1..3, longer names
-over 0..3). Builtin records quantify over the generator set itself, which
+A dsl record is verified by normalizing lhs and rhs for every assignment
+of its free variables (single-letter variables run over 1..3, longer names
+over 0..3): normal forms are canonical, so it holds exactly when the two are
+equal, and lhs - rhs is formed only as a failure's text. Builtin records quantify over the generator set itself, which
 the expression language cannot do, and run registered sweeps instead.
 """
 
@@ -286,8 +287,8 @@ def _shift_consistency_residual(ctx, asg):
     obs = ctx.obs
     g = _GEN_BY_NAME[asg["g"]]
     mu, nu = asg["mu"], asg["nu"]
-    r = obs.shift_momentum(g, nu, mu) - obs.momentum_shift(g, mu, nu)
-    return None if r.is_zero() else r.pretty()
+    lhs, rhs = obs.shift_momentum(g, nu, mu), obs.momentum_shift(g, mu, nu)
+    return None if lhs == rhs else (lhs - rhs).pretty()
 
 
 def _cfactor_sym_residual(name, ctx, asg):
@@ -298,8 +299,8 @@ def _cfactor_sym_residual(name, ctx, asg):
     mu, nu = asg["mu"], asg["nu"]
     bracket = getattr(obs, name)
     lhs = bracket(g, mu, nu) + bracket(g, nu, mu)
-    r = lhs - obs.lambda_at_X(g).scale(2 * eta(mu, nu))
-    return None if r.is_zero() else r.pretty()
+    rhs = obs.lambda_at_X(g).scale(2 * eta(mu, nu))
+    return None if lhs == rhs else (lhs - rhs).pretty()
 
 
 def _canonical_partials_assignments():
@@ -399,8 +400,7 @@ def evaluate_assignment(ident, asg, ctx):
         return _BUILTINS[ident.builtin][1](ctx, asg)
     lhs = dsl.elaborate(ident.lhs_ast, asg, ctx.obs, ctx.budget)
     rhs = dsl.elaborate(ident.rhs_ast, asg, ctx.obs, ctx.budget)
-    r = lhs - rhs
-    return None if r.is_zero() else r.pretty()
+    return None if lhs == rhs else (lhs - rhs).pretty()
 
 
 def run_identity(ident, ctx=None, assignment=None):

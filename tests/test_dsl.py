@@ -28,10 +28,13 @@ from confalg.errors import (
     DslSyntaxError,
     IndexRangeError,
     NonCoefficientDivisor,
+    RewriteBudgetExceeded,
     UnboundIndex,
     UnknownSymbol,
 )
 from confalg.field import FE_M, FieldElem
+from confalg.nc import DEFAULT_BUDGET
+from confalg.observables import Observables
 from confalg.suites import catalog_by_suite, identity_assignments
 
 
@@ -530,6 +533,107 @@ def test_pruned_sums_match_tree_walk_on_random_chains(obs):
         # errors, zero sums and nonzero sums all occur
         assert raised > least and zero > least, make
         assert cases - raised - zero > least, make
+
+
+# ---------------------------------------------------------------------------
+# +/- chains summed in one Algebra.combine against the binary fold
+# ---------------------------------------------------------------------------
+
+def _binary_fold(ast, asg, obs, budget=DEFAULT_BUDGET):
+    """Reference: a top-level +/- chain folded left + right, each leaf
+    elaborated on its own (a product leaf as one top-level operation)."""
+    if isinstance(ast, Bin) and ast.op in ("+", "-"):
+        left = _binary_fold(ast.left, asg, obs, budget)
+        right = elaborate(ast.right, asg, obs, budget)
+        return left + right if ast.op == "+" else left - right
+    return elaborate(ast, asg, obs, budget)
+
+
+# chain leaves: products of every kind with unit, rational and non-unit
+# coefficients and M, zero products, a nested chain and plain operands
+_CHAIN_LEAVES = (
+    "C[0]*D", "P[1]/(P[0] + M)*J[0,1]", "D . X[1]", "br(C[1], X[2])",
+    "M*C[2]", "(J[1,2] + D)*C[3]", "-(D*C[0])", "eta[0,1]*S[1]",
+    "X[0] . P[0]", "1/2*(X[1]*P[1] + P[1]*X[1])", "br(X[0], P[0])*M",
+    "0*(C[0]*D)", "eta[2,3]*(X[1] . X[2])", "(D - M*C[1])", "M", "2/3*D",
+    "Xi[1]", "P[2]",
+)
+
+
+def _rand_sum_chain(rng):
+    leaves = [rng.choice(_CHAIN_LEAVES) for _ in range(rng.randint(2, 5))]
+    text = leaves[0]
+    for leaf in leaves[1:]:
+        text += rng.choice((" + ", " - ")) + leaf
+    return text
+
+
+def test_chains_match_the_binary_fold(obs):
+    rng = random.Random(20261021)
+    combined = 0
+    for _ in range(80):
+        src = _rand_sum_chain(rng)
+        ast = parse(src)
+        want = _binary_fold(ast, {}, obs)
+        assert elaborate(ast, {}, obs) == want, src
+        assert _tree_walk(ast, {}, obs) == want, src
+        combined += any(dsl._is_product(leaf) for _, leaf in dsl._chain_leaves(ast))
+    assert combined > 60
+
+
+def _budget_outcome(fn, ast, budget):
+    """(outcome, memo sizes) of fn on a fresh engine at budget."""
+    obs = Observables(build_algebra())
+    got = _outcome(fn, ast, {}, obs, budget)
+    memos = obs.alg
+    sizes = tuple(len(m) for m in (memos._word_memo, memos._shift_memo,
+                                   memos._mono_memo, memos._comm_memo))
+    return got, sizes
+
+
+def test_chains_refuse_the_same_product_as_the_binary_fold():
+    # the leaves are elaborated, budget-checked and accumulated in order,
+    # so at every budget the first product refused, and the engine work
+    # done before it, are those of the binary fold
+    rng = random.Random(20261022)
+    # a product leaf that sorts a new word, then one refused at most budgets
+    chains = ["C[0]*D + br(C[1], X[2])", "J[2,3]*C[1] - M + D . X[1]",
+              "C[2]*J[0,1] + Xi[1] - (J[1,2] + D)*C[3] + br(X[0], P[0])*M"]
+    chains += [_rand_sum_chain(rng) for _ in range(8)]
+    refused = 0
+    for src in chains:
+        ast = parse(src)
+        for budget in (0, 1, 2, 3, 4, 6, 9, 14, 20, 40):
+            got = _budget_outcome(elaborate, ast, budget)
+            assert got == _budget_outcome(_binary_fold, ast, budget), (ast, budget)
+            refused += isinstance(got[0], tuple)
+    assert refused > 20
+
+
+def test_chain_skips_and_errors(alg, obs):
+    reversed_word = "*".join(("C[3]", "C[2]", "C[1]", "C[0]", "J[2,3]", "D"))
+    # a zero left factor skips a right operand that cannot raise: the
+    # product that would exceed the budget is never formed
+    for src in (f"D + 0*({reversed_word})", f"0*({reversed_word}) - D"):
+        ast = parse(src)
+        got = elaborate(ast, {}, obs, 10)
+        assert got == _binary_fold(ast, {}, obs, 10)
+        assert got in (alg.D(), -alg.D())
+        with pytest.raises(RewriteBudgetExceeded):
+            elaborate(parse(src.replace("0*", "1*")), {}, obs, 10)
+    # a right operand that can raise is still elaborated
+    for src, error in (("D + 0*X[7]", IndexRangeError),
+                       ("D - 0*(C[0]/D)", NonCoefficientDivisor),
+                       ("0*(D/0) + D*C[0]", DivisionByZero),
+                       ("D*C[0] - 0*P[nu]", UnboundIndex)):
+        got = _outcome(elaborate, parse(src), {}, obs)
+        assert got == _outcome(_binary_fold, parse(src), {}, obs), src
+        assert got[0] is error, src
+    # a dot leaf is its two terms, x*y - (x, y)/2
+    x, y = obs.X(1), alg.C(0)
+    got = elaborate(parse("X[1] . C[0] - D"), {}, obs)
+    assert got == alg.dot(x, y) - alg.D()
+    assert got == (alg.mul(x, y) + alg.mul(y, x)).scale(Fraction(1, 2)) - alg.D()
 
 
 def test_spin_vector_rhs_skips_zero_products(obs, monkeypatch):

@@ -16,6 +16,7 @@ from confalg.field import (
     FE_Q,
     FE_ZERO,
     Q_POLY,
+    RF_ZERO,
     FieldElem,
     RationalFunction,
     product_sum,
@@ -278,6 +279,23 @@ def test_field_axiom_commutativity_and_negation():
         assert x * y == y * x
         assert x + y == y + x
         assert (x - y) + y == x
+
+
+def test_subtraction_is_addition_of_the_negation():
+    # RationalFunction.__sub__ folds the sign into the integer scale of the
+    # subtrahend instead of negating it first; FieldElem subtracts its parts
+    rng = random.Random(20261021)
+    unit = [RationalFunction.from_poly(P0 * 3 - P1), RationalFunction.from_poly(ONE)]
+    for _ in range(300):
+        x, y = _rand_rf(rng), _rand_rf(rng)
+        for a, b in ((x, y), (y, x), (x, x), (x, RF_ZERO), (RF_ZERO, x),
+                     (x, unit[0]), (unit[0], unit[1]), (unit[1], unit[1])):
+            assert a - b == a + (-b)
+            assert (a - b)._fac == (a + (-b))._fac
+        u, v = _rand_fe(rng), _rand_fe(rng)
+        for a, b in ((u, v), (v, u), (u, u), (u, FE_ZERO), (FE_ZERO, u), (u, FE_M)):
+            assert a - b == a + (-b)
+    assert (x - x).is_zero() and (x - x) == RF_ZERO
 
 
 def test_field_axiom_inverse_round_trip():

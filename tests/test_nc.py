@@ -235,6 +235,96 @@ def test_dot_matches_products_on_random_pool(random_schedule_algebra):
             assert algebra.dot(x, y) == want, k
 
 
+# ---------------------------------------------------------------------------
+# combine against the fold of separately formed terms
+# ---------------------------------------------------------------------------
+
+_COMBINE_KS = (1, -1, 2, -3, 0, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))
+
+
+def _term_value(alg, k, op, x, y):
+    """k*op(x, y) formed on its own, as one top-level operation and a scale."""
+    if op is None:
+        value = x
+    else:
+        value = alg.mul(x, y) if op == "*" else alg.bracket(x, y)
+    return value.scale(k)
+
+
+def _combine_operands(alg):
+    """Edge operands: zero, unit and non-unit coefficients, M, and a scalar."""
+    p0, p1 = FieldElem.momentum(0), FieldElem.momentum(1)
+    return [
+        alg.zero(),
+        alg.C(0),
+        alg.mass(),
+        alg.scalar(Fraction(3, 2)),
+        alg.mul(alg.scalar(p1 * (p0 + FE_M).inv()), alg.J(0, 1)),
+        alg.C(1).scale(Fraction(-2, 3)) + alg.D().scale(FE_M) + alg.momentum(2),
+    ]
+
+
+def test_combine_matches_the_fold_of_its_terms(alg):
+    assert alg.combine(()).is_zero()
+    assert alg.combine(iter(())).is_zero()
+    pairs = list(itertools.product(_combine_operands(alg), repeat=2))
+    pairs += list(_random_pairs(alg, 12))
+    rng = random.Random(20261020)
+    for n in range(160):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            x, y = pairs[rng.randrange(len(pairs))]
+            op = rng.choice(("*", "br", None))
+            terms.append((rng.choice(_COMBINE_KS), op, x, y))
+        want = alg.zero()
+        for term in terms:
+            want = want + _term_value(alg, *term)
+        assert alg.combine(terms) == want, n
+    # every term kind against every edge operand pair, one term at a time
+    for x, y in pairs[:36]:
+        for k in _COMBINE_KS:
+            for op in ("*", "br", None):
+                assert alg.combine([(k, op, x, y)]) == _term_value(alg, k, op, x, y)
+
+
+def test_combine_matches_the_fold_without_memos(random_schedule_algebra):
+    algebra = random_schedule_algebra(9)
+    pairs = list(itertools.product(_combine_operands(algebra), repeat=2))
+    rng = random.Random(20261021)
+    for n in range(40):
+        terms = [
+            (rng.choice(_COMBINE_KS), rng.choice(("*", "br", None)),
+             *pairs[rng.randrange(len(pairs))])
+            for _ in range(rng.randint(2, 4))
+        ]
+        want = algebra.zero()
+        for term in terms:
+            want = want + _term_value(algebra, *term)
+        assert algebra.combine(terms) == want, n
+
+
+def test_scale_by_zero_and_nonzero_scalars(alg):
+    x = _combine_operands(alg)[-1]
+    assert len(x.terms) == 3 and any(not c.b.is_zero() for c in x.terms.values())
+    for zero in (0, Fraction(0), field.FE_ZERO):
+        assert x.scale(zero).is_zero() and not x.scale(zero).terms
+    # a field has no zero divisors: a nonzero scalar keeps every word
+    p0 = FieldElem.momentum(0)
+    for c in (-2, Fraction(3, 4), FE_M, p0 + FE_M, (p0 - FE_M).inv()):
+        got = x.scale(c)
+        assert set(got.terms) == set(x.terms)
+        assert got == alg.mul(alg.scalar(c), x)
+    assert alg.zero().scale(FE_M).is_zero()
+
+
+def test_subtraction_is_addition_of_the_negation(alg):
+    # __sub__ shares __add__'s body with a sign instead of negating a copy
+    operands = _combine_operands(alg) + [alg.D(), -alg.D(), alg.D().scale(FE_M)]
+    for x, y in itertools.product(operands, repeat=2):
+        assert x - y == x + (-y)
+        assert (x - x).is_zero()
+
+
 def test_bracket_edge_operands(alg):
     p0, p1 = FieldElem.momentum(0), FieldElem.momentum(1)
     word = alg.mul(alg.C(0), alg.J(1, 2))
@@ -382,16 +472,23 @@ def test_refused_operation_has_no_effect():
 
 
 def _record_ops(monkeypatch):
-    """A list that gets (op, cost) for each top-level mul and bracket."""
+    """A list that gets (op, cost) for each product term of Algebra.combine,
+    which every top-level mul, bracket and dot goes through: op is "m" for
+    a product and "b" for a bracket."""
     seq = []
-    for name in ("mul", "bracket"):
-        op = getattr(Algebra, name)
+    combine = Algebra.combine
 
-        def recorded(self, *args, _op=op, _tag=name[0]):
-            seq.append((_tag, operation_cost(*args)))
-            return _op(self, *args)
+    def recorded(self, terms):
+        def seen():
+            for term in terms:
+                _, op, x, y = term
+                if op is not None:
+                    seq.append(("m" if op == "*" else "b", operation_cost(x, y)))
+                yield term
 
-        monkeypatch.setattr(Algebra, name, recorded)
+        return combine(self, seen())
+
+    monkeypatch.setattr(Algebra, "combine", recorded)
     return seq
 
 
@@ -440,16 +537,17 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # generator triple (Observables.jacobi);
 # the localisation and canonical sums pin the order in which a sum binds its
 # names; a bracket multiplies each operand coefficient into each summed
-# output word once, and dot is one product and one bracket; the engine's
+# output word once; dot, the Jacobi residual and the expression language's
+# +/- chains of products are each one Algebra.combine; the engine's
 # accumulators sum scaled products k*x*y of coefficients unreduced, so they
 # form no field product of their own, and reduce each output word once. A
 # change to the operations a suite makes, to what is memoized, or to how
 # often the engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
     "structure": ((1140, 2812, 3), (133, 95, 122, 117), 2160, 0, 32),
-    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 240, 2826),
-    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 16, 3758),
-    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 150, 4139),
+    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 240, 2198),
+    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 16, 3618),
+    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 150, 3748),
 }
 
 
@@ -694,6 +792,64 @@ def test_signed_jacobi_residuals_match_the_direct_form():
         assert nonzero == _JACOBI_CROSS_CHECKS[kind, key], (kind, key)
         checked += 1
     assert checked == len(_JACOBI_CROSS_CHECKS)
+
+
+# two perturbations that break expression records, each with the number of
+# failing expression-record assignments and of failing builtin assignments
+# among the shift-consistency and the two symmetrized-factor sweeps
+_VERDICT_CROSS_CHECKS = {
+    ("letter", (2, 1)): (69, 59),
+    ("momentum", (3, 0)): (210, 154),
+}
+
+
+def _difference_text(lhs, rhs):
+    r = lhs - rhs
+    return None if r.is_zero() else r.pretty()
+
+
+def test_equality_verdicts_match_the_difference():
+    # residuals are decided by lhs == rhs on canonical normal forms, and
+    # lhs - rhs is formed only as a failure's text; on broken engines both
+    # must agree with the difference, verdict and text
+    records = [ident for ident in suites.catalog() if ident.builtin is None]
+    checked = 0
+    for kind, key, entry in _perturbations():
+        if (kind, key) not in _VERDICT_CROSS_CHECKS:
+            continue
+        letters, momenta = letter_table(), momentum_rules()
+        (letters if kind == "letter" else momenta)[key] = entry
+        bad = Algebra(letters, momenta)
+        ctx = suites.Context(bad, Observables(bad))
+        obs = ctx.obs
+        failed = [0, 0]
+        for ident in records:
+            for asg in suites.identity_assignments(ident):
+                want = _difference_text(
+                    elaborate(ident.lhs_ast, asg, obs),
+                    elaborate(ident.rhs_ast, asg, obs),
+                )
+                assert suites.evaluate_assignment(ident, asg, ctx) == want
+                failed[0] += want is not None
+        for g in GENERATORS:
+            for mu, nu in itertools.product(range(4), repeat=2):
+                asg = {"g": conformal.gen_name(g), "mu": mu, "nu": nu}
+                want = _difference_text(
+                    obs.shift_momentum(g, nu, mu), obs.momentum_shift(g, mu, nu)
+                )
+                assert suites._shift_consistency_residual(ctx, asg) == want
+                failed[1] += want is not None
+                for name in ("momentum_shift", "shift_momentum"):
+                    b = getattr(obs, name)
+                    want = _difference_text(
+                        b(g, mu, nu) + b(g, nu, mu),
+                        obs.lambda_at_X(g).scale(2 * conformal.eta(mu, nu)),
+                    )
+                    assert suites._cfactor_sym_residual(name, ctx, asg) == want
+                    failed[1] += want is not None
+        assert tuple(failed) == _VERDICT_CROSS_CHECKS[kind, key], (kind, key)
+        checked += 1
+    assert checked == len(_VERDICT_CROSS_CHECKS)
 
 
 # ---------------------------------------------------------------------------

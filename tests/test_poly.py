@@ -93,7 +93,10 @@ def test_ring_axioms_random():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - b == a + (-b)
+        # __sub__ shares __add__'s body with a sign, negating no copy
+        for x, y in ((a, b), (a, a), (a, ZERO), (ZERO, a), (a, a * 2)):
+            assert x - y == x + (-y)
+        assert (a - a).is_zero()
         assert a + ZERO == a and a * ONE == a
         assert (a * ZERO).is_zero()
 
