@@ -26,7 +26,6 @@ caller's assignment.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conformal import eps4, eta
 from .errors import (
@@ -443,13 +442,12 @@ def elaborate(ast, assignment, obs, budget=DEFAULT_BUDGET):
     plain tree walk's do.
     A "/" whose numerator is zero returns it without inverting a nonzero
     divisor; a zero or non-scalar divisor still raises.
-    A left-nested chain of "+" and "-" with a "*", "." or br among its
-    leaves is one Algebra.combine: each product leaf is skipped or passes
-    check_budget as above and enters as a signed term (a "." as the two
-    terms of dot), any other leaf as its signed value. The leaves are
-    elaborated left to right as combine asks for them, so engine work runs
-    in the order of the binary fold and the first error is the same. A
-    chain of no product leaf is the binary fold.
+    A left-nested chain of "+" and "-" is one Algebra.combine: each "*",
+    "." or br leaf is skipped or passes check_budget as above and enters
+    as a signed product term, any other leaf as its signed value. The
+    leaves are elaborated left to right as combine asks for them, so
+    engine work runs in the order of the binary fold and the first error
+    is the same.
     """
     return _elaborate(ast, assignment, obs, budget)
 
@@ -550,7 +548,8 @@ def _elaborate(node, scope, obs, budget):
     if isinstance(node, Bin):
         op = node.op
         if op in _SUMS:
-            return _chain_sum(node, scope, obs, budget)
+            leaves = _chain_leaves(node)
+            return alg.combine(_chain_terms(leaves, scope, obs, budget))
         left = _elaborate(node.left, scope, obs, budget)
         if op in _PRODUCTS:
             if left.is_zero() and _safe(node.right, scope):
@@ -581,18 +580,6 @@ def _chain_leaves(node):
     return leaves
 
 
-def _chain_sum(node, scope, obs, budget):
-    """The value of a left-nested "+"/"-" chain (see elaborate)."""
-    leaves = _chain_leaves(node)
-    if any(_is_product(leaf) for _, leaf in leaves):
-        return obs.alg.combine(_chain_terms(leaves, scope, obs, budget))
-    total = _elaborate(leaves[0][1], scope, obs, budget)
-    for sign, leaf in leaves[1:]:
-        x = _elaborate(leaf, scope, obs, budget)
-        total = total + x if sign > 0 else total - x
-    return total
-
-
 def _chain_terms(leaves, scope, obs, budget):
     """The Algebra.combine terms of a chain's signed leaves, each leaf
     elaborated when its terms are asked for. A product leaf skips and
@@ -606,12 +593,7 @@ def _chain_terms(leaves, scope, obs, budget):
             continue
         right = _elaborate(leaf.right, scope, obs, budget)
         check_budget(budget, left, right)
-        if leaf.op == ".":
-            # dot(x, y) = x*y - (x, y)/2, as Algebra.dot forms it
-            yield sign, "*", left, right
-            yield Fraction(-sign, 2), "br", left, right
-        else:
-            yield sign, leaf.op, left, right
+        yield sign, leaf.op, left, right
 
 
 def _link(alg, op, left, right, budget):

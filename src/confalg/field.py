@@ -581,8 +581,8 @@ def product_sum(terms):
     unreduced, and every factor of its list is a candidate of _cancel. On
     unit lists the products go into one term map, and on other lists one
     term map per cofactor (_cofactor_sum). A list of one operand alone is x
-    itself for k = 1 and x * k otherwise, and one product with no Q is the
-    binary one.
+    itself for k = 1, -x for k = -1 and x * k otherwise, and one product
+    with no Q is the binary one.
     """
     parts = [
         t for t in terms
@@ -591,8 +591,8 @@ def product_sum(terms):
     if not parts:
         return RF_ZERO
     k, x, y, q = parts[0]
-    if len(parts) == 1 and y is None and k == 1:
-        return x
+    if len(parts) == 1 and y is None and k in (1, -1):
+        return x if k == 1 else -x
     if all(
         x._fac == _UNIT and (y is None or y._fac == _UNIT) for _, x, y, _ in parts
     ):

@@ -28,13 +28,14 @@ structure constants are the integer ones of the operator algebra, so no
 imaginary unit ever appears.
 
 One routine sums products: combine forms sum_i k_i*op_i(x_i, y_i), each
-op a product, a bracket or x alone and each k an int or a Fraction, in
-one accumulator, and sums each output word once. mul and bracket are one
-term of it, and the symmetrized product dot(x, y) = x*y - (x, y)/2 is two;
-a bracket carries its sign k into its accumulators, and a Fraction k = p/q
-collects its term on its own and adds it as one scaled product p*(1/q)*c
-per word. The expression language sends its +/- chains of products here,
-and the Jacobi residual is one combine of its three brackets.
+op a product, a bracket, the symmetrized product or x alone and each k an
+int or a Fraction, in one accumulator, and sums each output word once.
+mul, bracket and dot are one term of it; combine expands dot(x, y) into
+its two terms x*y - (x, y)/2. A bracket carries its sign k into its
+accumulators, and a Fraction k = p/q collects its term on its own and adds
+it as one scaled product p*(1/q)*c per word. The expression language sends
+its +/- chains here, and the Jacobi residual is one combine of its three
+brackets.
 
 Engine methods take no rewrite budget: check_budget raises
 RewriteBudgetExceeded when the operation_cost of two operands exceeds one,
@@ -381,26 +382,35 @@ class Algebra:
     def combine(self, terms):
         """The sum of k*op(x, y) over terms (k, op, x, y), summed once.
 
-        op is "*" (x*y), "br" (the bracket (x, y)) or None (x alone; y is
-        unused), and k an int or a Fraction. Every term goes into one
-        accumulator. A Fraction k = p/q collects its term in a part of its
-        own, which then enters as p*(1/q) times each summed word. The terms
-        are read in order, so an iterator can build each one after the
-        previous one is accumulated.
+        op is "*" (x*y), "br" (the bracket (x, y)), "." (the symmetrized
+        product, two terms: x*y - (x, y)/2) or None (x alone; y is unused),
+        and k an int or a Fraction. Every term goes into one accumulator.
+        The terms are read in order, so an iterator can build each one after
+        the previous one is accumulated.
         """
         out = {}
         for k, op, x, y in terms:
-            if type(k) is int:
-                self._acc_op(out, k, op, x, y)
+            if op == ".":
+                self._acc_term(out, k, "*", x, y)
+                self._acc_term(out, k * Fraction(-1, 2), "br", x, y)
             else:
-                part = {}
-                self._acc_op(part, 1, op, x, y)
-                _acc_times(out, part, FieldElem.const(Fraction(1, k.denominator)),
-                           k.numerator)
+                self._acc_term(out, k, op, x, y)
         return NCExpr(_summed(out))
 
+    def _acc_term(self, out, k, op, x, y):
+        """Accumulate k*op(x, y) in out. A Fraction k = p/q collects the
+        term in a part of its own, which enters as p*(1/q) times each
+        summed word."""
+        if type(k) is int:
+            self._acc_op(out, k, op, x, y)
+        else:
+            part = {}
+            self._acc_op(part, 1, op, x, y)
+            _acc_times(out, part, FieldElem.const(Fraction(1, k.denominator)),
+                       k.numerator)
+
     def _acc_op(self, out, k, op, x, y):
-        """Accumulate k*op(x, y) in out, for an int k (see combine)."""
+        """Accumulate k*op(x, y) in out, for an int k and op not "."."""
         if op == "*":
             for w, f, h, c in self._raw_mul_terms(x.terms, y.terms):
                 _acc(out, w, f, h, k * c)
@@ -415,7 +425,7 @@ class Algebra:
 
     def dot(self, x, y):
         """Symmetrized product (x*y + y*x)/2, formed as x*y - (x, y)/2."""
-        return self.combine(((1, "*", x, y), (Fraction(-1, 2), "br", x, y)))
+        return self.combine(((1, ".", x, y),))
 
     def bracket(self, x, y):
         """The scaled commutator x*y - y*x."""

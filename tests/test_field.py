@@ -898,6 +898,12 @@ def test_field_product_reduces_each_part_once(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert FieldElem(a1) * FieldElem(a2) == plain
     assert calls["__mul__"] == 1
+    # a subtracted operand alone is negated as it stands, with no reduction
+    calls.update(dict.fromkeys(calls, 0))
+    for r in (a2, RationalFunction.from_poly(P0 * 2 - P3)):
+        assert product_sum([(-1, r, None, 0)]) == -r
+    assert scaled_sum([(-1, x, None)]) == -x
+    assert calls == {"_lowest_terms": 0, "__mul__": 0}
 
     # the Q of M^2 = Q lowers Q's exponent when the product's list holds
     # it, and multiplies the second factor only when it does not

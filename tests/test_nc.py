@@ -246,6 +246,8 @@ def _term_value(alg, k, op, x, y):
     """k*op(x, y) formed on its own, as one top-level operation and a scale."""
     if op is None:
         value = x
+    elif op == ".":
+        value = (alg.mul(x, y) + alg.mul(y, x)).scale(Fraction(1, 2))
     else:
         value = alg.mul(x, y) if op == "*" else alg.bracket(x, y)
     return value.scale(k)
@@ -274,7 +276,7 @@ def test_combine_matches_the_fold_of_its_terms(alg):
         terms = []
         for _ in range(rng.randint(1, 4)):
             x, y = pairs[rng.randrange(len(pairs))]
-            op = rng.choice(("*", "br", None))
+            op = rng.choice(("*", "br", ".", None))
             terms.append((rng.choice(_COMBINE_KS), op, x, y))
         want = alg.zero()
         for term in terms:
@@ -283,7 +285,7 @@ def test_combine_matches_the_fold_of_its_terms(alg):
     # every term kind against every edge operand pair, one term at a time
     for x, y in pairs[:36]:
         for k in _COMBINE_KS:
-            for op in ("*", "br", None):
+            for op in ("*", "br", ".", None):
                 assert alg.combine([(k, op, x, y)]) == _term_value(alg, k, op, x, y)
 
 
@@ -293,7 +295,7 @@ def test_combine_matches_the_fold_without_memos(random_schedule_algebra):
     rng = random.Random(20261021)
     for n in range(40):
         terms = [
-            (rng.choice(_COMBINE_KS), rng.choice(("*", "br", None)),
+            (rng.choice(_COMBINE_KS), rng.choice(("*", "br", ".", None)),
              *pairs[rng.randrange(len(pairs))])
             for _ in range(rng.randint(2, 4))
         ]
@@ -474,16 +476,16 @@ def test_refused_operation_has_no_effect():
 def _record_ops(monkeypatch):
     """A list that gets (op, cost) for each product term of Algebra.combine,
     which every top-level mul, bracket and dot goes through: op is "m" for
-    a product and "b" for a bracket."""
+    a product and "b" for a bracket, and a "." term is one of each."""
     seq = []
     combine = Algebra.combine
+    ops = {"*": ("m",), "br": ("b",), ".": ("m", "b"), None: ()}
 
     def recorded(self, terms):
         def seen():
             for term in terms:
                 _, op, x, y = term
-                if op is not None:
-                    seq.append(("m" if op == "*" else "b", operation_cost(x, y)))
+                seq.extend((o, operation_cost(x, y)) for o in ops[op])
                 yield term
 
         return combine(self, seen())
@@ -538,16 +540,17 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # the localisation and canonical sums pin the order in which a sum binds its
 # names; a bracket multiplies each operand coefficient into each summed
 # output word once; dot, the Jacobi residual and the expression language's
-# +/- chains of products are each one Algebra.combine; the engine's
+# +/- chains are each one Algebra.combine; the engine's
 # accumulators sum scaled products k*x*y of coefficients unreduced, so they
-# form no field product of their own, and reduce each output word once. A
+# form no field product of their own, reduce each output word once, and
+# negate a lone subtracted coefficient without reducing it. A
 # change to the operations a suite makes, to what is memoized, or to how
 # often the engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
     "structure": ((1140, 2812, 3), (133, 95, 122, 117), 2160, 0, 32),
-    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 240, 2198),
-    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 16, 3618),
-    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 150, 3748),
+    "localisation": ((960, 7140, 65), (61, 191, 134, 49), 1572, 240, 2078),
+    "conformal-factor": ((725, 8836, 62), (117, 315, 122, 77), 1157, 16, 3547),
+    "canonical": ((629, 6238, 96), (56, 364, 525, 42), 749, 150, 3550),
 }
 
 
