@@ -23,8 +23,22 @@ contraction. An index variable is a name: single-letter names range over
 the spatial values 1..3, longer names over 0..3. sum(...) binds its
 variables over those ranges; every other variable must be supplied by the
 caller's assignment.
+
+INT is ASCII digits, for a numeral, an index and an exponent alike. A
+literal longer than int() reads (sys.get_int_max_str_digits, 4300 digits
+by default) is a DslSyntaxError at the literal's line and column.
+
+The front end: _tokenize reads the source with one regular expression into
+plain (kind, text, line, col) tuples, and _Parser parses them by operator
+precedence. Nodes are slotted dataclasses that compare and hash by value.
+elaborate builds each leaf once per observable cache: Observables.leaves
+maps a numeral's int and a symbol's (name, *index values) to its
+operator, so a leaf met again is one lookup with no range check. Symbols
+give at most 333 keys; the table is emptied when it holds 1024 entries,
+so numerals cannot grow it without bound.
 """
 
+import re
 from dataclasses import dataclass
 
 from .conformal import eps4, eta
@@ -50,12 +64,15 @@ __all__ = [
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Nodes are immutable by convention, as Polynomial and NCExpr are: nothing
+# assigns to a field after construction. They compare and hash by value.
+
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sym:
     name: str
     indices: tuple  # ints and/or index-variable names
@@ -85,7 +102,7 @@ _PRODUCTS = ("*", ".", "br")
 _SUMS = ("+", "-")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bin:
     """left op right, for each op in _BINARY."""
     op: str
@@ -97,18 +114,18 @@ class Bin:
             raise ValueError(f"unknown binary operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg:
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pow:
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sum:
     names: tuple
     body: object
@@ -165,55 +182,50 @@ def index_range(name):
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = "+-*./^()[],:"
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: str  # "int", "name", or the punctuation character itself
-    text: str
-    line: int
-    col: int
+# One match per token, with the spaces, tabs and carriage returns before it
+# in the first group; spaces at the very end match nothing. A name starts
+# with a letter (str.isalpha) or "_" and goes on with \w, which is
+# str.isalnum or "_". [^\W\d] also admits numeric characters such as
+# "²", so a name that starts outside ASCII is checked with str.isalpha.
+# An integer is ASCII digits only.
+_TOKEN = re.compile(
+    r"([ \t\r]*)(?:"
+    r"([-+*./^()\[\],:])"  # punctuation
+    r"|([A-Za-z_]\w*)"  # name
+    r"|([0-9]+)"  # integer
+    r"|([^\W\d]\w*)"  # name, or a character that starts nothing
+    r"|(\n)"
+    r"|([^ \t\r]))"  # a character that starts nothing
+)
 
 
 def _tokenize(src):
+    """(kind, text, line, col) tuples, the last of kind "end"; kind is "int",
+    "name", or the punctuation character itself. Every character counts
+    one column, and a newline starts the next line at column 1."""
     out = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+    line, base, i = 1, -1, 0  # base: the index of the newline before the line
+    for space, punct, name, num, other, newline, bad in _TOKEN.findall(src):
+        i += len(space)
+        if punct:
+            out.append((punct, punct, line, i - base))
             i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
+        elif name:
+            out.append(("name", name, line, i - base))
+            i += len(name)
+        elif num:
+            out.append(("int", num, line, i - base))
+            i += len(num)
+        elif newline:
+            line, base = line + 1, i
             i += 1
-            continue
-        if "0" <= ch <= "9":  # not str.isdigit(), which accepts '²'
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            out.append(_Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(_Token("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            out.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    out.append(_Token("end", "", line, col))
+        elif other[:1].isalpha():
+            out.append(("name", other, line, i - base))
+            i += len(other)
+        else:
+            ch = (other or bad)[0]
+            raise DslSyntaxError(f"unexpected character {ch!r}", line, i - base)
+    out.append(("end", "", line, len(src) - base))
     return out
 
 
@@ -221,13 +233,20 @@ def _tokenize(src):
 # parser
 # ---------------------------------------------------------------------------
 
+# infix operator -> precedence; br is spelled as a call
+_INFIX = {op: prec for op, (prec, spelled) in _BINARY.items() if spelled}
+
+
 class _Parser:
+    """Operator-precedence parser over _tokenize's tuples (Pratt, "Top down
+    operator precedence", POPL 1973): parse_expr folds the infix
+    operators of both levels, parse_unary takes leading minuses and a
+    power in one step, and parse_primary reads one atom. An atom costs
+    these three calls."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def next(self):
         t = self.tokens[self.pos]
@@ -235,12 +254,10 @@ class _Parser:
         return t
 
     def expect(self, kind, what):
-        t = self.peek()
-        if t.kind != kind:
-            raise DslSyntaxError(
-                f"expected {what}, found {_shown(t)!r}", t.line, t.col
-            )
-        return self.next()
+        t = self.next()
+        if t[0] != kind:
+            raise DslSyntaxError(f"expected {what}, found {_shown(t)!r}", *t[2:])
+        return t
 
     def separated(self, close, where):
         """Yield once per item of "item (',' item)* close".
@@ -251,67 +268,94 @@ class _Parser:
         while True:
             yield
             t = self.next()
-            if t.kind == close:
+            if t[0] == close:
                 return
-            if t.kind != ",":
+            if t[0] != ",":
                 raise DslSyntaxError(
-                    f"expected ',' or '{close}' in {where}", t.line, t.col
+                    f"expected ',' or '{close}' in {where}", *t[2:]
                 )
 
-    def parse_expr(self):
-        return self.parse_infix(("+", "-"), self.parse_term)
-
-    def parse_term(self):
-        return self.parse_infix(("*", ".", "/"), self.parse_unary)
-
-    def parse_infix(self, ops, operand):
-        """operand ((op in ops) operand)*, associated left."""
-        node = operand()
-        while self.peek().kind in ops:
-            node = Bin(self.next().kind, node, operand())
-        return node
+    def parse_expr(self, level=_PREC_ADD):
+        """Operands joined by infix operators of precedence level or above,
+        associated left: the right operand of an operator takes only the
+        operators that bind tighter than it."""
+        node = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.pos][0]
+            prec = _INFIX.get(op, 0)
+            if prec < level:
+                return node
+            self.pos += 1
+            if prec == _PREC_MUL:
+                right = self.parse_unary()
+            else:
+                right = self.parse_expr(_PREC_MUL)
+            node = Bin(op, node, right)
 
     def parse_unary(self):
-        if self.peek().kind == "-":
-            self.next()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
+        """"-"* primary ("^" INT)?; the minuses apply to the power."""
+        tokens = self.tokens
+        start = self.pos
+        while tokens[self.pos][0] == "-":
+            self.pos += 1
+        minuses = self.pos - start
         node = self.parse_primary()
-        if self.peek().kind == "^":
+        if tokens[self.pos][0] == "^":
             caret = self.next()
-            t = self.expect("int", "a positive integer exponent")
-            n = int(t.text)
+            n = _int(self.expect("int", "a positive integer exponent"))
             if n < 1:
                 raise DslSyntaxError(
-                    "exponent must be a positive integer", caret.line, caret.col
+                    "exponent must be a positive integer", *caret[2:]
                 )
             node = Pow(node, n)
+        for _ in range(minuses):
+            node = Neg(node)
         return node
 
     def parse_primary(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Num(int(t.text))
-        if t.kind == "(":
-            self.next()
+        t = self.next()
+        kind, text = t[0], t[1]
+        if kind == "int":
+            return Num(_int(t))
+        if kind == "(":
             node = self.parse_expr()
             self.expect(")", "')'")
             return node
-        if t.kind == "name":
-            if t.text == "br":
-                return self.parse_br()
-            if t.text == "sum":
-                return self.parse_sum()
-            return self.parse_symbol()
-        raise DslSyntaxError(
-            f"expected an expression, found {_shown(t)!r}", t.line, t.col
-        )
+        if kind != "name":
+            raise DslSyntaxError(
+                f"expected an expression, found {_shown(t)!r}", *t[2:]
+            )
+        if text == "br":
+            return self.parse_br()
+        if text == "sum":
+            return self.parse_sum()
+        arity = SYMBOL_ARITY.get(text)
+        if arity is None:
+            raise UnknownSymbol(
+                f"unknown symbol {text!r} (line {t[2]}, column {t[3]})"
+            )
+        indices = []
+        if self.tokens[self.pos][0] == "[":
+            self.pos += 1
+            for _ in self.separated("]", "index list"):
+                it = self.next()
+                if it[0] == "int":
+                    indices.append(_int(it))
+                elif it[0] == "name":
+                    indices.append(_index_name(it))
+                else:
+                    raise DslSyntaxError(
+                        f"expected an index, found {_shown(it)!r}", *it[2:]
+                    )
+        if len(indices) != arity:
+            raise ArityError(
+                f"{text} takes {arity} index(es), got {len(indices)} "
+                f"(line {t[2]}, column {t[3]})"
+            )
+        return Sym(text, tuple(indices))
 
     def parse_br(self):
-        self.next()  # "br"
         self.expect("(", "'(' after br")
         a = self.parse_expr()
         self.expect(",", "',' between bracket arguments")
@@ -320,78 +364,65 @@ class _Parser:
         return Bin("br", a, b)
 
     def parse_sum(self):
-        self.next()  # "sum"
         self.expect("(", "'(' after sum")
         names = []
         for _ in self.separated(":", "sum variable list"):
-            t = _index_name(self.expect("name", "an index variable name"))
-            if t.text in names:
+            t = self.expect("name", "an index variable name")
+            name = _index_name(t)
+            if name in names:
                 raise DslSyntaxError(
-                    f"duplicate summation variable {t.text!r}", t.line, t.col
+                    f"duplicate summation variable {name!r}", *t[2:]
                 )
-            names.append(t.text)
+            names.append(name)
         body = self.parse_expr()
         self.expect(")", "')'")
         return Sum(tuple(names), body)
 
-    def parse_symbol(self):
-        t = self.next()
-        name = t.text
-        if name not in SYMBOL_ARITY:
-            raise UnknownSymbol(
-                f"unknown symbol {name!r} (line {t.line}, column {t.col})"
-            )
-        arity = SYMBOL_ARITY[name]
-        indices = []
-        if self.peek().kind == "[":
-            self.next()
-            for _ in self.separated("]", "index list"):
-                nt = self.next()
-                if nt.kind == "int":
-                    indices.append(int(nt.text))
-                elif nt.kind == "name":
-                    indices.append(_index_name(nt).text)
-                else:
-                    raise DslSyntaxError(
-                        f"expected an index, found {_shown(nt)!r}", nt.line, nt.col
-                    )
-        if len(indices) != arity:
-            raise ArityError(
-                f"{name} takes {arity} index(es), got {len(indices)} "
-                f"(line {t.line}, column {t.col})"
-            )
-        return Sym(name, tuple(indices))
-
 
 def _shown(t):
     """How an error message names token t."""
-    return "end of input" if t.kind == "end" else t.text
+    return "end of input" if t[0] == "end" else t[1]
+
+
+def _int(t):
+    """The value of int token t; a literal longer than int() reads
+    (sys.get_int_max_str_digits) is a syntax error at the literal."""
+    try:
+        return int(t[1])
+    except ValueError:
+        raise DslSyntaxError(
+            f"integer literal too long ({len(t[1])} digits)", *t[2:]
+        ) from None
 
 
 def _index_name(t):
-    """Name token t, which must not spell a symbol or a keyword."""
-    if t.text in SYMBOL_ARITY or t.text in ("br", "sum"):
+    """The text of name token t, which must not spell a symbol or a keyword."""
+    text = t[1]
+    if text in SYMBOL_ARITY or text in ("br", "sum"):
         raise DslSyntaxError(
-            f"{t.text!r} cannot be used as an index variable", t.line, t.col
+            f"{text!r} cannot be used as an index variable", *t[2:]
         )
-    return t
+    return text
 
 
 def parse(src):
     """Parse one expression; errors carry the 1-based line and column."""
     p = _Parser(_tokenize(src))
     node = p.parse_expr()
-    tail = p.peek()
-    if tail.kind != "end":
-        raise DslSyntaxError(
-            f"unexpected trailing input {tail.text!r}", tail.line, tail.col
-        )
+    tail = p.tokens[p.pos]
+    if tail[0] != "end":
+        raise DslSyntaxError(f"unexpected trailing input {tail[1]!r}", *tail[2:])
     return node
 
 
 # ---------------------------------------------------------------------------
 # elaboration
 # ---------------------------------------------------------------------------
+
+#: an observable cache's leaf table is emptied when it reaches this many
+#: entries
+_LEAF_CAP = 1024
+
 
 def _resolve(indices, assignment):
     vals = []
@@ -404,6 +435,16 @@ def _resolve(indices, assignment):
                 raise UnboundIndex(f"index variable {ix!r} has no value")
             vals.append(v)
     return vals
+
+
+def _shared(obs, key, value):
+    """Store value as the leaf of key in obs.leaves and return it. The
+    table is emptied when it holds _LEAF_CAP entries, so numerals cannot
+    grow it without bound; the symbol keys number at most 333."""
+    if len(obs.leaves) >= _LEAF_CAP:
+        obs.leaves.clear()
+    obs.leaves[key] = value
+    return value
 
 
 def _check_range(name, vals):
@@ -528,12 +569,18 @@ def _binding_plan(node, scope):
 
 def _elaborate(node, scope, obs, budget):
     alg = obs.alg
-    if isinstance(node, Num):
-        return alg.scalar(node.value)
     if isinstance(node, Sym):
-        vals = _resolve(node.indices, scope)
-        _check_range(node.name, vals)
-        return _SYMBOLS[node.name][1](obs, vals)
+        key = (node.name, *_resolve(node.indices, scope))
+        hit = obs.leaves.get(key)
+        if hit is None:
+            _check_range(node.name, key[1:])
+            hit = _shared(obs, key, _SYMBOLS[node.name][1](obs, key[1:]))
+        return hit
+    if isinstance(node, Num):
+        hit = obs.leaves.get(node.value)
+        if hit is None:
+            hit = _shared(obs, node.value, alg.scalar(node.value))
+        return hit
     if isinstance(node, Sum):
         plan = _binding_plan(node, scope)
         return _bind(0, 0, None, alg.zero(), plan, dict(scope), obs, budget)

@@ -666,6 +666,11 @@ class FieldElem:
         """True when the element is a plain rational number."""
         return self.b.is_zero() and self.a.is_const()
 
+    def is_integral(self):
+        """True when both parts are integer polynomials (on the unit list),
+        so the d of as_quotient is 1."""
+        return self.a._fac == _UNIT and self.b._fac == _UNIT
+
     # ---- field operations ----
 
     def __add__(self, other):

@@ -314,15 +314,21 @@ class Algebra:
         """(a, g) for letter a and coefficient g, as {word: FieldElem}.
 
         as_quotient writes g as (A + B*M)/d and gives 1/d with it; the
-        quotient rule below needs no factoring of its own. A rational g
-        gives {}, as every derivation of a polynomial of degree 0 is empty.
+        quotient rule below needs no factoring of its own. d is 1 exactly
+        when g is integral, and then g is A + B*M as it stands. A rational
+        g gives {}, as every derivation of a polynomial of degree 0 is
+        empty.
         """
-        A, B, d, dinv = g.as_quotient()
+        integral = g.is_integral()
+        if integral:
+            A, B = g.a.num, g.b.num
+        else:
+            A, B, d, dinv = g.as_quotient()
         num = {}
         self._deriv_poly(a, A, False, num)
         self._deriv_poly(a, B, True, num)
         num = _summed(num)
-        if dinv == FE_ONE:
+        if integral:
             return num
         # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
         #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1

@@ -40,11 +40,16 @@ def _mom_over_q(sig, sign=1):
 
 
 class Observables:
-    """Lazy cache of the derived observables for one engine instance."""
+    """Lazy cache of the derived observables for one engine instance.
+
+    leaves is the expression language's table of leaf operators; dsl
+    fills it and defines its keys.
+    """
 
     def __init__(self, alg):
         self.alg = alg
         self._cache = {}
+        self.leaves = {}
 
     def _get(self, key, build):
         hit = self._cache.get(key)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,21 @@ def test_normalize_rejects_bad_expression(capsys):
     for text in ("P[0] +", "D^²", "²*D"):
         assert main(["normalize", text]) == 2
         assert "DslSyntaxError" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() reads a literal of any length here",
+)
+def test_normalize_rejects_overlong_literal(capsys):
+    # a literal longer than int() reads is malformed input (exit 2), not a
+    # failed identity (exit 1) or an engine error (exit 3)
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for text in (digits, f"P[{digits}]", f"D^{digits}"):
+        assert main(["normalize", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("confalg: DslSyntaxError: integer literal too long")
+        assert err.count("\n") == 1
 
 
 def test_engine_error_exits_three(capsys):

@@ -1,8 +1,13 @@
 """Expression language: grammar, printing, and elaboration into the engine."""
 
+import dataclasses
 import gc
+import hashlib
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +40,13 @@ from confalg.errors import (
 from confalg.field import FE_M, FieldElem
 from confalg.nc import DEFAULT_BUDGET
 from confalg.observables import Observables
-from confalg.suites import catalog_by_suite, identity_assignments
+from confalg.suites import (
+    catalog,
+    catalog_by_suite,
+    get_context,
+    identity_assignments,
+    run_all,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +117,46 @@ def test_parse_error_positions():
     assert "line 2" in str(e.value) and "column 1" in str(e.value)
 
 
+def _error_at(src):
+    """(type name, message) of the error that parse(src) raises."""
+    with pytest.raises(ConfalgError) as e:
+        parse(src)
+    return type(e.value).__name__, str(e.value)
+
+
+def test_tokenizer_position_rules():
+    # every character counts one column, "\t" and "\r" included, and a
+    # newline starts the next line at column 1
+    assert _error_at("D +\t\r$") == (
+        "DslSyntaxError", "unexpected character '$' (line 1, column 6)")
+    assert _error_at("D\r\n+ \t$") == (
+        "DslSyntaxError", "unexpected character '$' (line 2, column 4)")
+    assert _error_at("D +\n\n\tQ[0]") == (
+        "UnknownSymbol", "unknown symbol 'Q' (line 3, column 2)")
+    assert _error_at("P[0] +\n") == (
+        "DslSyntaxError", "expected an expression, found 'end of input' "
+        "(line 2, column 1)")
+    # a name starts with a letter (str.isalpha) or "_" and goes on with
+    # letters, digits (str.isalnum) and "_"; an integer is ASCII digits
+    assert _error_at("Pé") == (
+        "UnknownSymbol", "unknown symbol 'Pé' (line 1, column 1)")
+    assert _error_at("D + éP²_1") == (
+        "UnknownSymbol", "unknown symbol 'éP²_1' (line 1, column 5)")
+    assert _error_at("_x") == (
+        "UnknownSymbol", "unknown symbol '_x' (line 1, column 1)")
+    assert _error_at("2P") == (
+        "DslSyntaxError", "unexpected trailing input 'P' (line 1, column 2)")
+    # a digit that is no ASCII digit starts nothing
+    assert _error_at("D*²") == (
+        "DslSyntaxError", "unexpected character '²' (line 1, column 3)")
+    assert _error_at("D +\n ½") == (
+        "DslSyntaxError", "unexpected character '½' (line 2, column 2)")
+    assert _error_at("P[٣]") == (
+        "DslSyntaxError", "unexpected character '٣' (line 1, column 3)")
+    assert _error_at("D\x0b") == (
+        "DslSyntaxError", "unexpected character '\\x0b' (line 1, column 2)")
+
+
 @pytest.mark.parametrize(
     "src, message, line, col",
     [
@@ -144,6 +195,47 @@ def test_parse_rejects_malformed_input():
         parse("D[1]")
     with pytest.raises(UnknownSymbol):
         parse("Spin[1]")
+
+
+# int() refuses a decimal string longer than this many digits; 0 or an
+# interpreter without the limit accepts any length
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(
+    not _INT_DIGITS, reason="int() reads a literal of any length here"
+)
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "before, after",
+    [("D + 7*", ""), ("D +\n P[", "]"), ("P[1]*D^", "")],
+    ids=["numeral", "index", "exponent"],
+)
+def test_overlong_literal_is_a_syntax_error(before, after):
+    # a literal that int() refuses is reported where it stands, like any
+    # other malformed token, and not as the interpreter's ValueError
+    digits = "1" * (_INT_DIGITS + 1)
+    line = before.count("\n") + 1
+    col = len(before) - before.rfind("\n")
+    with pytest.raises(DslSyntaxError) as e:
+        parse(before + digits + after)
+    assert str(e.value) == (
+        f"integer literal too long ({len(digits)} digits) "
+        f"(line {line}, column {col})"
+    )
+    assert (e.value.line, e.value.col) == (line, col)
+    # the longest literal int() reads still parses
+    assert parse("7*" + "1" * _INT_DIGITS).right.value == int("1" * _INT_DIGITS)
+
+
+def test_nodes_compare_and_hash_by_value():
+    src = "sum(i : -X[i]^2 . br(P[i], 1/2*D)) - eta[0,0]"
+    a, b = parse(src), parse(src)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, parse("D")}) == 2
+    assert Sym("P", (0,)) != Sym("P", (1,))
+    assert dataclasses.replace(a, op="+") == parse(src.replace(" - ", " + "))
 
 
 def test_index_variable_ranges():
@@ -687,3 +779,85 @@ def test_elaborate_leaves_no_garbage(obs):
     gc.collect()
     elaborate(ast, {"mu": 1}, obs)
     assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# the front end at scale
+# ---------------------------------------------------------------------------
+
+def _workloads():
+    """perfbench/workloads.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _operator_texts(workloads, seed):
+    laws = workloads.generate_random_laws(seed)[0]["laws"]
+    return [law["text"] for law in laws if "text" in law]
+
+
+def test_front_end_reads_the_recorded_trees():
+    # every catalogue record and the operator laws of random-laws seeds
+    # 1-4 (720 texts) parse to the trees that the character-loop
+    # tokenizer and recursive-descent parser built, printed and hashed
+    workloads = _workloads()
+    lines = [
+        f"{ident.id}: {ast_pretty(ident.lhs_ast)} = {ast_pretty(ident.rhs_ast)}"
+        for ident in catalog() if ident.builtin is None
+    ]
+    for seed in (1, 2, 3, 4):
+        lines += [ast_pretty(parse(t)) for t in _operator_texts(workloads, seed)]
+    assert len(lines) == 765
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "e49bbf2cc4b18131d8b1a9733ea683ecb5d5514f6656c048d07a7cac07d518d0"
+    )
+
+
+def _fresh_leaf(key, obs):
+    """The operator of a leaf key, built anew on a cold observable cache."""
+    if isinstance(key, int):
+        return obs.alg.scalar(key)
+    name, *vals = key
+    return dsl._SYMBOLS[name][1](obs, vals)
+
+
+def test_shared_leaves_equal_fresh_ones():
+    ctx = get_context()
+    workloads = _workloads()
+    run_all(ctx)
+    verdicts = workloads.run_laws(workloads.generate_random_laws(1)[0]["laws"], ctx)
+    assert "nonzero" in verdicts and "zero" in verdicts
+    leaves = ctx.obs.leaves
+    symbols = [key for key in leaves if isinstance(key, tuple)]
+    assert any(isinstance(key, int) for key in leaves)
+    assert len(leaves) <= dsl._LEAF_CAP
+    # the vocabulary bounds the symbol keys
+    vocabulary = sum(
+        len(dsl._LEGAL[name]) ** arity for name, arity in SYMBOL_ARITY.items()
+    )
+    assert vocabulary == 333
+    assert len(symbols) <= vocabulary
+    cold = Observables(ctx.alg)
+    for key, value in leaves.items():
+        assert value == _fresh_leaf(key, cold), key
+
+
+def test_leaf_table_stays_bounded(alg):
+    obs = Observables(alg)
+    for n in range(2 * dsl._LEAF_CAP + 5):
+        assert elaborate(Num(n), {}, obs) == alg.scalar(n)
+        assert len(obs.leaves) <= dsl._LEAF_CAP
+    # a full table still checks what it has not seen
+    p = elaborate(parse("P[i]"), {"i": 2}, obs)
+    assert p == alg.momentum(2)
+    assert elaborate(parse("P[i]"), {"i": 2}, obs) is p
+    with pytest.raises(IndexRangeError):
+        elaborate(parse("P[i]"), {"i": 4}, obs)
+    with pytest.raises(UnboundIndex):
+        elaborate(parse("P[j]"), {"i": 2}, obs)
+    with pytest.raises(IndexRangeError):
+        elaborate(parse("Xi[0]"), {}, obs)
