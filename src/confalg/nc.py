@@ -51,6 +51,16 @@ operation returns or stores a memo entry: the products are summed unreduced
 and each part is reduced once, so no product is formed on its own and no
 sum is reduced after every binary addition.
 
+Moving a coefficient through a word is linear over its monomials, as the
+derivation is. For an integral g = A + B*M (A, B integer polynomials), u*g is
+the sum of c*(u*m) over the monomials c*m of A and M*B, and u*m is memoized
+per word and monomial, so fresh coefficients over known monomials add no
+memo entry; a G-algebra's multiplication table is keyed by exponents the
+same way (Levandovskyy & Schönemann, ISSAC 2003). _shift hands back the
+parts (c, m, u*m), and each caller adds c times each of their terms straight
+to its own accumulator: no u*g is summed on its own. A non-integral g moves
+whole and is memoized with its word.
+
 Confluence is certified, not sampled: tests/test_nc.py resolves every overlap
 of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
 schedule and memoizes its rewrites in the four Algebra memos; the derivation
@@ -191,7 +201,8 @@ class Algebra:
     2*M.X[mu] among them.
 
     Four memos live as long as the algebra: _word_memo (sorted letter
-    words), _shift_memo (u * g for a word u and coefficient g), _mono_memo
+    words), _shift_memo (u * m for a word u and a unit-coefficient monomial
+    m, and u * g for a non-integral coefficient g; see _shift), _mono_memo
     (a letter's derivation on a monomial) and _comm_memo (uw - wu). deriv
     keeps none of its own; its results are rebuilt from the last three.
     No method checks a rewrite budget, so one algebra serves every budget.
@@ -346,42 +357,95 @@ class Algebra:
     # ---- coefficient movement and products ----
 
     def _shift(self, u, g):
-        """u * g normalized, u a sorted word, g a coefficient: {word: FieldElem}."""
-        if not u:
-            return {u: g}
-        if g.is_rational():
-            return {u: g}
-        key = (u, g)
-        hit = self._shift_memo.get(key)
-        if hit is not None:
-            return hit
+        """u * g for a nonempty sorted word u and a coefficient g, in parts.
+
+        Returns a sequence of parts (c, m, moved), c an int, m a coefficient
+        and moved = u*m normalized as {word: FieldElem}: u*g is the sum of
+        c*h*z over the parts and the terms h*z of their moved. Nothing is
+        summed across parts. An integral g has one part per monomial c*m of
+        g.a.num and M*g.b.num, m with unit coefficient, and u*m is memoized
+        under (u, exps, with_m); any other g is one part (1, g, u*g),
+        memoized under (u, g). Parts are shared and read-only. Callers move
+        a rational g themselves (u*g = g*u), though this is exact for it too.
+        """
+        memo = self._shift_memo
+        if not g.is_integral():
+            key = (u, g)
+            parts = memo.get(key)
+            if parts is None:
+                parts = ((1, g, self._moved(u, g, self.deriv(u[-1], g))),)
+                memo[key] = parts
+            return parts
+        a, b = g.a.num.terms, g.b.num.terms
+        if len(a) + len(b) == 1:
+            ((exps, c),) = (a or b).items()
+            key = (u, exps, not a)
+            parts = memo.get(key) or self._shift_mono(key)
+            if c == 1:
+                return parts
+            (_, m, moved), = parts
+            return ((c, m, moved),)
+        parts = []
+        for with_m, terms in ((False, a), (True, b)):
+            for exps, c in terms.items():
+                key = (u, exps, with_m)
+                (_, m, moved), = memo.get(key) or self._shift_mono(key)
+                parts.append((c, m, moved))
+        return parts
+
+    def _shift_mono(self, key):
+        """Memoize and return the one-part sequence ((1, m, u*m),) for
+        key = (u, exps, with_m), m the unit-coefficient monomial of exps
+        and with_m; _shift looks the key up first."""
+        u, exps, with_m = key
+        m = FieldElem.monomial(exps, with_m)
+        d = self._deriv_mono(u[-1], exps, with_m)
+        parts = ((1, m, self._moved(u, m, d)),)
+        self._shift_memo[key] = parts
+        return parts
+
+    def _moved(self, u, g, d):
+        """u*g summed, for d = (a, g) with a the last letter of u:
+        u*g = head*g*a + sum of head*h*z over the terms h*z of d."""
         head, a = u[:-1], u[-1]
+        sort = self._sort_word
         out = {}
-        for z, h in self._shift(head, g).items():
-            for zw, c in self._sort_word(z + (a,)).items():
-                _acc(out, zw, h, None, c)
-        for zd, hd in self.deriv(a, g).items():
-            for z2, h2 in self._shift(head, hd).items():
-                for zw, c in self._sort_word(z2 + zd).items():
-                    _acc(out, zw, h2, None, c)
-        out = _summed(out)
-        self._shift_memo[key] = out
-        return out
+        for w, h in (((a,), g), *d.items()):
+            if not head or h.is_rational():
+                for zw, c in sort(head + w).items():
+                    _acc(out, zw, h, None, c)
+                continue
+            for c, _, moved in self._shift(head, h):
+                for z, e in moved.items():
+                    for zw, c2 in sort(z + w).items():
+                        _acc(out, zw, e, None, c * c2)
+        return _summed(out)
 
     def _raw_mul_terms(self, xterms, yterms):
         """Product of two term maps, yielding unmerged terms (word, f, h, c),
-        each the scaled product c*f*h with c an int, for _acc."""
+        each the scaled product c*f*h with c an int, for _acc. Each part of
+        a moved coefficient is yielded on its own (see _shift)."""
+        sort = self._sort_word
         for u, f in xterms.items():
-            for w, g in yterms.items():
-                if not u:
+            if not u:
+                for w, g in yterms.items():
                     yield w, f, g, 1
-                    continue
-                for z, h in self._shift(u, g).items():
+                continue
+            for w, g in yterms.items():
+                if g.is_rational():
                     if not w:
-                        yield z, f, h, 1
+                        yield u, f, g, 1
                     else:
-                        for zw, c in self._sort_word(z + w).items():
-                            yield zw, f, h, c
+                        for zw, c in sort(u + w).items():
+                            yield zw, f, g, c
+                    continue
+                for c, _, moved in self._shift(u, g):
+                    for z, h in moved.items():
+                        if not w:
+                            yield z, f, h, c
+                        else:
+                            for zw, c2 in sort(z + w).items():
+                                yield zw, f, h, c * c2
 
     # ---- public operations ----
 
@@ -439,25 +503,27 @@ class Algebra:
 
     def _bracket_acc(self, x, y, out, k):
         """Accumulate k*(x, y) in out, as sum_u f*A_u - sum_w g*B_w over the
-        terms f*u of x and g*w of y (see the module docstring)."""
+        terms f*u of x and g*w of y (see the module docstring). A word moves
+        only a non-rational coefficient; each operand's are picked once."""
+        ys = [(w, g, not g.is_rational()) for w, g in y.terms.items()]
         for u, f in x.terms.items():
             # a unit coefficient multiplies nothing: A_u goes straight to out
             unit = f is FE_ONE
             part, ku = (out, k) if unit else ({}, 1)
-            for w, g in y.terms.items():
+            for w, g, moves in ys:
                 for z, c in self._comm(u, w).items():
                     _acc(part, z, g, None, ku * c)
-                if u and not g.is_rational():
+                if u and moves:
                     self._acc_moved(part, u, g, w, ku)
             if part and not unit:
                 _acc_times(out, part, f, k)
-        for w, g in y.terms.items():
+        xs = [(u, f) for u, f in x.terms.items() if not f.is_rational()]
+        for w, g, _ in ys:
             if not w:
                 continue
             part = {}
-            for u, f in x.terms.items():
-                if not f.is_rational():
-                    self._acc_moved(part, w, f, u)
+            for u, f in xs:
+                self._acc_moved(part, w, f, u)
             if part:
                 _acc_times(out, part, g, -k)
 
@@ -480,20 +546,26 @@ class Algebra:
         return out
 
     def _acc_moved(self, out, u, g, w, k=1):
-        """Accumulate k*R(u, g)*w in out, R(u, g) = u*g - g*u: _shift(u, g) less g*u."""
-        for z, h in self._shift(u, g).items():
-            less_g = z == u
-            if less_g and h == g:
-                continue
-            if not w:
-                _acc(out, z, h, None, k)
-                if less_g:
-                    _acc(out, z, g, None, -k)
-            else:
-                for zw, c in self._sort_word(z + w).items():
-                    _acc(out, zw, h, None, k * c)
-                    if less_g:
-                        _acc(out, zw, g, None, -k * c)
+        """Accumulate k*R(u, g)*w in out, R(u, g) = u*g - g*u, for a nonempty
+        u and a non-rational g: over the parts (c, m, u*m) of _shift(u, g),
+        c*(u*m less m*u). A part whose word u carries exactly m adds
+        nothing there."""
+        sort = self._sort_word
+        for c, m, moved in self._shift(u, g):
+            kc = k * c
+            for z, h in moved.items():
+                less_m = z == u
+                if less_m and (h is m or h == m):
+                    continue
+                if not w:
+                    _acc(out, z, h, None, kc)
+                    if less_m:
+                        _acc(out, z, m, None, -kc)
+                else:
+                    for zw, c2 in sort(z + w).items():
+                        _acc(out, zw, h, None, kc * c2)
+                        if less_m:
+                            _acc(out, zw, m, None, -kc * c2)
 
     def normalize(self, x):
         """Idempotent re-canonicalization of an expression's term map."""

@@ -38,6 +38,26 @@ def _coeff(c):
     )
 
 
+def _int_text(n):
+    """The decimal digits of the int n, exactly, however many it has.
+
+    str(n) refuses an int longer than the interpreter's digit limit
+    (sys.get_int_max_str_digits, 4,300 digits by default); such an n is
+    split at about half its digits until every piece converts, and the
+    limit is left as it is. Every other n prints as str(n).
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    # log10(2)/2 > 0.15, so k is below half the digits and hi is nonzero
+    k = n.bit_length() * 3 // 20
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
 def _quo(a, b):
     """a / b exactly; an int when both are ints and b divides a."""
     if type(a) is int and type(b) is int:
@@ -218,14 +238,17 @@ class Polynomial:
                 if e[v] == 1:
                     factors.append(names[v])
                 elif e[v] > 1:
-                    factors.append(f"{names[v]}^{e[v]}")
+                    factors.append(f"{names[v]}^{_int_text(e[v])}")
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
+            if factors and mag == 1:
                 body = "*".join(factors)
             else:
-                body = f"{mag}*" + "*".join(factors)
+                if type(mag) is int:
+                    body = _int_text(mag)
+                else:
+                    body = f"{_int_text(mag.numerator)}/{_int_text(mag.denominator)}"
+                if factors:
+                    body += "*" + "*".join(factors)
             chunks.append(("-" if c < 0 else "+", body))
         sign, body = chunks[0]
         text = ("-" if sign == "-" else "") + body

@@ -59,6 +59,37 @@ def test_normalize_rejects_overlong_literal(capsys):
         assert err.count("\n") == 1
 
 
+def _spelled_value(digits):
+    """The int a string of decimal digits spells, read in pieces short
+    enough for int() at any digit limit."""
+    value = 0
+    for i in range(0, len(digits), 500):
+        piece = digits[i:i + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+@pytest.mark.parametrize("limit", ["4300", "640"])
+def test_normalize_prints_long_integers_exactly(run_cli, limit):
+    # a coefficient with more digits than str(int) writes at the child's
+    # digit limit (the default, and the lowest the interpreter accepts)
+    # prints in full, and the limit stays as it is
+    env = {"PYTHONINTMAXSTRDIGITS": limit}
+    r = run_cli("normalize", "2^14300", env=env)
+    assert (r.returncode, r.stderr) == (0, "")
+    digits = r.stdout.removesuffix("\n")
+    assert len(digits) == 4305 and digits.isdigit()
+    assert _spelled_value(digits) == 2**14300
+    r = run_cli("normalize", "1 - 2^14300/3*P[0]^2*D", env=env)
+    assert (r.returncode, r.stderr) == (0, "")
+    head, sep, tail = r.stdout.partition("*")
+    assert (head[0], sep, tail) == ("-", "*", "P[0]^2/3*D + 1\n")
+    assert _spelled_value(head[1:]) == 2**14300
+    r = run_cli("-c", "import sys; print(sys.get_int_max_str_digits())",
+                launcher=(), env=env)
+    assert r.stdout == f"{limit}\n"
+
+
 def test_engine_error_exits_three(capsys):
     assert main(["normalize", _REVERSED_WORD, "--budget", "1000"]) == 3
     assert "RewriteBudgetExceeded" in capsys.readouterr().err
