@@ -39,10 +39,11 @@ largest exponent, or if an unreduced product carries it: otherwise it
 divides every term but one, whose numerator is coprime to it. One operand
 alone is x * k, and one product with no Q is the binary product, whose
 numerators can only share the factors that the other operand brings.
-scaled_sum adds scaled products k * x * y of field elements, one
-product_sum per part: a product of two field elements with M on either
-side is one, each part a1*a2 + Q*b1*b2 or a1*b2 + b1*a2, and
-FieldElem.inv forms its norm a^2 - Q*b^2 as a product_sum. The binary
+scaled_sum adds scaled products k * x * y of field elements, each part
+a1*a2 + Q*b1*b2 or a1*b2 + b1*a2: a product of two field elements with M
+on either side is one such sum. On integral operands it is one pass (see
+Unit lists); a list with any other operand takes one product_sum per
+part. FieldElem.inv forms its norm a^2 - Q*b^2 as a product_sum. The binary
 RationalFunction.__add__ keeps its own path, with the same candidates;
 __sub__ shares it, with the sign folded into the subtrahend's integer scale.
 A factor is either a certified prime, proved irreducible by
@@ -61,9 +62,15 @@ Unit lists: a list (1, {}) means den = 1 and a numerator with integer
 coefficients (_canon and _lowest_terms see to it). On such operands the lcm,
 the cofactors, _cancel and _lowest_terms all reduce to the identity, so a sum
 of polynomials, or a product of two, is formed directly; a product_sum on
-unit lists goes into one term map, with no grouping. An integer polynomial
-is put on the unit list without _admit. FieldElem times a scalar 1 returns
-the operand itself.
+unit lists goes into one term map, with no grouping. scaled_sum does not
+split a list of integral field elements into parts for product_sum: one
+loop over its terms adds both parts' products straight into one int term
+map each. The first term decides whether a list is tried; a later operand
+off the unit list, which is rare, sends it to the general route. Both
+unit sums use the same term-map helpers and end in _unit_rf, a trusted
+constructor that only drops zeros. An integer polynomial is put on the
+unit list without _admit. FieldElem times a scalar 1 returns the operand
+itself.
 """
 
 import math
@@ -523,6 +530,16 @@ def _product_term(x, y, q):
     return x.num.terms, b, m1 * m2, F
 
 
+def _unit_rf(acc):
+    """The integer polynomial of the term map acc, with int coefficients,
+    on the unit list: a trusted constructor that only drops zeros."""
+    if acc:
+        num = Polynomial.from_ints(acc)
+        if num.terms:
+            return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+    return RF_ZERO
+
+
 def _unit_sum(parts):
     """product_sum of terms on unit lists, in one term map."""
     acc = {}
@@ -532,10 +549,7 @@ def _unit_sum(parts):
         else:
             b = y.num.terms
             _add_product(acc, k, x.num.terms, _times_q(b) if q else b)
-    num = Polynomial(acc)
-    if num.is_zero():
-        return RF_ZERO
-    return RationalFunction(num, _POLY_ONE, _fac=_UNIT)
+    return _unit_rf(acc)
 
 
 def _cofactor_sum(parts):
@@ -764,13 +778,47 @@ class FieldElem:
 
 
 def scaled_sum(terms):
-    """The sum of k * x * y over terms (k, x, y), k an int and x, y
-    FieldElems, y None for x alone; each part is one product_sum. A list of
-    one x alone returns x."""
-    if len(terms) == 1:
-        k, x, y = terms[0]
-        if k == 1 and y is None:
-            return x
+    """The sum of k * x * y over a nonempty list of terms (k, x, y), k an
+    int and x, y FieldElems, y None for x alone. A list of one x alone
+    returns x.
+
+    A list of integral operands is summed in one pass: each part's products,
+    a1*a2 + Q*b1*b2 and a1*b2 + b1*a2, go into one int term map. The first
+    term decides whether the list is tried, before any map is made: a list
+    whose first term is not integral, and a list with a later operand off
+    the unit list (rare: the maps are dropped), take the general route, one
+    product_sum per part.
+    """
+    k, x, y = terms[0]
+    if k == 1 and y is None and len(terms) == 1:
+        return x
+    if x.a._fac == _UNIT and x.b._fac == _UNIT and (
+        y is None or y.a._fac == _UNIT and y.b._fac == _UNIT
+    ):
+        a, b = {}, {}
+        for k, x, y in terms:
+            xa, xb = x.a, x.b
+            if xa._fac != _UNIT or xb._fac != _UNIT:
+                break
+            xa, xb = xa.num.terms, xb.num.terms
+            if y is None:
+                _add_scaled(a, k, xa)
+                if xb:
+                    _add_scaled(b, k, xb)
+                continue
+            ya, yb = y.a, y.b
+            if ya._fac != _UNIT or yb._fac != _UNIT:
+                break
+            ya, yb = ya.num.terms, yb.num.terms
+            _add_product(a, k, xa, ya)
+            if yb:
+                _add_product(b, k, xa, yb)
+            if xb:
+                if yb:
+                    _add_product(a, k, xb, _times_q(yb))
+                _add_product(b, k, xb, ya)
+        else:
+            return FieldElem(_unit_rf(a), _unit_rf(b))
     a, b = [], []
     for k, x, y in terms:
         xa, xb = x.a, x.b

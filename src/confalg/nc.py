@@ -49,7 +49,10 @@ products k*x*y: an int k, such as a structure constant, times one or two
 field elements. The list is summed once by field.scaled_sum (_summed) when an
 operation returns or stores a memo entry: the products are summed unreduced
 and each part is reduced once, so no product is formed on its own and no
-sum is reduced after every binary addition.
+sum is reduced after every binary addition. A part that an operand
+coefficient f then multiplies (_acc_times, the A_u and B_w above) is summed
+per word first, unless the word holds one operand alone, kc*g: that enters
+the output as the product (k*kc)*f*g, with no sum of its own.
 
 Moving a coefficient through a word is linear over its monomials, as the
 derivation is. For an integral g = A + B*M (A, B integer polynomials), u*g is
@@ -605,8 +608,14 @@ def _acc(out, w, x, y=None, k=1):
 
 def _acc_times(out, part, f, k=1):
     """Add k*f times the accumulator part to out: each list of part is
-    summed once and its nonzero sum enters out as one scaled product."""
+    summed once and its nonzero sum enters out as one scaled product. A
+    list of one operand alone, kc*g, enters as the product (k*kc)*f*g."""
     for w, ts in part.items():
+        if len(ts) == 1:
+            kc, g, h = ts[0]
+            if h is None:
+                _acc(out, w, f, g, k * kc)
+                continue
         c = scaled_sum(ts)
         if not c.is_zero():
             _acc(out, w, f, c, k)

@@ -104,6 +104,18 @@ class Polynomial:
         return p if p.terms else _P_ZERO
 
     @classmethod
+    def from_ints(cls, terms):
+        """The polynomial of a term map whose coefficients are all int.
+
+        The coefficients are trusted, not checked: zeros are dropped and
+        nothing else is done to them.
+        """
+        p = cls.__new__(cls)
+        p.terms = {e: c for e, c in terms.items() if c}
+        p._hash = None
+        return p
+
+    @classmethod
     def var(cls, i, power=1):
         e = [0, 0, 0, 0]
         e[i] = power

@@ -405,12 +405,13 @@ def test_canonical_zero_many_paths():
 # ---------------------------------------------------------------------------
 
 def _assert_exact_poly(p):
-    # an int when integral, a Fraction only when not: never a float, a bool
-    # or an integral Fraction, whichever operation produced the polynomial
+    # a nonzero int when integral, a Fraction only when not: never a zero, a
+    # float, a bool or an integral Fraction, whichever operation (or trusted
+    # constructor) produced the polynomial
     for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (
-            p.terms
-        )
+        assert c and (
+            type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        ), p.terms
 
 
 def _assert_exact_fe(x):
@@ -856,7 +857,7 @@ def test_unit_operands_skip_the_factor_list_machinery(monkeypatch):
     def general_path(*args):
         raise AssertionError("unit operands took the factor-list path")
 
-    for name in ("_lcm", "_lowest_terms", "_cancel"):
+    for name in ("_lcm", "_lowest_terms", "_cancel", "product_sum"):
         monkeypatch.setattr(field, name, general_path)
     assert _parts(x * y) == (a * b, ONE)
     assert _parts(x + y) == (a + b, ONE)
@@ -864,6 +865,17 @@ def test_unit_operands_skip_the_factor_list_machinery(monkeypatch):
     assert (x - x).is_zero()
     assert fe * 1 is fe
     assert fe * Fraction(1) is fe
+    # integral field elements with M parts: one term map per part, with
+    # M^2 = Q, and no product_sum; 2*u*v - 3*v + u*u for u = a + b*M and
+    # v = b + a*M
+    u, v = FieldElem(x, y), FieldElem(y, x)
+    z = scaled_sum([(2, u, v), (-3, v, None), (1, u, u)])
+    want_a = (a * b + a * b * Q_POLY) * 2 - b * 3 + a * a + b * b * Q_POLY
+    want_b = (a * a + b * b) * 2 - a * 3 + a * b * 2
+    assert (_parts(z.a), _parts(z.b)) == ((want_a, ONE), (want_b, ONE))
+    for part in (z.a, z.b):
+        _assert_unit(part)
+        _assert_exact_poly(part.num)
 
 
 def test_field_product_reduces_each_part_once(monkeypatch):
@@ -990,13 +1002,7 @@ def test_scaled_product_sums_match_binary_operators():
 
     # field elements: each part of sum(k * x * y) against the binary
     # operators on the parts, with M^2 = Q
-    fes = [FE_ONE, FE_M, FieldElem(units[1], units[0]), FieldElem(held[0])]
-    fes += [FieldElem(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
-    for _ in range(60):
-        terms = [
-            (rng.choice(ks), rng.choice(fes), rng.choice((None, *fes)))
-            for _ in range(rng.choice((1, 2, 3)))
-        ]
+    def check_fe(terms):
         a, b = [], []
         for k, x, y in terms:
             if y is None:
@@ -1008,6 +1014,56 @@ def test_scaled_product_sums_match_binary_operators():
         z = scaled_sum(terms)
         check(z.a, binary(a))
         check(z.b, binary(b))
+        return z
+
+    fes = [FE_ONE, FE_M, FieldElem(units[1], units[0]), FieldElem(held[0])]
+    fes += [FieldElem(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+    for _ in range(60):
+        check_fe([
+            (rng.choice(ks), rng.choice(fes), rng.choice((None, *fes)))
+            for _ in range(rng.choice((1, 2, 3)))
+        ])
+
+    # integral field elements take scaled_sum's one-pass path, which a
+    # non-integral operand leaves for the general route wherever it stands
+    integral = [
+        FE_ONE, FE_M, FieldElem(units[1], units[0]),
+        FieldElem(units[2], units[4]), FieldElem(units[3]),
+        FieldElem(field.RF_ZERO, units[1]),
+    ]
+    other = [fe for fe in fes if not fe.is_integral()]
+    for n in range(120):
+        terms = [
+            (rng.choice(ks), rng.choice(integral), rng.choice((None, *integral)))
+            for _ in range(rng.choice((1, 1, 2, 3)))
+        ]
+        if n % 4 == 1:
+            # the same products with opposite signs: the sum is zero
+            terms += [(-k, x, y) for k, x, y in reversed(terms)]
+        elif n % 4 == 2:
+            terms.append((rng.choice(ks), rng.choice(other), rng.choice((None, *fes))))
+        elif n % 4 == 3:
+            terms.insert(0, (rng.choice(ks), rng.choice(other), None))
+        z = check_fe(terms)
+        if not all(x.is_integral() and (y is None or y.is_integral())
+                   for _, x, y in terms):
+            first = terms[0][1].is_integral()
+            seen.add("mixed, unit first" if first else "mixed, unit last")
+            continue
+        for part in (z.a, z.b):
+            _assert_unit(part)
+            _assert_exact_poly(part.num)
+        if any(y is not None and x.b.num.terms and y.b.num.terms
+               for _, x, y in terms):
+            seen.add("unit, M*M")
+        if z.is_zero():
+            seen.add("unit, zero")
+        if len(terms) == 1 and terms[0][0] != 1:
+            seen.add("unit, one term, k != 1")
+    assert seen >= {
+        "unit, M*M", "unit, zero", "unit, one term, k != 1",
+        "mixed, unit first", "mixed, unit last",
+    }
     assert scaled_sum([(1, fes[3], None)]) is fes[3]
 
 

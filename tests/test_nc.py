@@ -306,6 +306,57 @@ def test_combine_matches_the_fold_without_memos(random_schedule_algebra):
         assert algebra.combine(terms) == want, n
 
 
+def test_lone_operands_pass_through_acc_times(monkeypatch,
+                                              random_schedule_algebra):
+    # brackets and products of operands whose coefficients are quotients or
+    # integral with an M part, against the memo-less reference; a part that
+    # holds one operand alone, kc*g, enters the output as the product
+    # (k*kc)*f*g, so _acc_times never sums such a part on its own
+    from confalg import nc
+
+    ref = random_schedule_algebra(35)
+    rng = random.Random(20261035)
+    draws = []
+    for n in range(16):
+        ops = []
+        for kind in ("quotient", "integral")[n % 2:] + ("quotient", "integral")[:n % 2]:
+            g = _rand_coefficient(rng, kind)
+            if kind == "integral" and g.b.is_zero():
+                g = g + FE_M * FieldElem.momentum(rng.randrange(4))
+            u = tuple(rng.randrange(N_LETTERS) for _ in range(rng.randint(1, 2)))
+            ops.append(ref.normalize(NCExpr({u: g})))
+        x, y = ops
+        draws.append((x, y, ref.mul(x, y), ref.mul(y, x)))
+
+    lone = {"parts": 0, "summed": 0}
+    inside = [False]
+    acc_times, summed = nc._acc_times, nc.scaled_sum
+
+    def traced_acc_times(out, part, f, k=1):
+        lone["parts"] += sum(len(ts) == 1 and ts[0][2] is None for ts in part.values())
+        inside[0] = True
+        try:
+            acc_times(out, part, f, k)
+        finally:
+            inside[0] = False
+
+    def traced_scaled_sum(terms):
+        if inside[0] and len(terms) == 1 and terms[0][2] is None:
+            lone["summed"] += 1
+        return summed(terms)
+
+    monkeypatch.setattr(nc, "_acc_times", traced_acc_times)
+    monkeypatch.setattr(nc, "scaled_sum", traced_scaled_sum)
+    alg = build_algebra()
+    for n, (x, y, xy, yx) in enumerate(draws):
+        assert alg.mul(x, y) == xy, n
+        assert alg.bracket(x, y) == xy - yx, n
+        assert alg.combine(((2, "br", y, x), (Fraction(1, 3), "*", x, y))) == (
+            (yx - xy).scale(2) + xy.scale(Fraction(1, 3))), n
+    assert lone["parts"] > 0
+    assert lone["summed"] == 0
+
+
 def test_scale_by_zero_and_nonzero_scalars(alg):
     x = _combine_operands(alg)[-1]
     assert len(x.terms) == 3 and any(not c.b.is_zero() for c in x.terms.values())
@@ -720,7 +771,9 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # form no field product of their own, reduce each output word once, and
 # negate a lone subtracted coefficient without reducing it; an integral
 # coefficient moves through a word one monomial at a time, so the shift
-# memo holds a (word, monomial) entry for it, not a (word, coefficient) one. A
+# memo holds a (word, monomial) entry for it, not a (word, coefficient) one;
+# a lone operand kc*g in a part passes through _acc_times as the product
+# (k*kc)*f*g, with no sum of its own. A
 # change to the operations a suite makes, to what is memoized, or to how
 # often the engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
