@@ -23,6 +23,7 @@ given. Budgets below 10^3 are rejected.
 
 import argparse
 import os
+import re
 import sys
 
 from . import dsl, suites
@@ -112,8 +113,9 @@ def _resolve_budget(flag_value):
 
 
 def _parse_assignment(text):
+    """name=value pieces, split at the commas outside [...] as in J[0,1]."""
     out = {}
-    for piece in text.split(","):
+    for piece in re.split(r",(?![^\[\]]*\])", text):
         name, sep, value = piece.partition("=")
         name = name.strip()
         value = value.strip()

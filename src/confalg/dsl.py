@@ -478,7 +478,8 @@ def elaborate(ast, assignment, obs, budget=DEFAULT_BUDGET):
     a*b*...*z (any mix of "*", "." and br, associated left) binds its
     names in the order in which the chain's prefixes first need them, and
     drops every tuple that extends a binding whose prefix is zero. Any
-    other sum runs its tuples in declared order. An operand that is not
+    other sum runs its tuples in declared order. The tuples' terms are
+    added in one Algebra.combine. An operand that is not
     skippable at some binding is reached there, so errors surface as a
     plain tree walk's do.
     A "/" whose numerator is zero returns it without inverting a nonzero
@@ -583,7 +584,7 @@ def _elaborate(node, scope, obs, budget):
         return hit
     if isinstance(node, Sum):
         plan = _binding_plan(node, scope)
-        return _bind(0, 0, None, alg.zero(), plan, dict(scope), obs, budget)
+        return alg.combine(_bind(0, 0, None, plan, dict(scope), obs, budget))
     if isinstance(node, Neg):
         return -_elaborate(node.arg, scope, obs, budget)
     if isinstance(node, Pow):
@@ -653,8 +654,9 @@ def _link(alg, op, left, right, budget):
     return alg.bracket(left, right)
 
 
-def _bind(level, k, prefix, total, plan, scope, obs, budget):
-    """total plus the sum's terms over the names from order[level] on.
+def _bind(level, k, prefix, plan, scope, obs, budget):
+    """Yield the sum's terms over the names from order[level] on, as
+    Algebra.combine terms (1, None, term, None).
 
     order[:level] is bound in scope, and prefix is the product of
     factors[:k] (None while k is 0), those that need fewer names. Each
@@ -666,15 +668,15 @@ def _bind(level, k, prefix, total, plan, scope, obs, budget):
         right = _elaborate(factors[k], scope, obs, budget)
         prefix = _link(obs.alg, links[k], prefix, right, budget) if k else right
         if prefix.is_zero():
-            return total
+            return
         k += 1
     if level == len(order):
-        return total + prefix
+        yield 1, None, prefix, None
+        return
     name = order[level]
     for v in index_range(name):
         scope[name] = v
-        total = _bind(level + 1, k, prefix, total, plan, scope, obs, budget)
-    return total
+        yield from _bind(level + 1, k, prefix, plan, scope, obs, budget)
 
 
 def _as_coefficient(expr):

@@ -682,7 +682,7 @@ class FieldElem:
 
     def is_integral(self):
         """True when both parts are integer polynomials (on the unit list),
-        so the d of as_quotient is 1."""
+        so as_quotient gives (self, 1, 1)."""
         return self.a._fac == _UNIT and self.b._fac == _UNIT
 
     # ---- field operations ----
@@ -739,11 +739,12 @@ class FieldElem:
         return f"FieldElem({self.pretty()})"
 
     def as_quotient(self):
-        """(A, B, d, 1/d) with the element equal to (A + B*M)/d.
+        """(N, d, 1/d), field elements with the element equal to N/d.
 
-        d is a common denominator of both parts, the least one when every
-        factor of their lists is certified. 1/d is a FieldElem built on the
-        factor list of d that this computes, so d is not factored again.
+        N = A + B*M and d are integral: d is a common denominator of both
+        parts, the least one when every factor of their lists is certified.
+        1/d is built on the factor list of d that this computes, so d is not
+        factored again.
         """
         a, b = self.a, self.b
         if a.den == b.den:
@@ -755,7 +756,8 @@ class FieldElem:
             A, B = _scaled(a.num, m // ma, cofa), _scaled(b.num, m // mb, cofb)
             fac = (m, L)
             d = _scaled(_POLY_ONE, *fac)
-        return A, B, d, FieldElem(RationalFunction(_POLY_ONE, d, _fac=fac))
+        return (FieldElem(_integral(A), _integral(B)), FieldElem(_integral(d)),
+                FieldElem(RationalFunction(_POLY_ONE, d, _fac=fac)))
 
     def pretty(self):
         if self.b.is_zero():

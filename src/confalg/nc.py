@@ -62,11 +62,14 @@ memo entry; a G-algebra's multiplication table is keyed by exponents the
 same way (Levandovskyy & Schönemann, ISSAC 2003). _shift hands back the
 parts (c, m, u*m), and each caller adds c times each of their terms straight
 to its own accumulator: no u*g is summed on its own. A non-integral g moves
-whole and is memoized with its word.
+whole and is memoized with its word. Both pass u's last letter a first:
+a*m = m*a + (a, m) is the closed form of _deriv_mono, and a longer u moves
+a*m through its head. So a letter's derivation (a, g) = a*g - g*a is read
+from these entries (deriv), and has no memo of its own.
 
 Confluence is certified, not sampled: tests/test_nc.py resolves every overlap
 of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
-schedule and memoizes its rewrites in the four Algebra memos; the derivation
+schedule and memoizes its rewrites in three Algebra memos; the derivation
 of a letter on a whole coefficient is recomputed from their parts each time.
 Randomized schedules live only in tests.
 """
@@ -203,11 +206,11 @@ class Algebra:
     other derivation follows from these (see _deriv_mono); (C[mu], M) =
     2*M.X[mu] among them.
 
-    Four memos live as long as the algebra: _word_memo (sorted letter
+    Three memos live as long as the algebra: _word_memo (sorted letter
     words), _shift_memo (u * m for a word u and a unit-coefficient monomial
-    m, and u * g for a non-integral coefficient g; see _shift), _mono_memo
-    (a letter's derivation on a monomial) and _comm_memo (uw - wu). deriv
-    keeps none of its own; its results are rebuilt from the last three.
+    m, and u * g for a non-integral coefficient g; see _shift) and
+    _comm_memo (uw - wu). deriv keeps none of its own: a letter's
+    derivation on a monomial is its one-letter _shift_memo entry less m*a.
     No method checks a rewrite budget, so one algebra serves every budget.
     Each operation collects an output word's terms as scaled products
     k*x*y and reduces their sum once (_acc, _summed); every coefficient it
@@ -219,7 +222,6 @@ class Algebra:
         self.momentum_rules = momentum_rules
         self._word_memo = {}
         self._shift_memo = {}
-        self._mono_memo = {}
         self._comm_memo = {}
 
     # ---- constructors ----
@@ -290,22 +292,16 @@ class Algebra:
 
     # ---- derivation of a letter on a coefficient ----
 
-    def _deriv_mono(self, a, exps, with_m):
-        """(a, g) for the unit-coefficient monomial g, in closed form.
+    def _deriv_mono(self, a, m, out):
+        """Accumulate the closed form of (a, m) in out, m a unit monomial.
 
-        (a, g) = sum over nu of dot(d_nu g, Y_nu) with Y_nu = (a, P[nu]).
+        (a, m) = sum over nu of dot(d_nu m, Y_nu) with Y_nu = (a, P[nu]).
         A D or J rule Y_nu is a pure coefficient. The words of a C rule are
         single D or J letters w, and Y_nu*h = h*Y_nu + (w, h) for each, so
-        each adds half its coefficient times (w, d_nu g).
+        each adds half its coefficient times (w, d_nu m).
         """
-        key = (a, exps, with_m)
-        hit = self._mono_memo.get(key)
-        if hit is not None:
-            return hit
-        g = FieldElem.monomial(exps, with_m)
-        out = {}
         for nu in range(4):
-            h = g.partial(nu)
+            h = m.partial(nu)
             if h.is_zero():
                 continue
             for w, c in self.momentum_rules[(a, nu)].items():
@@ -314,43 +310,26 @@ class Algebra:
                     half = c * Fraction(1, 2)
                     for z, e in self.deriv(w[0], h).items():
                         _acc(out, z, e, half)
-        out = _summed(out)
-        self._mono_memo[key] = out
-        return out
-
-    def _deriv_poly(self, a, p, with_m, out):
-        """Accumulate (a, p) in out for a polynomial p, times M when with_m."""
-        for exps, c in p.terms.items():
-            for w, h in self._deriv_mono(a, exps, with_m).items():
-                _acc(out, w, h, None, c)
 
     def deriv(self, a, g):
-        """(a, g) for letter a and coefficient g, as {word: FieldElem}.
-
-        as_quotient writes g as (A + B*M)/d and gives 1/d with it; the
-        quotient rule below needs no factoring of its own. d is 1 exactly
-        when g is integral, and then g is A + B*M as it stands. A rational
-        g gives {}, as every derivation of a polynomial of degree 0 is
-        empty.
+        """(a, g) = a*g - g*a for letter a and coefficient g, as
+        {word: FieldElem}, formed by _acc_moved. A non-integral g is N/d
+        (as_quotient, which gives 1/d with no factoring of its own), and
+        the quotient rule takes (a, N) and (a, d). A rational g gives {}, as
+        every derivation of a polynomial of degree 0 is empty.
         """
-        integral = g.is_integral()
-        if integral:
-            A, B = g.a.num, g.b.num
-        else:
-            A, B, d, dinv = g.as_quotient()
-        num = {}
-        self._deriv_poly(a, A, False, num)
-        self._deriv_poly(a, B, True, num)
-        num = _summed(num)
-        if integral:
-            return num
+        out = {}
+        if g.is_integral():
+            self._acc_moved(out, (a,), g, ())
+            return _summed(out)
+        N, d, dinv = g.as_quotient()
         # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
         #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1
         # and N * d^-1 is g itself, a pure left coefficient.
-        dd = {}
-        self._deriv_poly(a, d, False, dd)
-        out, part = {}, {}
-        for w, f, h, c in self._raw_mul_terms(num, {(): dinv}):
+        num, dd, part = {}, {}, {}
+        self._acc_moved(num, (a,), N, ())
+        self._acc_moved(dd, (a,), d, ())
+        for w, f, h, c in self._raw_mul_terms(_summed(num), {(): dinv}):
             _acc(out, w, f, h, c)
         for w, f, h, c in self._raw_mul_terms(_summed(dd), {(): dinv}):
             _acc(part, w, f, h, c)
@@ -376,7 +355,9 @@ class Algebra:
             key = (u, g)
             parts = memo.get(key)
             if parts is None:
-                parts = ((1, g, self._moved(u, g, self.deriv(u[-1], g))),)
+                a = u[-1]
+                terms = (((a,), g), *self.deriv(a, g).items())
+                parts = ((1, g, self._moved(u[:-1], terms)),)
                 memo[key] = parts
             return parts
         a, b = g.a.num.terms, g.b.num.terms
@@ -399,21 +380,28 @@ class Algebra:
     def _shift_mono(self, key):
         """Memoize and return the one-part sequence ((1, m, u*m),) for
         key = (u, exps, with_m), m the unit-coefficient monomial of exps
-        and with_m; _shift looks the key up first."""
+        and with_m; _shift looks the key up first. For one letter a,
+        a*m = m*a + (a, m) in closed form; a longer u is head * (a*m)."""
         u, exps, with_m = key
         m = FieldElem.monomial(exps, with_m)
-        d = self._deriv_mono(u[-1], exps, with_m)
-        parts = ((1, m, self._moved(u, m, d)),)
+        a = u[-1]
+        if len(u) == 1:
+            out = {u: [(1, m, None)]}
+            self._deriv_mono(a, m, out)
+            moved = _summed(out)
+        else:
+            (_, _, am), = self._shift((a,), m)
+            moved = self._moved(u[:-1], am.items())
+        parts = ((1, m, moved),)
         self._shift_memo[key] = parts
         return parts
 
-    def _moved(self, u, g, d):
-        """u*g summed, for d = (a, g) with a the last letter of u:
-        u*g = head*g*a + sum of head*h*z over the terms h*z of d."""
-        head, a = u[:-1], u[-1]
+    def _moved(self, head, terms):
+        """head * (the sum of h*w over the pairs (w, h) of terms), summed:
+        each h moves through head, and head may be empty."""
         sort = self._sort_word
         out = {}
-        for w, h in (((a,), g), *d.items()):
+        for w, h in terms:
             if not head or h.is_rational():
                 for zw, c in sort(head + w).items():
                     _acc(out, zw, h, None, c)

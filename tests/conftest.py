@@ -48,6 +48,16 @@ def run_cli():
     return run
 
 
+def memo_sizes(alg):
+    """{name: entries} for every memo of the Algebra alg, read from its
+    ``*_memo`` attributes by name: "shift" for ``_shift_memo``."""
+    return {
+        name.removeprefix("_").removesuffix("_memo"): len(memo)
+        for name, memo in vars(alg).items()
+        if name.endswith("_memo")
+    }
+
+
 class _Forgetful(dict):
     """A memo that stores nothing, so every lookup misses."""
 

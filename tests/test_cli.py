@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from confalg import suites
-from confalg.cli import main
+from confalg.cli import _parse_assignment, main
 from confalg.conformal import build_algebra
 from confalg.dsl import elaborate, parse
 from confalg.errors import RewriteBudgetExceeded
@@ -174,6 +174,24 @@ def test_run_structure_suite_json(capsys):
         "table-antisymmetry",
         "vector-field-oracle",
     ]
+
+
+def test_assignments_of_builtin_identities_parse_back():
+    # a generator value such as J[0,1] holds a comma of its own
+    for tag in suites.SUITE_TAGS:
+        for ident in suites.catalog_by_suite(tag):
+            if ident.builtin is None:
+                continue
+            for asg in suites.identity_assignments(ident):
+                text = ",".join(f"{k}={v}" for k, v in asg.items())
+                assert _parse_assignment(text) == asg, (ident.id, text)
+
+
+def test_run_assignment_with_a_j_generator(capsys):
+    rc = main(["run", "--identity", "table-antisymmetry",
+               "--assignment", "a=J[0,1],b=D"])
+    assert rc == 0
+    assert "[1 assignment," in capsys.readouterr().out
 
 
 def test_run_usage_errors(capsys):

@@ -3,8 +3,10 @@ quadratic Casimir.
 
 The engine computes (a, g) for a letter a and a monomial g in closed form,
 from the partial derivatives of g and the momentum rules alone (see
-nc.Algebra._deriv_mono). The reference here is the factor-by-factor Leibniz
-loop it replaced, which needs each letter's mass rule (a, M) as an input:
+nc.Algebra._deriv_mono), and keeps a*g = g*a + (a, g) as the one-letter
+entry of its moved-monomial memo. The reference here is the
+factor-by-factor Leibniz loop it replaced, which needs each letter's mass
+rule (a, M) as an input:
 (D, M) = M and (J, M) = 0, as D scales Q = P.P and J keeps it, and
 (C[mu], M) is the normal form of 2*M.X[mu].
 
@@ -31,7 +33,7 @@ from confalg.conformal import (
 )
 from confalg.dsl import elaborate, parse
 from confalg.field import FE_M, FE_ONE, FieldElem
-from confalg.nc import LETTER_D, Algebra, NCExpr, letter_C, letter_J
+from confalg.nc import LETTER_D, Algebra, NCExpr, _acc, letter_C, letter_J
 from confalg.observables import Observables
 
 
@@ -59,13 +61,10 @@ class LeibnizAlgebra(Algebra):
             rule = self.dot(self.mass(), obs.X(mu)).scale(2)
             self.mass_rules[letter_C(mu)] = dict(rule.terms)
 
-    def _deriv_mono(self, a, exps, with_m):
-        key = (a, exps, with_m)
-        hit = self._mono_memo.get(key)
-        if hit is None:
-            hit = self.leibniz(a, _factors(exps, with_m))
-            self._mono_memo[key] = hit
-        return hit
+    def _deriv_mono(self, a, m, out):
+        ((exps, _),) = (m.a.num.terms or m.b.num.terms).items()
+        for w, c in self.leibniz(a, _factors(exps, m.a.is_zero())).items():
+            _acc(out, w, c)
 
     def leibniz(self, a, factors):
         """(a, f0*f1*...) for a list of ("P", v) / ("M", 0) factors."""
@@ -84,6 +83,17 @@ class LeibnizAlgebra(Algebra):
             out = {w: c for w, c in step.items() if not c.is_zero()}
             rest = f * rest
         return out
+
+
+def _one_letter_entries(alg):
+    """{(a, exps, with_m): (m, a*m)} over the one-letter entries of alg's
+    moved-monomial memo."""
+    out = {}
+    for key, ((_, m, moved),) in alg._shift_memo.items():
+        if len(key) == 3 and len(key[0]) == 1:
+            (a,), exps, with_m = key
+            out[(a, exps, with_m)] = m, moved
+    return out
 
 
 def _factors(exps, with_m):
@@ -156,10 +166,13 @@ def test_closed_form_matches_leibniz_reference(casimir):
     suites.run_all(suites.Context(catalogue, Observables(catalogue)))
     ref = LeibnizAlgebra()
     rng = random.Random(20261019)
-    memos = [catalogue._mono_memo, casimir[0]._mono_memo]
+    memos = [_one_letter_entries(alg) for alg in (catalogue, casimir[0])]
     checked = set()
     for memo in memos:
-        for (a, exps, with_m), got in memo.items():
+        for (a, exps, with_m), (m, moved) in memo.items():
+            # a*m = m*a + (a, m), and no conformal rule puts a in (a, m)
+            got = dict(moved)
+            assert got.pop((a,)) == m, (a, exps, with_m)
             factors = _factors(exps, with_m)
             shuffled = rng.sample(factors, len(factors))
             assert got == ref.leibniz(a, factors), (a, exps, with_m)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import memo_sizes
 
 from confalg import dsl
 from confalg.conformal import build_algebra
@@ -676,11 +677,7 @@ def test_chains_match_the_binary_fold(obs):
 def _budget_outcome(fn, ast, budget):
     """(outcome, memo sizes) of fn on a fresh engine at budget."""
     obs = Observables(build_algebra())
-    got = _outcome(fn, ast, {}, obs, budget)
-    memos = obs.alg
-    sizes = tuple(len(m) for m in (memos._word_memo, memos._shift_memo,
-                                   memos._mono_memo, memos._comm_memo))
-    return got, sizes
+    return _outcome(fn, ast, {}, obs, budget), memo_sizes(obs.alg)
 
 
 def test_chains_refuse_the_same_product_as_the_binary_fold():

@@ -434,10 +434,10 @@ def test_stored_coefficients_are_int_or_nonintegral_fraction():
             _assert_exact_fe(z)
         if not x.is_zero():
             _assert_exact_fe(x.inv())
-        A, B, d, dinv = x.as_quotient()
-        for part in (A, B, d):
-            _assert_exact_poly(part)
-        _assert_exact_fe(dinv)
+        N, d, dinv = x.as_quotient()
+        assert N.is_integral() and d.is_integral()
+        for part in (N, d, dinv):
+            _assert_exact_fe(part)
         rf = _rand_rf(rng)
         for r in (rf, rf * rf, rf + rf, rf * 4):
             _assert_exact_poly(r.num)
@@ -536,13 +536,15 @@ def _ref_inv(x):
 
 
 def _ref_as_quotient(x, y):
-    """The common-denominator form (A, B, d) of x + y*M."""
+    """The common-denominator form (N, d) of x + y*M, N = A + B*M, as
+    field elements."""
     (a, ad), (b, bd) = x, y
-    if ad == bd:
-        return a, b, ad
-    g = poly_gcd(ad, bd) * math.gcd(integer_content(ad), integer_content(bd))
-    bd_r, ad_r = exact_div(bd, g), exact_div(ad, g)
-    return a * bd_r, b * ad_r, ad * bd_r
+    if ad != bd:
+        g = poly_gcd(ad, bd) * math.gcd(integer_content(ad), integer_content(bd))
+        bd_r, ad_r = exact_div(bd, g), exact_div(ad, g)
+        a, b, ad = a * bd_r, b * ad_r, ad * bd_r
+    N = FieldElem(RationalFunction.from_poly(a), RationalFunction.from_poly(b))
+    return N, FieldElem.from_poly(ad)
 
 
 def _parts(r):
@@ -749,20 +751,23 @@ def _assert_quotient(z, rx, ry):
     fresh admission of d, which can split an uncertified product."""
     from confalg import field
 
-    A, B, d, dinv = z.as_quotient()
-    assert FieldElem(RationalFunction(A, d), RationalFunction(B, d)) == z
-    assert dinv == FieldElem(RationalFunction(ONE, d))
-    assert dinv.b.is_zero() and _scaled_product(*dinv.a._fac) == d
+    N, d, dinv = z.as_quotient()
+    assert N.is_integral() and d.is_integral() and d.b.is_zero()
+    A, B, dp = N.a.num, N.b.num, d.a.num
+    assert FieldElem(RationalFunction(A, dp), RationalFunction(B, dp)) == z
+    assert dinv == FieldElem(RationalFunction(ONE, dp))
+    assert dinv.b.is_zero() and _scaled_product(*dinv.a._fac) == dp
     if all(f in field._PRIMES for r in (z.a, z.b) for f in r._fac[1]):
-        assert (A, B, d) == _ref_as_quotient(rx, ry)
+        assert (N, d) == _ref_as_quotient(rx, ry)
 
 
 def test_as_quotient_takes_the_least_integer_denominator():
     # the two parts' denominators 2 and 4 share the factor 2, so d is 4
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     z = FieldElem.momentum(0) * half + FieldElem.momentum(1) * FE_M * quarter
-    A, B, d, dinv = z.as_quotient()
-    assert (A, B, d) == (P0 * 2, P1, Polynomial.const(4))
+    N, d, dinv = z.as_quotient()
+    assert (N, d) == (FieldElem.from_poly(P0 * 2) + FieldElem.from_poly(P1) * FE_M,
+                      FieldElem.const(4))
     assert dinv == FieldElem.const(Fraction(1, 4))
 
 

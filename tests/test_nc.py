@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import memo_sizes
 
 from confalg import conformal, dsl, field, suites
 from confalg.conformal import (
@@ -31,7 +32,6 @@ from confalg.nc import (
     operation_cost,
 )
 from confalg.observables import Observables
-from confalg.poly import Polynomial
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +495,15 @@ def _check_moved_coefficients(alg, ref, rng, kinds, mass, count):
     given kinds;
     both operands carry words and non-rational coefficients, so _shift's
     parts reach _raw_mul_terms and both loops of the bracket's _acc_moved.
-    Every draw runs cold, then again on the warm engine."""
+    Every draw runs cold, then again on the warm engine. deriv(a, h), for
+    every letter a and both drawn coefficients h, is checked against the
+    commutator a*h - h*a of ref's products."""
+    letters = [ref.letter(a) for a in range(N_LETTERS)]
+
+    def commutators(h):
+        s = ref.scalar(h)
+        return [(ref.mul(x, s) - ref.mul(s, x)).terms for x in letters]
+
     draws = []
     for n in range(count):
         u = tuple(rng.randrange(N_LETTERS) for _ in range(rng.randint(1, 4)))
@@ -505,16 +513,20 @@ def _check_moved_coefficients(alg, ref, rng, kinds, mass, count):
         x, y = (ref.normalize(NCExpr(t)).terms for t in ({u: f}, {w: g}))
         refs = (_ref_product(ref, x, {(): g}), _ref_product(ref, x, y),
                 _ref_product(ref, y, x))
-        draws.append((u, w, f, g, refs))
+        derivs = ((f, commutators(f)), (g, commutators(g)))
+        draws.append((u, w, f, g, refs, derivs))
     seen = set()
     for _ in range(2):
-        for n, (u, w, f, g, (ug, xy, yx)) in enumerate(draws):
+        for n, (u, w, f, g, (ug, xy, yx), derivs) in enumerate(draws):
             x = alg.normalize(NCExpr({u: f}))
             y = alg.normalize(NCExpr({w: g}))
             assert alg.combine(((1, "*", x, alg.scalar(g)),)) == ug, n
             assert alg.mul(x, y) == xy, n
             assert alg.combine(((1, "br", x, y), (2, "*", y, x))) == xy + yx, n
             assert alg.bracket(y, x) == yx - xy, n
+            for h, want in derivs:
+                for a in range(N_LETTERS):
+                    assert alg.deriv(a, h) == want[a], (n, letter_name(a), h)
             seen.add("rational" if g.is_rational() else
                      "integral" if g.is_integral() else "quotient")
     assert not ref._shift_memo
@@ -580,9 +592,9 @@ def test_shift_memo_does_not_grow_with_fresh_coefficients():
                 alg.bracket(alg.mul(y, alg.C(1)), x)
 
     batch(12)
-    sizes = _memo_sizes(alg)
+    sizes = memo_sizes(alg)
     batch(12)
-    assert _memo_sizes(alg) == sizes
+    assert memo_sizes(alg) == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +636,6 @@ def test_rewrite_budget_enforced():
         _elaborated(_REVERSED_WORD, obs, budget=10)
     # the refused product leaves no spent fuel behind: a one-swap word fits
     assert _elaborated("C[0]*D", obs, budget=10).pretty() == "D*C[0] + C[0]"
-
-
-def _memo_sizes(alg):
-    return tuple(
-        len(m)
-        for m in (alg._word_memo, alg._shift_memo, alg._mono_memo, alg._comm_memo)
-    )
 
 
 # two operands that both carry a word and a non-rational coefficient, so a
@@ -686,17 +691,17 @@ def test_refused_operation_has_no_effect():
         obs = Observables(build_algebra())
         ast = Bin(op, left, right)
         cost = operation_cost(*(elaborate(a, {}, obs) for a in (left, right)))
-        before = _memo_sizes(obs.alg)
+        before = memo_sizes(obs.alg)
         for _ in range(3):
             # the product itself is refused, not the building of an operand
             with pytest.raises(
                 RewriteBudgetExceeded, match=rf"^operation cost {cost} exceeds"
             ):
                 elaborate(ast, {}, obs, cost - 1)
-            assert _memo_sizes(obs.alg) == before, op
+            assert memo_sizes(obs.alg) == before, op
         # at its cost the product runs, and it does rewrite
         elaborate(ast, {}, obs, cost)
-        assert _memo_sizes(obs.alg) != before, op
+        assert memo_sizes(obs.alg) != before, op
 
 
 def _record_ops(monkeypatch):
@@ -754,7 +759,7 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 
 
 # (count, total cost, peak) of the operations with a nonzero cost in a fresh
-# suite run, the sizes of the four memos after it (word, shift, mono, comm),
+# suite run, the sizes of the memos after it by name,
 # a ceiling on all its top-level operations, the number of FieldElem x
 # FieldElem products it makes, and the number of rational functions it
 # brings to lowest terms (field._lowest_terms): the sweeps share their
@@ -773,14 +778,20 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # coefficient moves through a word one monomial at a time, so the shift
 # memo holds a (word, monomial) entry for it, not a (word, coefficient) one;
 # a lone operand kc*g in a part passes through _acc_times as the product
-# (k*kc)*f*g, with no sum of its own. A
+# (k*kc)*f*g, with no sum of its own; a letter's derivation on a monomial
+# is read from its one-letter shift memo entry, with no memo of its own; a
+# sum(...) binder adds its terms in one combine, not one binary + each. A
 # change to the operations a suite makes, to what is memoized, or to how
 # often the engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
-    "structure": ((1140, 2812, 3), (133, 51, 122, 117), 2160, 0, 32),
-    "localisation": ((960, 7140, 65), (61, 224, 134, 49), 1572, 240, 2078),
-    "conformal-factor": ((725, 8836, 62), (117, 287, 122, 77), 1157, 16, 3547),
-    "canonical": ((629, 6238, 96), (56, 349, 525, 42), 749, 150, 3550),
+    "structure": ((1140, 2812, 3), dict(word=131, shift=122, comm=117),
+                  2160, 0, 32),
+    "localisation": ((960, 7140, 65), dict(word=57, shift=263, comm=49),
+                     1572, 240, 2042),
+    "conformal-factor": ((725, 8836, 62), dict(word=117, shift=354, comm=77),
+                         1157, 16, 3547),
+    "canonical": ((629, 6238, 96), dict(word=56, shift=840, comm=42),
+                  749, 150, 3513),
 }
 
 
@@ -826,7 +837,7 @@ def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     # moved; the ceiling column reads as pinned while len(seq) <= ceiling
     seen = (
         (len(costs), sum(costs), max(costs)),
-        _memo_sizes(alg),
+        memo_sizes(alg),
         max(len(seq), ceiling),
         products[0],
         reductions[0],
@@ -1109,9 +1120,9 @@ def test_deriv_on_constant_denominators(alg):
     for g in (P0 * P1, P0 * FE_M, P1 * P1 + FE_M):
         for k in (Fraction(2), Fraction(-3, 5)):
             gk = g * (1 / k)
-            _, _, d, dinv = gk.as_quotient()
-            assert d.is_const() and d != Polynomial.one()
-            assert dinv == FieldElem.const(Fraction(1, d.leading()[1]))
+            _, d, dinv = gk.as_quotient()
+            assert d.is_rational() and d != FE_ONE
+            assert dinv == FieldElem.const(Fraction(1, d.a.num.leading()[1]))
             for a in range(N_LETTERS):
                 want = {w: c * (1 / k) for w, c in alg.deriv(a, g).items()}
                 assert alg.deriv(a, gk) == want, (letter_name(a), g, k)
