@@ -30,7 +30,8 @@ by default) is a DslSyntaxError at the literal's line and column.
 
 The front end: _tokenize reads the source with one regular expression into
 plain (kind, text, line, col) tuples, and _Parser parses them by operator
-precedence. Nodes are slotted dataclasses that compare and hash by value.
+precedence. Nodes are plain slotted classes that compare and hash by
+value through their one base class.
 elaborate builds each leaf once per observable cache: Observables.leaves
 maps a numeral's int and a symbol's (name, *index values) to its
 operator, so a leaf met again is one lookup with no range check. Symbols
@@ -39,7 +40,6 @@ so numerals cannot grow it without bound.
 """
 
 import re
-from dataclasses import dataclass
 
 from .conformal import eps4, eta
 from .errors import (
@@ -67,15 +67,44 @@ __all__ = [
 # Nodes are immutable by convention, as Polynomial and NCExpr are: nothing
 # assigns to a field after construction. They compare and hash by value.
 
-@dataclass(slots=True, unsafe_hash=True)
-class Num:
-    value: int
+class _Node:
+    """Base of the AST nodes. A node's fields are its __slots__, in
+    constructor order; two nodes are equal when they are of one class with
+    equal fields, and a node hashes by its fields."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Sym:
-    name: str
-    indices: tuple  # ints and/or index-variable names
+class Num(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class Sym(_Node):
+    __slots__ = ("name", "indices")  # indices: ints and/or index-variable names
+
+    def __init__(self, name, indices):
+        self.name = name
+        self.indices = indices
 
 
 # Precedence levels; higher binds tighter. All of * . / share one level and
@@ -102,33 +131,40 @@ _PRODUCTS = ("*", ".", "br")
 _SUMS = ("+", "-")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Bin:
+class Bin(_Node):
     """left op right, for each op in _BINARY."""
-    op: str
-    left: object
-    right: object
 
-    def __post_init__(self):
-        if self.op not in _BINARY:
-            raise ValueError(f"unknown binary operator {self.op!r}")
+    __slots__ = ("op", "left", "right")
 
-
-@dataclass(slots=True, unsafe_hash=True)
-class Neg:
-    arg: object
+    def __init__(self, op, left, right):
+        if op not in _BINARY:
+            raise ValueError(f"unknown binary operator {op!r}")
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Pow:
-    base: object
-    exponent: int
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Sum:
-    names: tuple
-    body: object
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        self.base = base
+        self.exponent = exponent
+
+
+class Sum(_Node):
+    __slots__ = ("names", "body")
+
+    def __init__(self, names, body):
+        self.names = names
+        self.body = body
 
 
 def children(node):

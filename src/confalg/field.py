@@ -58,6 +58,12 @@ split. The 1/d that FieldElem.as_quotient returns is not admitted: it is
 built on the factor list of d that as_quotient forms from the operands'
 lists, so d is not factored again.
 
+Derivatives: monomial_partial gives d/dP[v] of a unit monomial P^e or
+P^e*M in closed form from its exponents, with d/dP[v] M = eta_vv*P[v]*M/Q
+from M^2 = Q. The quotient over Q is built on Q's factor list as it
+stands, so field certifies Q prime at import and raises
+ConsistencyFailure if it cannot.
+
 Unit lists: a list (1, {}) means den = 1 and a numerator with integer
 coefficients (_canon and _lowest_terms see to it). On such operands the lcm,
 the cofactors, _cancel and _lowest_terms all reduce to the identity, so a sum
@@ -77,7 +83,7 @@ import math
 from fractions import Fraction
 from operator import ge
 
-from .errors import DivisionByZero, NotInvertible
+from .errors import ConsistencyFailure, DivisionByZero, NotInvertible
 from .poly import (
     Polynomial,
     certify_or_split,
@@ -409,16 +415,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def partial(self, v):
-        """d/dP[v] by the quotient rule, (N/D)' = (N' - (N/D)*D') / D. The
-        1/D is built on D's factor list, so D is not factored again."""
-        dn = _integral(self.num.derivative(v))
-        if self._fac == _UNIT:
-            return dn
-        dd = _integral(self.den.derivative(v))
-        dinv = RationalFunction(_POLY_ONE, self.den, _fac=self._fac)
-        return (dn - self * dd) * dinv
-
     def inv(self):
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
@@ -641,8 +637,13 @@ def has_toplevel_space(text):
 
 RF_ZERO = RationalFunction.from_poly(Polynomial.zero())
 RF_ONE = RationalFunction.from_poly(Polynomial.one())
-#: d/dP[v] M = M * d/dP[v] Q / (2Q), from M^2 = Q
-_DM_OVER_M = tuple(RationalFunction(Q_POLY.derivative(v), Q_POLY * 2) for v in range(4))
+#: the factor list of Q; monomial_partial builds quotients over it as they
+#: stand, which are in lowest terms only if Q is a certified prime
+_Q_FAC = (1, _factor(Q_POLY))
+if _Q_FAC[1] != {Q_POLY: 1} or Q_POLY not in _PRIMES:
+    raise ConsistencyFailure(
+        f"the mass square Q is not certified prime: factored as {_Q_FAC[1]}"
+    )
 
 
 class FieldElem:
@@ -709,11 +710,6 @@ class FieldElem:
 
     __rmul__ = __mul__
 
-    def partial(self, v):
-        """d/dP[v] of a + b*M: a' + (b' + b * d/dP[v] M / M)*M."""
-        b = self.b.partial(v) + self.b * _DM_OVER_M[v]
-        return FieldElem(self.a.partial(v), b)
-
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of the zero field element")
@@ -777,6 +773,28 @@ class FieldElem:
         if btxt.startswith("-"):
             return f"{self.a.pretty()} - {btxt[1:]}"
         return f"{self.a.pretty()} + {btxt}"
+
+
+def monomial_partial(exps, with_m, v):
+    """d/dP[v] of the unit monomial P^e, e = exps, times M when with_m.
+
+    P^e gives e_v*P^(e-1_v). With M, d/dP[v] M = eta_vv*P[v]*M/Q follows
+    from M^2 = Q, so P^e*M gives
+    M*(e_v*P^(e-1_v)*Q + eta_vv*P^(e+1_v))/Q. That quotient is built as it
+    stands on the factor list of Q: it is in lowest terms, as Q is a
+    certified prime (checked at import) that does not divide P^(e+1_v).
+    """
+    ev = exps[v]
+    down = (*exps[:v], ev - 1, *exps[v + 1:])
+    if not with_m:
+        if not ev:
+            return FE_ZERO
+        return FieldElem(_integral(Polynomial.from_ints({down: ev})))
+    num = {(*exps[:v], ev + 1, *exps[v + 1:]): 1 if v == 0 else -1}
+    if ev:
+        _add_product(num, ev, {down: 1}, Q_POLY.terms)
+    b = RationalFunction(Polynomial.from_ints(num), Q_POLY, _fac=_Q_FAC)
+    return FieldElem(RF_ZERO, b)
 
 
 def scaled_sum(terms):

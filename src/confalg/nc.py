@@ -12,7 +12,9 @@ through a letter uses g*f = f*g + (g, f), and swapping adjacent letters uses
 the registry letter table. The derivation (g, f) is the momentum-space form
 of the generator g, a differential operator in P[0..3] (Mack & Salam, Ann.
 Phys. 53:174, 1969): it is built from the registry rules (g, P[nu]) and the
-partial derivatives of f, and (g, M) follows from M^2 = Q.
+partial derivatives of the monomials of f. field.monomial_partial gives
+those in closed form from the exponents, the derivatives of M following
+from M^2 = Q, so (g, M) needs no rule of its own.
 
 The bracket (x, y) is the commutator x*y - y*x, formed by bilinearity: for
 terms f*u and g*w, (f*u, g*w) = f*g*(uw - wu) + f*R(u, g)*w - g*R(w, f)*u,
@@ -77,7 +79,14 @@ Randomized schedules live only in tests.
 from fractions import Fraction
 
 from .errors import RewriteBudgetExceeded
-from .field import FE_ONE, FE_M, FieldElem, has_toplevel_space, scaled_sum
+from .field import (
+    FE_M,
+    FE_ONE,
+    FieldElem,
+    has_toplevel_space,
+    monomial_partial,
+    scaled_sum,
+)
 
 # ---- letters -------------------------------------------------------------
 
@@ -295,13 +304,17 @@ class Algebra:
     def _deriv_mono(self, a, m, out):
         """Accumulate the closed form of (a, m) in out, m a unit monomial.
 
-        (a, m) = sum over nu of dot(d_nu m, Y_nu) with Y_nu = (a, P[nu]).
-        A D or J rule Y_nu is a pure coefficient. The words of a C rule are
-        single D or J letters w, and Y_nu*h = h*Y_nu + (w, h) for each, so
-        each adds half its coefficient times (w, d_nu m).
+        (a, m) = sum over nu of dot(d_nu m, Y_nu) with Y_nu = (a, P[nu]),
+        and d_nu m is read off m's exponents (field.monomial_partial), with
+        no quotient rule. A D or J rule Y_nu is a pure coefficient. The
+        words of a C rule are single D or J letters w, and
+        Y_nu*h = h*Y_nu + (w, h) for each, so each adds half its
+        coefficient times (w, d_nu m).
         """
+        with_m = m.a.is_zero()
+        ((exps, _),) = (m.b if with_m else m.a).num.terms.items()
         for nu in range(4):
-            h = m.partial(nu)
+            h = monomial_partial(exps, with_m, nu)
             if h.is_zero():
                 continue
             for w, c in self.momentum_rules[(a, nu)].items():

@@ -23,7 +23,6 @@ the expression language cannot do, and run registered sweeps instead.
 
 import json
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
 from itertools import combinations, product
@@ -55,16 +54,23 @@ _CATALOG_FILES = (
 # catalogue model and loader
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Identity:
-    id: str
-    tag: str
-    describe: str
-    statement: str
-    free: tuple
-    lhs_ast: object = None
-    rhs_ast: object = None
-    builtin: str = None
+    """One catalogue record: a dsl record has lhs_ast and rhs_ast, a
+    builtin record the key of its sweep. Immutable by convention."""
+
+    __slots__ = ("id", "tag", "describe", "statement", "free", "lhs_ast",
+                 "rhs_ast", "builtin")
+
+    def __init__(self, id, tag, describe, statement, free, lhs_ast=None,
+                 rhs_ast=None, builtin=None):
+        self.id = id
+        self.tag = tag
+        self.describe = describe
+        self.statement = statement
+        self.free = free
+        self.lhs_ast = lhs_ast
+        self.rhs_ast = rhs_ast
+        self.builtin = builtin
 
 
 def _collect_indices(ast, vars_out, binders_out):
@@ -198,12 +204,15 @@ def find_identity(ident_id):
 # evaluation context
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Context:
     """An algebra, its observables, and the budget of dsl products in it."""
-    alg: object
-    obs: object
-    budget: int = DEFAULT_BUDGET
+
+    __slots__ = ("alg", "obs", "budget")
+
+    def __init__(self, alg, obs, budget=DEFAULT_BUDGET):
+        self.alg = alg
+        self.obs = obs
+        self.budget = budget
 
 
 @cache
@@ -364,23 +373,32 @@ _BUILTINS = {
 # running
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IdentityResult:
-    id: str
-    statement: str
-    assignments: int
-    failures: list  # [(assignment dict, residual text)]
-    millis: float
+    """The verdict on one identity: failures lists (assignment dict,
+    residual text) pairs, and millis the time its check took."""
+
+    __slots__ = ("id", "statement", "assignments", "failures", "millis")
+
+    def __init__(self, id, statement, assignments, failures, millis):
+        self.id = id
+        self.statement = statement
+        self.assignments = assignments
+        self.failures = failures
+        self.millis = millis
 
     @property
     def passed(self):
         return not self.failures
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    results: list
+    """The results of one suite's identities, in id order."""
+
+    __slots__ = ("suite", "results")
+
+    def __init__(self, suite, results):
+        self.suite = suite
+        self.results = results
 
     @property
     def passed(self):

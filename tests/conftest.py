@@ -10,7 +10,9 @@ import pytest
 
 import confalg
 from confalg.conformal import letter_table, momentum_rules
+from confalg.field import Q_POLY, FieldElem, RationalFunction
 from confalg.nc import Algebra
+from confalg.poly import Polynomial
 
 # the directory that holds the imported confalg package, so a child process
 # imports the same source tree as this one, installed or not
@@ -93,3 +95,29 @@ def random_schedule_algebra():
         return RandomScheduleAlgebra(random.Random(seed))
 
     return build
+
+
+def _rf_partial(x, v):
+    """d/dP[v] of the RationalFunction x by the quotient rule,
+    (N/D)' = (N' - (N/D)*D') / D. The 1/D is built on D's factor list, so
+    D is not factored again."""
+    dn = RationalFunction.from_poly(x.num.derivative(v))
+    if x._fac == (1, {}):  # an integer polynomial
+        return dn
+    dd = RationalFunction.from_poly(x.den.derivative(v))
+    dinv = RationalFunction(Polynomial.one(), x.den, _fac=x._fac)
+    return (dn - x * dd) * dinv
+
+
+#: d/dP[v] M = M * d/dP[v] Q / (2Q), from M^2 = Q
+_DM_OVER_M = tuple(
+    RationalFunction(Q_POLY.derivative(v), Q_POLY * 2) for v in range(4)
+)
+
+
+def partial(g, v):
+    """d/dP[v] of the FieldElem g = a + b*M, a' + (b' + b * d/dP[v] M / M)*M,
+    by the quotient rule on each part: the reference for the closed form
+    of field.monomial_partial."""
+    b = _rf_partial(g.b, v) + g.b * _DM_OVER_M[v]
+    return FieldElem(_rf_partial(g.a, v), b)

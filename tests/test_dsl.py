@@ -1,6 +1,5 @@
 """Expression language: grammar, printing, and elaboration into the engine."""
 
-import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -236,7 +235,10 @@ def test_nodes_compare_and_hash_by_value():
     assert hash(a) == hash(b)
     assert len({a, b, parse("D")}) == 2
     assert Sym("P", (0,)) != Sym("P", (1,))
-    assert dataclasses.replace(a, op="+") == parse(src.replace(" - ", " + "))
+    assert Bin("+", a.left, a.right) == parse(src.replace(" - ", " + "))
+    # a node of another class is unequal even with equal fields
+    assert Num(1) != Neg(1) and Num(1) != 1
+    assert repr(parse("-X[i]")) == "Neg(arg=Sym(name='X', indices=('i',)))"
 
 
 def test_index_variable_ranges():

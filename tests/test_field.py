@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import partial
 
 from confalg.errors import DivisionByZero
 from confalg.field import (
@@ -19,6 +20,7 @@ from confalg.field import (
     RF_ZERO,
     FieldElem,
     RationalFunction,
+    monomial_partial,
     product_sum,
     scaled_sum,
 )
@@ -319,40 +321,89 @@ def test_partial_agrees_with_polynomial_derivative():
         p = _rand_poly(rng)
         for v in range(4):
             want = FieldElem.from_poly(p.derivative(v))
-            assert FieldElem.from_poly(p).partial(v) == want, (p, v)
+            assert partial(FieldElem.from_poly(p), v) == want, (p, v)
     assert FieldElem.monomial((1, 0, 2, 0), True) == FieldElem.from_poly(
         P0 * P2 * P2
     ) * FE_M
 
 
 def test_partial_product_and_quotient_rules():
-    # the pool's denominators already take the quotient rule of
-    # RationalFunction.partial; an inverse's denominator is the conjugate
-    # norm, seldom certified, so each of its derivatives runs gcds against
-    # a large numerator (up to 2.5 s), and only the first 20 draws take it
+    # the pool's denominators already take the reference's quotient rule;
+    # an inverse's denominator is the conjugate norm, seldom certified, so
+    # each of its derivatives runs gcds against a large numerator (up to
+    # 2.5 s), and only the first 20 draws take it
     rng = random.Random(20261020)
     for k in range(300):
         x, y = _rand_fe(rng), _rand_fe(rng)
         v = rng.randrange(4)
-        dx, dy = x.partial(v), y.partial(v)
-        assert (x * y).partial(v) == dx * y + x * dy
+        dx, dy = partial(x, v), partial(y, v)
+        assert partial(x * y, v) == dx * y + x * dy
         if k < 20 and not y.is_zero():
             yinv = y.inv()
-            assert yinv.partial(v) == -(dy * yinv * yinv)
+            assert partial(yinv, v) == -(dy * yinv * yinv)
 
 
 def test_partial_of_mass_follows_from_mass_squared():
     for v in range(4):
-        assert FE_M * FE_M.partial(v) * 2 == FE_Q.partial(v)
+        assert FE_M * partial(FE_M, v) * 2 == partial(FE_Q, v)
         # d/dP[v] M = eta[v,v] * P[v] * M / Q
         sign = 1 if v == 0 else -1
-        assert FE_M.partial(v) == FieldElem.momentum(v) * FE_M * FE_Q.inv() * sign
+        assert partial(FE_M, v) == FieldElem.momentum(v) * FE_M * FE_Q.inv() * sign
 
 
 def test_partial_of_a_rational_element_is_zero():
     for c in (0, 1, -4, Fraction(-3, 5)):
         for v in range(4):
-            assert FieldElem.const(c).partial(v) == FE_ZERO
+            assert partial(FieldElem.const(c), v) == FE_ZERO
+
+
+def test_monomial_partial_matches_the_quotient_rule():
+    # the closed form against the reference, in value and in factor list,
+    # on every monomial of degree up to 3 in each momentum, with and
+    # without M; the lists must agree too, as the closed form builds its
+    # quotient on Q's list as it stands
+    for exps in itertools.product(range(4), repeat=4):
+        for with_m in (False, True):
+            m = FieldElem.monomial(exps, with_m)
+            for v in range(4):
+                got, want = monomial_partial(exps, with_m, v), partial(m, v)
+                assert got == want, (exps, with_m, v)
+                assert (got.a._fac, got.b._fac) == (want.a._fac, want.b._fac)
+
+
+# confalg's modules, imported in a fresh interpreter without the package's
+# __init__ (which imports them all), so that only what a test names runs
+_BARE_PACKAGE = (
+    "import importlib.util, sys, types\n"
+    "pkg = types.ModuleType('confalg')\n"
+    "pkg.__path__ = importlib.util.find_spec('confalg')"
+    ".submodule_search_locations\n"
+    "sys.modules['confalg'] = pkg\n"
+)
+
+
+def test_field_certifies_q_at_import(run_cli):
+    # before any arithmetic but field's own, Q is the one certified prime
+    r = run_cli(launcher=("-c", _BARE_PACKAGE + (
+        "from confalg import field\n"
+        "print(list(field._PRIMES) == [field.Q_POLY])\n"
+    )))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "True\n", "")
+
+
+def test_field_import_fails_unless_q_is_certified(run_cli):
+    # monomial_partial's quotients are in lowest terms only over a
+    # certified Q, so an uncertified one stops the import
+    r = run_cli(launcher=("-c", _BARE_PACKAGE + (
+        "from confalg import errors, poly\n"
+        "poly.certify_or_split = lambda d: [(d, False)]\n"
+        "try:\n"
+        "    from confalg import field\n"
+        "except errors.ConsistencyFailure as exc:\n"
+        "    print(exc)\n"
+    )))
+    assert r.returncode == 0, r.stderr
+    assert "the mass square Q is not certified prime" in r.stdout
 
 
 def _tiny_fe(rng):

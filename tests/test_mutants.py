@@ -14,11 +14,9 @@ operands is left out: on an identity br(a, b) = 0 it is an equivalent
 mutant.
 """
 
-import dataclasses
-
 import pytest
 
-from confalg.dsl import Bin, Num, Sym, ast_pretty, elaborate
+from confalg.dsl import Bin, Neg, Num, Pow, Sum, Sym, ast_pretty, elaborate
 from confalg.errors import ConfalgError
 from confalg.suites import catalog, get_context, identity_assignments
 
@@ -45,15 +43,19 @@ def _site_mutants(node):
         yield Sym(_SWAP[node.name], node.indices)
 
 
+_NODES = (Bin, Neg, Num, Pow, Sum, Sym)
+
+
 def _mutants(node):
     """Every tree that differs from node by one change at one site, root
-    first, then each child's mutants in field order."""
+    first, then each child's mutants in field order. A node's fields are
+    its __slots__, which its constructor takes in that order."""
     yield from _site_mutants(node)
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if dataclasses.is_dataclass(child):
+    fields = [getattr(node, name) for name in node.__slots__]
+    for i, child in enumerate(fields):
+        if isinstance(child, _NODES):
             for m in _mutants(child):
-                yield dataclasses.replace(node, **{field.name: m})
+                yield type(node)(*fields[:i], m, *fields[i + 1:])
 
 
 def _rejected(ident, lhs, rhs, obs):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import memo_sizes
+from conftest import memo_sizes, partial
 
 from confalg import conformal, dsl, field, suites
 from confalg.conformal import (
@@ -420,7 +420,7 @@ def _ref_deriv(rules, a, g):
     derivatives of g alone: sum over nu of dot(d_nu g, Y_nu), Y_nu = (a, P[nu])."""
     out = {}
     for nu in range(4):
-        h = g.partial(nu)
+        h = partial(g, nu)
         if h.is_zero():
             continue
         for w, c in rules[(a, nu)].items():
@@ -779,7 +779,8 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # memo holds a (word, monomial) entry for it, not a (word, coefficient) one;
 # a lone operand kc*g in a part passes through _acc_times as the product
 # (k*kc)*f*g, with no sum of its own; a letter's derivation on a monomial
-# is read from its one-letter shift memo entry, with no memo of its own; a
+# is read from its one-letter shift memo entry, with no memo of its own,
+# and takes a monomial's derivatives in closed form, with no quotient rule; a
 # sum(...) binder adds its terms in one combine, not one binary + each. A
 # change to the operations a suite makes, to what is memoized, or to how
 # often the engine multiplies or reduces coefficients shows here.
@@ -787,11 +788,11 @@ _FRESH_SUITES = {
     "structure": ((1140, 2812, 3), dict(word=131, shift=122, comm=117),
                   2160, 0, 32),
     "localisation": ((960, 7140, 65), dict(word=57, shift=263, comm=49),
-                     1572, 240, 2042),
+                     1572, 240, 1982),
     "conformal-factor": ((725, 8836, 62), dict(word=117, shift=354, comm=77),
                          1157, 16, 3547),
     "canonical": ((629, 6238, 96), dict(word=56, shift=840, comm=42),
-                  749, 150, 3513),
+                  749, 150, 2934),
 }
 
 

@@ -1,11 +1,13 @@
 """The package's import surface: no dead imports, no dangling exports, no
-dead definitions, no dead dataclass fields.
+dead definitions, no dead record fields, and a cold start that imports
+neither dataclasses nor inspect.
 
 No linter ships with the project, so these checks stand in for one.
 """
 
 import ast
 import importlib
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -117,25 +119,26 @@ def test_every_definition_is_named_elsewhere():
     assert not dead, f"defined but never named elsewhere: {dead}"
 
 
-def _dataclass_fields(tree):
-    """(class name, field name) for each annotated field of a @dataclass."""
+#: the modules whose slotted classes are records: the syntax-tree nodes of
+#: dsl and the catalogue and report records of suites
+_RECORD_MODULES = ("dsl.py", "suites.py")
+
+
+def _slot_fields(tree):
+    """(class name, field name) for each name in a class's __slots__."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        decorators = [
-            d.func if isinstance(d, ast.Call) else d for d in node.decorator_list
-        ]
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
-                   for d in decorators):
-            continue
         for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in stmt.targets
             ):
-                yield node.name, stmt.target.id
+                for name in ast.literal_eval(stmt.value):
+                    yield node.name, name
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     # a field is live only if src/ or perfbench/ reads it as an attribute,
     # or names it in a string constant (a walk over field names does)
     trees = _program_trees()
@@ -146,14 +149,37 @@ def test_every_dataclass_field_is_read():
                 read.add(n.attr)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 read.add(n.value)
-    dead = [
-        f"{path.name}:{cls}.{field}"
+    fields = [
+        (path.name, cls, field)
         for path, tree in trees.items()
-        if _PACKAGE in path.parents
-        for cls, field in _dataclass_fields(tree)
-        if field not in read
+        if path.parent == _PACKAGE and path.name in _RECORD_MODULES
+        for cls, field in _slot_fields(tree)
     ]
-    assert not dead, f"dataclass fields never read: {dead}"
+    # the six nodes' 11 fields and the four records' 18, so the check
+    # cannot pass by finding none
+    assert len(fields) == 29, fields
+    dead = [f"{name}:{cls}.{field}" for name, cls, field in fields
+            if field not in read]
+    assert not dead, f"record fields never read: {dead}"
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect(run_cli):
+    # what a cold `confalg run` pays before its first verdict; each of the
+    # two costs several milliseconds to import
+    r = run_cli(launcher=("-c", (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import confalg\n"
+        "from confalg import suites\n"
+        "suites.get_context()\n"
+        "for tag in suites.SUITE_TAGS:\n"
+        "    suites.catalog_by_suite(tag)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )))
+    assert r.returncode == 0, r.stderr
+    added = json.loads(r.stdout)
+    assert "confalg.suites" in added
+    assert not {"dataclasses", "inspect"} & set(added), added
 
 
 #: the package's modules, bottom up; errors sits below them all
