@@ -645,7 +645,7 @@ def _elaborate(node, scope, obs, budget):
         # Q is not a square, so every nonzero element of Q(P)[M] is invertible
         if left.is_zero() and not c.is_zero():
             return left
-        return left.scale(c.inv())
+        return alg.divide(left, c)
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -43,7 +43,9 @@ scaled_sum adds scaled products k * x * y of field elements, each part
 a1*a2 + Q*b1*b2 or a1*b2 + b1*a2: a product of two field elements with M
 on either side is one such sum. On integral operands it is one pass (see
 Unit lists); a list with any other operand takes one product_sum per
-part. FieldElem.inv forms its norm a^2 - Q*b^2 as a product_sum. The binary
+part; there, a caller's sum memo can hold the sums of lists over
+polynomial denominators (see scaled_sum). FieldElem.inv forms its norm
+a^2 - Q*b^2 as a product_sum. The binary
 RationalFunction.__add__ keeps its own path, with the same candidates;
 __sub__ shares it, with the sign folded into the subtrahend's integer scale.
 A factor is either a certified prime, proved irreducible by
@@ -65,7 +67,9 @@ stands, so field certifies Q prime at import and raises
 ConsistencyFailure if it cannot.
 
 Unit lists: a list (1, {}) means den = 1 and a numerator with integer
-coefficients (_canon and _lowest_terms see to it). On such operands the lcm,
+coefficients (_canon and _lowest_terms see to it). Every constructor of a
+factor list returns the one tuple _UNIT for it, so the tests for it compare
+by identity. On such operands the lcm,
 the cofactors, _cancel and _lowest_terms all reduce to the identity, so a sum
 of polynomials, or a product of two, is formed directly; a product_sum on
 unit lists goes into one term map, with no grouping. scaled_sum does not
@@ -109,6 +113,8 @@ _PRIMES = {}
 _PRODUCTS = {}
 #: _PRODUCTS is emptied when it reaches this many entries
 _PRODUCTS_CAP = 4096
+#: a sum memo (see scaled_sum) is emptied when it reaches this many entries
+SUM_MEMO_CAP = 512
 #: the integer point of the probe; far apart values, so that no short linear
 #: form with small coefficients vanishes there
 _POINT = (113, 1013, 10007, 100003)
@@ -319,22 +325,26 @@ def _lowest_terms(num, m, F):
     if g != 1:
         num = num * (1 / Fraction(g))
         m = int(m / Fraction(g))
-    den = _expand(F)
-    return num, den * m if m != 1 else den, (m, F)
+    if m == 1:
+        return num, _expand(F), (m, F) if F else _UNIT
+    return num, _expand(F) * m, (m, F)
 
 
 def _den_factors(den):
     """The factor list (m, {f: e}) of a positive-leading integer den."""
     m = integer_content(den)
-    return m, {} if den.is_const() else _factor(den * Fraction(1, m))
+    if not den.is_const():
+        return m, _factor(den * Fraction(1, m))
+    return _UNIT if m == 1 else (m, {})
 
 
 def _admit(num, den):
     """(num, den, factor list) of the reduced quotient of two polynomials."""
     num, den = _canon(num, den)
-    m, F = _den_factors(den)
+    fac = _den_factors(den)
+    m, F = fac
     if not F:
-        return num, den, (m, F)
+        return num, den, fac
     return _lowest_terms(_cancel(num, F, list(F)), m, F)
 
 
@@ -385,7 +395,7 @@ class RationalFunction:
             return -other if minus else other
         if other.num.is_zero():
             return self
-        if self._fac == _UNIT and other._fac == _UNIT:
+        if self._fac is _UNIT and other._fac is _UNIT:
             num = self.num - other.num if minus else self.num + other.num
             if num.is_zero():
                 return RF_ZERO
@@ -409,7 +419,7 @@ class RationalFunction:
             return RationalFunction(num, den, _fac=fac)
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO
-        if self._fac == _UNIT and other._fac == _UNIT:
+        if self._fac is _UNIT and other._fac is _UNIT:
             return RationalFunction(self.num * other.num, _POLY_ONE, _fac=_UNIT)
         return _cross_product(self, other, 1)
 
@@ -604,7 +614,7 @@ def product_sum(terms):
     if len(parts) == 1 and y is None and k in (1, -1):
         return x if k == 1 else -x
     if all(
-        x._fac == _UNIT and (y is None or y._fac == _UNIT) for _, x, y, _ in parts
+        x._fac is _UNIT and (y is None or y._fac is _UNIT) for _, x, y, _ in parts
     ):
         return _unit_sum(parts)
     if len(parts) == 1 and not q:
@@ -684,7 +694,7 @@ class FieldElem:
     def is_integral(self):
         """True when both parts are integer polynomials (on the unit list),
         so as_quotient gives (self, 1, 1)."""
-        return self.a._fac == _UNIT and self.b._fac == _UNIT
+        return self.a._fac is _UNIT and self.b._fac is _UNIT
 
     # ---- field operations ----
 
@@ -797,7 +807,7 @@ def monomial_partial(exps, with_m, v):
     return FieldElem(RF_ZERO, b)
 
 
-def scaled_sum(terms):
+def scaled_sum(terms, memo=None):
     """The sum of k * x * y over a nonempty list of terms (k, x, y), k an
     int and x, y FieldElems, y None for x alone. A list of one x alone
     returns x.
@@ -808,17 +818,23 @@ def scaled_sum(terms):
     whose first term is not integral, and a list with a later operand off
     the unit list (rare: the maps are dropped), take the general route, one
     product_sum per part.
+
+    memo, a dict that the caller owns (an Algebra's sum memo), serves the
+    general route only: a list with an operand whose factor list holds a
+    polynomial is looked up under tuple(terms), compared by value, and its
+    sum is stored there. remember empties the memo when it is full. A list
+    of integral or rational operands is summed and never stored.
     """
     k, x, y = terms[0]
     if k == 1 and y is None and len(terms) == 1:
         return x
-    if x.a._fac == _UNIT and x.b._fac == _UNIT and (
-        y is None or y.a._fac == _UNIT and y.b._fac == _UNIT
+    if x.a._fac is _UNIT and x.b._fac is _UNIT and (
+        y is None or y.a._fac is _UNIT and y.b._fac is _UNIT
     ):
         a, b = {}, {}
         for k, x, y in terms:
             xa, xb = x.a, x.b
-            if xa._fac != _UNIT or xb._fac != _UNIT:
+            if xa._fac is not _UNIT or xb._fac is not _UNIT:
                 break
             xa, xb = xa.num.terms, xb.num.terms
             if y is None:
@@ -827,7 +843,7 @@ def scaled_sum(terms):
                     _add_scaled(b, k, xb)
                 continue
             ya, yb = y.a, y.b
-            if ya._fac != _UNIT or yb._fac != _UNIT:
+            if ya._fac is not _UNIT or yb._fac is not _UNIT:
                 break
             ya, yb = ya.num.terms, yb.num.terms
             _add_product(a, k, xa, ya)
@@ -839,6 +855,21 @@ def scaled_sum(terms):
                 _add_product(b, k, xb, ya)
         else:
             return FieldElem(_unit_rf(a), _unit_rf(b))
+    if memo is not None:
+        for _, x, y in terms:
+            if x.a._fac[1] or x.b._fac[1] or (
+                y is not None and (y.a._fac[1] or y.b._fac[1])
+            ):
+                key = tuple(terms)
+                c = memo.get(key)
+                if c is None:
+                    c = remember(memo, key, _parts_sum(terms))
+                return c
+    return _parts_sum(terms)
+
+
+def _parts_sum(terms):
+    """scaled_sum's general route: one product_sum per part."""
     a, b = [], []
     for k, x, y in terms:
         xa, xb = x.a, x.b
@@ -855,6 +886,15 @@ def scaled_sum(terms):
             a.append((k, xb, yb, 1))
             b.append((k, xb, ya, 0))
     return FieldElem(product_sum(a), product_sum(b))
+
+
+def remember(memo, key, value):
+    """Store value under key in a sum memo and return it; the memo is
+    emptied first when it holds SUM_MEMO_CAP entries."""
+    if len(memo) >= SUM_MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 FE_ZERO = FieldElem(RF_ZERO)

@@ -74,6 +74,17 @@ of the rules exactly (Bergman's diamond lemma). So the engine runs one rewrite
 schedule and memoizes its rewrites in three Algebra memos; the derivation
 of a letter on a whole coefficient is recomputed from their parts each time.
 Randomized schedules live only in tests.
+
+A fourth memo holds coefficient sums. The observables carry a few fixed
+denominators (X[mu] carries P/M^2, S[mu] carries P/M), so the same lists
+of scaled products over them are summed again and again, across
+assignments and identities. _summed and _acc_times pass the sum memo to
+scaled_sum, which stores a list only when one of its operands has a
+polynomial denominator, keyed by the list and compared by value; integral
+lists, which are most of the work on fresh coefficients, keep nothing. A
+"/" (divide) inverts an integral divisor once and forms each product
+through the same memo. The memo is emptied when it reaches
+field.SUM_MEMO_CAP entries.
 """
 
 from fractions import Fraction
@@ -85,6 +96,7 @@ from .field import (
     FieldElem,
     has_toplevel_space,
     monomial_partial,
+    remember,
     scaled_sum,
 )
 
@@ -215,11 +227,14 @@ class Algebra:
     other derivation follows from these (see _deriv_mono); (C[mu], M) =
     2*M.X[mu] among them.
 
-    Three memos live as long as the algebra: _word_memo (sorted letter
+    Four memos live as long as the algebra: _word_memo (sorted letter
     words), _shift_memo (u * m for a word u and a unit-coefficient monomial
-    m, and u * g for a non-integral coefficient g; see _shift) and
-    _comm_memo (uw - wu). deriv keeps none of its own: a letter's
-    derivation on a monomial is its one-letter _shift_memo entry less m*a.
+    m, and u * g for a non-integral coefficient g; see _shift), _comm_memo
+    (uw - wu) and _sum_memo (coefficient sums over polynomial denominators,
+    and the inverses of integral divisors; see field.scaled_sum and
+    divide), the last emptied when it reaches field.SUM_MEMO_CAP (512)
+    entries. deriv keeps none of its own: a letter's derivation on a
+    monomial is its one-letter _shift_memo entry less m*a.
     No method checks a rewrite budget, so one algebra serves every budget.
     Each operation collects an output word's terms as scaled products
     k*x*y and reduces their sum once (_acc, _summed); every coefficient it
@@ -232,6 +247,7 @@ class Algebra:
         self._word_memo = {}
         self._shift_memo = {}
         self._comm_memo = {}
+        self._sum_memo = {}
 
     # ---- constructors ----
 
@@ -332,9 +348,10 @@ class Algebra:
         every derivation of a polynomial of degree 0 is empty.
         """
         out = {}
+        memo = self._sum_memo
         if g.is_integral():
             self._acc_moved(out, (a,), g, ())
-            return _summed(out)
+            return _summed(out, memo)
         N, d, dinv = g.as_quotient()
         # (a, N/d) = (a, N) * d^-1  +  N * (a, d^-1)
         #          = (a, N) * d^-1  -  (N * d^-1) * (a, d) * d^-1
@@ -342,12 +359,12 @@ class Algebra:
         num, dd, part = {}, {}, {}
         self._acc_moved(num, (a,), N, ())
         self._acc_moved(dd, (a,), d, ())
-        for w, f, h, c in self._raw_mul_terms(_summed(num), {(): dinv}):
+        for w, f, h, c in self._raw_mul_terms(_summed(num, memo), {(): dinv}):
             _acc(out, w, f, h, c)
-        for w, f, h, c in self._raw_mul_terms(_summed(dd), {(): dinv}):
+        for w, f, h, c in self._raw_mul_terms(_summed(dd, memo), {(): dinv}):
             _acc(part, w, f, h, c)
-        _acc_times(out, part, g, -1)
-        return _summed(out)
+        _acc_times(out, part, g, -1, memo)
+        return _summed(out, memo)
 
     # ---- coefficient movement and products ----
 
@@ -401,7 +418,7 @@ class Algebra:
         if len(u) == 1:
             out = {u: [(1, m, None)]}
             self._deriv_mono(a, m, out)
-            moved = _summed(out)
+            moved = _summed(out, self._sum_memo)
         else:
             (_, _, am), = self._shift((a,), m)
             moved = self._moved(u[:-1], am.items())
@@ -423,7 +440,7 @@ class Algebra:
                 for z, e in moved.items():
                     for zw, c2 in sort(z + w).items():
                         _acc(out, zw, e, None, c * c2)
-        return _summed(out)
+        return _summed(out, self._sum_memo)
 
     def _raw_mul_terms(self, xterms, yterms):
         """Product of two term maps, yielding unmerged terms (word, f, h, c),
@@ -469,7 +486,7 @@ class Algebra:
                 self._acc_term(out, k * Fraction(-1, 2), "br", x, y)
             else:
                 self._acc_term(out, k, op, x, y)
-        return NCExpr(_summed(out))
+        return NCExpr(_summed(out, self._sum_memo))
 
     def _acc_term(self, out, k, op, x, y):
         """Accumulate k*op(x, y) in out. A Fraction k = p/q collects the
@@ -481,7 +498,7 @@ class Algebra:
             part = {}
             self._acc_op(part, 1, op, x, y)
             _acc_times(out, part, FieldElem.const(Fraction(1, k.denominator)),
-                       k.numerator)
+                       k.numerator, self._sum_memo)
 
     def _acc_op(self, out, k, op, x, y):
         """Accumulate k*op(x, y) in out, for an int k and op not "."."""
@@ -505,6 +522,24 @@ class Algebra:
         """The scaled commutator x*y - y*x."""
         return self.combine(((1, "br", x, y),))
 
+    def divide(self, x, c):
+        """x / c for a coefficient c, which raises DivisionByZero when zero.
+
+        The inverse of an integral c is stored in the sum memo under c, so
+        each divisor is inverted once; each product f * c^-1 is a one-term
+        scaled_sum through the same memo.
+        """
+        memo = self._sum_memo
+        if c.is_integral():
+            inv = memo.get(c)
+            if inv is None:
+                inv = remember(memo, c, c.inv())
+        else:
+            inv = c.inv()
+        return NCExpr({
+            w: scaled_sum(((1, f, inv),), memo) for w, f in x.terms.items()
+        })
+
     def _bracket_acc(self, x, y, out, k):
         """Accumulate k*(x, y) in out, as sum_u f*A_u - sum_w g*B_w over the
         terms f*u of x and g*w of y (see the module docstring). A word moves
@@ -520,7 +555,7 @@ class Algebra:
                 if u and moves:
                     self._acc_moved(part, u, g, w, ku)
             if part and not unit:
-                _acc_times(out, part, f, k)
+                _acc_times(out, part, f, k, self._sum_memo)
         xs = [(u, f) for u, f in x.terms.items() if not f.is_rational()]
         for w, g, _ in ys:
             if not w:
@@ -529,7 +564,7 @@ class Algebra:
             for u, f in xs:
                 self._acc_moved(part, w, f, u)
             if part:
-                _acc_times(out, part, g, -k)
+                _acc_times(out, part, g, -k, self._sum_memo)
 
     def _comm(self, u, w):
         """uw - wu for sorted words u, w: {word: int}, shared, read-only."""
@@ -577,7 +612,7 @@ class Algebra:
         for u, f in x.terms.items():
             for w, c in self._sort_word(u).items():
                 _acc(out, w, f, None, c)
-        return NCExpr(_summed(out))
+        return NCExpr(_summed(out, self._sum_memo))
 
 
 def operation_cost(x, y):
@@ -607,26 +642,28 @@ def _acc(out, w, x, y=None, k=1):
         s.append((k, x, y))
 
 
-def _acc_times(out, part, f, k=1):
+def _acc_times(out, part, f, k, memo):
     """Add k*f times the accumulator part to out: each list of part is
-    summed once and its nonzero sum enters out as one scaled product. A
-    list of one operand alone, kc*g, enters as the product (k*kc)*f*g."""
+    summed once, through the sum memo memo, and its nonzero sum enters out
+    as one scaled product. A list of one operand alone, kc*g, enters as the
+    product (k*kc)*f*g."""
     for w, ts in part.items():
         if len(ts) == 1:
             kc, g, h = ts[0]
             if h is None:
                 _acc(out, w, f, g, k * kc)
                 continue
-        c = scaled_sum(ts)
+        c = scaled_sum(ts, memo)
         if not c.is_zero():
             _acc(out, w, f, c, k)
 
 
-def _summed(out):
-    """{word: FieldElem} of an accumulator, each list summed once, zeros dropped."""
+def _summed(out, memo):
+    """{word: FieldElem} of an accumulator, each list summed once through
+    the sum memo memo, zeros dropped."""
     res = {}
     for w, ts in out.items():
-        c = scaled_sum(ts)
+        c = scaled_sum(ts, memo)
         if not c.is_zero():
             res[w] = c
     return res

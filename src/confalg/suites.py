@@ -22,9 +22,9 @@ the expression language cannot do, and run registered sweeps instead.
 """
 
 import json
+import os
 import time
 from functools import cache, partial
-from importlib import resources
 from itertools import combinations, product
 
 from . import conformal, dsl
@@ -169,9 +169,10 @@ def load_catalog():
     """All identities, in file order; validated on load."""
     out = []
     ids_seen = set()
-    base = resources.files(__package__) / "catalog"
+    base = os.path.join(os.path.dirname(__file__), "catalog")
     for name in _CATALOG_FILES:
-        text = (base / name).read_text(encoding="utf-8")
+        with open(os.path.join(base, name), encoding="utf-8") as fh:
+            text = fh.read()
         block = []
         for raw in text.splitlines() + [""]:
             line = raw.strip()

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -58,6 +59,24 @@ def memo_sizes(alg):
         for name, memo in vars(alg).items()
         if name.endswith("_memo")
     }
+
+
+def rewrite_memo_sizes(alg):
+    """memo_sizes(alg) without the sum memo, which is keyed by coefficient
+    values and term lists: its size depends on how the sums are grouped,
+    not only on the rewriting done."""
+    sizes = memo_sizes(alg)
+    del sizes["sum"]
+    return sizes
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class _Forgetful(dict):

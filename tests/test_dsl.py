@@ -2,14 +2,12 @@
 
 import gc
 import hashlib
-import importlib.util
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from conftest import memo_sizes
+from conftest import perfbench_workloads, rewrite_memo_sizes
 
 from confalg import dsl
 from confalg.conformal import build_algebra
@@ -677,9 +675,9 @@ def test_chains_match_the_binary_fold(obs):
 
 
 def _budget_outcome(fn, ast, budget):
-    """(outcome, memo sizes) of fn on a fresh engine at budget."""
+    """(outcome, rewrite memo sizes) of fn on a fresh engine at budget."""
     obs = Observables(build_algebra())
-    return _outcome(fn, ast, {}, obs, budget), memo_sizes(obs.alg)
+    return _outcome(fn, ast, {}, obs, budget), rewrite_memo_sizes(obs.alg)
 
 
 def test_chains_refuse_the_same_product_as_the_binary_fold():
@@ -784,15 +782,6 @@ def test_elaborate_leaves_no_garbage(obs):
 # the front end at scale
 # ---------------------------------------------------------------------------
 
-def _workloads():
-    """perfbench/workloads.py, loaded by path as the benchmark loads it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _operator_texts(workloads, seed):
     laws = workloads.generate_random_laws(seed)[0]["laws"]
     return [law["text"] for law in laws if "text" in law]
@@ -802,7 +791,7 @@ def test_front_end_reads_the_recorded_trees():
     # every catalogue record and the operator laws of random-laws seeds
     # 1-4 (720 texts) parse to the trees that the character-loop
     # tokenizer and recursive-descent parser built, printed and hashed
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     lines = [
         f"{ident.id}: {ast_pretty(ident.lhs_ast)} = {ast_pretty(ident.rhs_ast)}"
         for ident in catalog() if ident.builtin is None
@@ -826,7 +815,7 @@ def _fresh_leaf(key, obs):
 
 def test_shared_leaves_equal_fresh_ones():
     ctx = get_context()
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     run_all(ctx)
     verdicts = workloads.run_laws(workloads.generate_random_laws(1)[0]["laws"], ctx)
     assert "nonzero" in verdicts and "zero" in verdicts

@@ -1227,6 +1227,84 @@ def test_cofactor_sums_match_binary_operators():
         assert zero.is_zero()
 
 
+def test_sum_memo_is_transparent(monkeypatch):
+    # scaled_sum through a memo equals scaled_sum without one on random
+    # lists, repeated, reordered, and differing only in k. Only a list with
+    # an operand over a polynomial denominator adds an entry, a repeat reads
+    # it back, and the memo is emptied when it reaches its cap.
+    from confalg import field
+
+    monkeypatch.setattr(field, "SUM_MEMO_CAP", 24)
+    rng = random.Random(20261038)
+    p0, p1 = FieldElem.momentum(0), FieldElem.momentum(1)
+    rational = [
+        FieldElem.const(Fraction(1, 2)),
+        FieldElem(RationalFunction.const(Fraction(-3, 4)),
+                  RationalFunction.const(Fraction(2, 3))),
+    ]
+    integral = [FE_ONE, FE_M, FE_Q, p0 * p1 - FE_M * 3, p1 + FE_M * p0]
+    polynomial = [FE_M.inv(), (p0 + FE_M).inv()]
+    while len(polynomial) < 6:
+        x = _rand_fe(rng)
+        if x.a._fac[1] or x.b._fac[1]:
+            polynomial.append(x)
+    assert all(x.is_integral() for x in integral)
+    assert not any(x.a._fac[1] or x.b._fac[1] for x in rational)
+
+    def draw(pool):
+        return [
+            (rng.choice((1, -2, 3)), rng.choice(pool), rng.choice((None, *pool)))
+            for _ in range(rng.randint(1, 4))
+        ]
+
+    def stored(terms):
+        k, x, y = terms[0]
+        if len(terms) == 1 and k == 1 and y is None:
+            return False
+        return any(f._fac[1] for _, x, y in terms for e in (x, y) if e
+                   for f in (e.a, e.b))
+
+    memo, drawn, seen = {}, [], set()
+    for n in range(400):
+        roll = rng.random()
+        if not drawn or roll < 0.4:
+            pool = rng.choice((integral, integral + rational, integral + polynomial,
+                               rational + polynomial))
+            terms, shape = draw(pool), "fresh"
+        elif roll < 0.6:
+            terms, shape = rng.choice(drawn), "repeat"
+        elif roll < 0.8:
+            terms = list(rng.choice(drawn))
+            rng.shuffle(terms)
+            shape = "reordered"
+        else:
+            terms = list(rng.choice(drawn))
+            i = rng.randrange(len(terms))
+            k, x, y = terms[i]
+            terms[i] = (rng.choice([c for c in (1, -2, 3, 5) if c != k]), x, y)
+            shape = "k"
+        drawn.append(terms)
+        key, before = tuple(terms), len(memo)
+        known = memo.get(key)
+        z = scaled_sum(terms, memo)
+        assert z == scaled_sum(terms), n
+        assert len(memo) <= field.SUM_MEMO_CAP
+        if not stored(terms):
+            assert len(memo) == before, n
+            seen.add(("no entry", shape))
+        elif known is not None:
+            assert z is known and len(memo) == before, n
+            seen.add(("hit", shape))
+        else:
+            assert memo[key] is z, n
+            assert len(memo) == (1 if before == field.SUM_MEMO_CAP else before + 1)
+            seen.add("emptied" if before == field.SUM_MEMO_CAP else ("miss", shape))
+    assert seen >= {
+        "emptied", ("miss", "fresh"), ("miss", "reordered"), ("miss", "k"),
+        ("hit", "repeat"), ("no entry", "fresh"), ("no entry", "repeat"),
+    }
+
+
 def test_cofactor_sum_multiplies_each_distinct_cofactor_once(monkeypatch):
     from confalg import field
 

@@ -6,7 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import memo_sizes, partial
+from conftest import (
+    _Forgetful,
+    memo_sizes,
+    partial,
+    perfbench_workloads,
+    rewrite_memo_sizes,
+)
 
 from confalg import conformal, dsl, field, suites
 from confalg.conformal import (
@@ -17,8 +23,8 @@ from confalg.conformal import (
     mass_rule_residual,
     momentum_rules,
 )
-from confalg.errors import ConfalgError, RewriteBudgetExceeded
-from confalg.field import FE_M, FE_ONE, FieldElem
+from confalg.errors import ConfalgError, DivisionByZero, RewriteBudgetExceeded
+from confalg.field import FE_M, FE_ONE, FieldElem, RationalFunction
 from confalg.dsl import Bin, elaborate, parse
 from confalg.nc import (
     DEFAULT_BUDGET,
@@ -332,18 +338,18 @@ def test_lone_operands_pass_through_acc_times(monkeypatch,
     inside = [False]
     acc_times, summed = nc._acc_times, nc.scaled_sum
 
-    def traced_acc_times(out, part, f, k=1):
+    def traced_acc_times(out, part, f, k, memo):
         lone["parts"] += sum(len(ts) == 1 and ts[0][2] is None for ts in part.values())
         inside[0] = True
         try:
-            acc_times(out, part, f, k)
+            acc_times(out, part, f, k, memo)
         finally:
             inside[0] = False
 
-    def traced_scaled_sum(terms):
+    def traced_scaled_sum(terms, memo=None):
         if inside[0] and len(terms) == 1 and terms[0][2] is None:
             lone["summed"] += 1
-        return summed(terms)
+        return summed(terms, memo)
 
     monkeypatch.setattr(nc, "_acc_times", traced_acc_times)
     monkeypatch.setattr(nc, "scaled_sum", traced_scaled_sum)
@@ -592,9 +598,9 @@ def test_shift_memo_does_not_grow_with_fresh_coefficients():
                 alg.bracket(alg.mul(y, alg.C(1)), x)
 
     batch(12)
-    sizes = memo_sizes(alg)
+    sizes = rewrite_memo_sizes(alg)
     batch(12)
-    assert memo_sizes(alg) == sizes
+    assert rewrite_memo_sizes(alg) == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -781,18 +787,24 @@ def test_engine_constructions_fit_min_budget(monkeypatch):
 # (k*kc)*f*g, with no sum of its own; a letter's derivation on a monomial
 # is read from its one-letter shift memo entry, with no memo of its own,
 # and takes a monomial's derivatives in closed form, with no quotient rule; a
-# sum(...) binder adds its terms in one combine, not one binary + each. A
-# change to the operations a suite makes, to what is memoized, or to how
-# often the engine multiplies or reduces coefficients shows here.
+# sum(...) binder adds its terms in one combine, not one binary + each; a
+# sum over a polynomial denominator is read back from the sum memo (its
+# size counts the 64 entries build_algebra leaves and depends on
+# field.SUM_MEMO_CAP), and a "/" inverts each integral divisor once and
+# multiplies through that memo, not through FieldElem.__mul__. A change to
+# the operations a suite makes, to what is memoized, or to how often the
+# engine multiplies or reduces coefficients shows here.
 _FRESH_SUITES = {
-    "structure": ((1140, 2812, 3), dict(word=131, shift=122, comm=117),
+    "structure": ((1140, 2812, 3), dict(word=131, shift=122, comm=117, sum=64),
                   2160, 0, 32),
-    "localisation": ((960, 7140, 65), dict(word=57, shift=263, comm=49),
-                     1572, 240, 1982),
-    "conformal-factor": ((725, 8836, 62), dict(word=117, shift=354, comm=77),
-                         1157, 16, 3547),
-    "canonical": ((629, 6238, 96), dict(word=56, shift=840, comm=42),
-                  749, 150, 2934),
+    "localisation": ((960, 7140, 65),
+                     dict(word=57, shift=263, comm=49, sum=184),
+                     1572, 64, 1096),
+    "conformal-factor": ((725, 8836, 62),
+                         dict(word=117, shift=354, comm=77, sum=360),
+                         1157, 16, 2448),
+    "canonical": ((629, 6238, 96), dict(word=56, shift=840, comm=42, sum=57),
+                  749, 55, 2039),
 }
 
 
@@ -823,8 +835,9 @@ def _count_lowest_terms(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
-def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
+def _fresh_row(monkeypatch, tag):
+    """The _FRESH_SUITES row of one run of suite tag on a fresh algebra;
+    the counters it installs are undone before it returns."""
     seq = _record_ops(monkeypatch)
     alg = build_algebra()
     ctx = suites.Context(alg, Observables(alg))
@@ -832,18 +845,139 @@ def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
     products = _count_field_products(monkeypatch)
     reductions = _count_lowest_terms(monkeypatch)
     assert suites.run_suite(tag, ctx).passed
+    monkeypatch.undo()
     costs = [c for _, c in seq if c]
     ceiling = _FRESH_SUITES[tag][2]
-    # one assert over the whole row, so a failure shows every column that
-    # moved; the ceiling column reads as pinned while len(seq) <= ceiling
-    seen = (
+    # the ceiling column reads as pinned while len(seq) <= ceiling
+    return (
         (len(costs), sum(costs), max(costs)),
         memo_sizes(alg),
         max(len(seq), ceiling),
         products[0],
         reductions[0],
     )
-    assert seen == _FRESH_SUITES[tag]
+
+
+@pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
+def test_fuel_of_fresh_sweeps_is_pinned(monkeypatch, tag):
+    # one assert over the whole row, so a failure shows every column that
+    # moved
+    assert _fresh_row(monkeypatch, tag) == _FRESH_SUITES[tag]
+
+
+@pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
+def test_fresh_sweep_rows_do_not_depend_on_what_ran_first(monkeypatch, tag):
+    # a random-laws pass grows the process's certified primes and product
+    # cache; a fresh algebra run after it does the same work and ends with
+    # the same memo sizes as one run before it
+    alone = _fresh_row(monkeypatch, tag)
+    workloads = perfbench_workloads()
+    laws = workloads.generate_random_laws(1)[0]["laws"]
+    assert "nonzero" in workloads.run_laws(laws, suites.get_context())
+    assert _fresh_row(monkeypatch, tag) == alone == _FRESH_SUITES[tag]
+
+
+class _PeakMemo(dict):
+    """A sum memo that records the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+@pytest.mark.parametrize("tag", sorted(_FRESH_SUITES))
+def test_sum_memo_leaves_reports_unchanged(monkeypatch, tag):
+    # the same report bytes with the sum memo, with none (a memo that
+    # stores nothing) and with a cap small enough to empty it often; at
+    # either cap the memo never holds more entries than the cap
+    def report(memo):
+        alg = build_algebra()
+        alg._sum_memo = memo
+        return suites.report_json(suites.run_suite(tag, Context(alg)))
+
+    def Context(alg):
+        return suites.Context(alg, Observables(alg))
+
+    memo = _PeakMemo()
+    want = report(memo)
+    assert memo.peak <= field.SUM_MEMO_CAP
+    assert report(_Forgetful()) == want
+    monkeypatch.setattr(field, "SUM_MEMO_CAP", 8)
+    small = _PeakMemo()
+    assert report(small) == want
+    # the structure suite forms no sum over a polynomial denominator
+    assert small.peak == (0 if tag == "structure" else 8)
+
+
+def _rational_functions(obj):
+    """Every RationalFunction reachable from obj through containers,
+    NCExprs and FieldElems."""
+    todo = [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, RationalFunction):
+            yield x
+        elif isinstance(x, FieldElem):
+            todo += (x.a, x.b)
+        elif isinstance(x, NCExpr):
+            todo.append(x.terms)
+        elif isinstance(x, dict):
+            todo += (*x.keys(), *x.values())
+        elif isinstance(x, (tuple, list)):
+            todo += x
+
+
+def test_unit_lists_are_one_shared_tuple():
+    # every coefficient the catalogue leaves in the memos and the
+    # observable cache holds the unit list as the one tuple field._UNIT,
+    # so the unit-list tests can compare by identity
+    alg = build_algebra()
+    obs = Observables(alg)
+    suites.run_all(suites.Context(alg, obs))
+    units = others = 0
+    roots = [memo for name, memo in vars(alg).items() if name.endswith("_memo")]
+    for rf in _rational_functions([*roots, obs.leaves, obs._cache]):
+        if rf._fac == (1, {}):
+            assert rf._fac is field._UNIT, rf
+            units += 1
+        else:
+            others += 1
+    assert units > 1000 and others > 100
+    # each constructor of a factor list, on a value whose list is the unit one
+    p0 = FieldElem.momentum(0).a
+    built = (
+        field.RF_ONE.inv(),  # _den_factors
+        RationalFunction(p0.num * 2, p0.den * 2),  # _admit
+        p0.inv() * (p0 * p0),  # _lowest_terms
+    )
+    for rf in built:
+        assert rf == p0 or rf == field.RF_ONE
+        assert rf._fac is field._UNIT, rf
+
+
+def test_divide_inverts_each_integral_divisor_once(monkeypatch):
+    alg = build_algebra()
+    x = alg.combine(((1, "*", alg.momentum(1), alg.C(0)),
+                     (3, None, alg.scalar(FE_M), None)))
+    inverses = []
+    inv = FieldElem.inv
+
+    def counted(self):
+        inverses.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(FieldElem, "inv", counted)
+    p0 = FieldElem.momentum(0)
+    quotient = (p0 - FE_M).inv()
+    for n, c in enumerate((FE_M, FieldElem.const(2), p0 + FE_M, quotient) * 2):
+        del inverses[:]
+        assert alg.divide(x, c) == x.scale(inv(c))
+        # an integral divisor is inverted the first time only
+        assert inverses == ([c] if n < 4 or c is quotient else [])
+    with pytest.raises(DivisionByZero):
+        alg.divide(x, field.FE_ZERO)
 
 
 def test_jacobi_sweep_builds_each_unordered_triple_once(monkeypatch):

@@ -164,9 +164,10 @@ def test_every_record_field_is_read():
 
 
 def test_cold_start_imports_neither_dataclasses_nor_inspect(run_cli):
-    # what a cold `confalg run` pays before its first verdict; each of the
-    # two costs several milliseconds to import
-    r = run_cli(launcher=("-c", (
+    # what a cold `confalg run` pays before its first verdict; each of these
+    # costs several milliseconds to import. -S keeps site from importing
+    # any of them first, as a .pth file of an installed package can
+    r = run_cli(launcher=("-S", "-c", (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import confalg\n"
@@ -179,7 +180,8 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect(run_cli):
     assert r.returncode == 0, r.stderr
     added = json.loads(r.stdout)
     assert "confalg.suites" in added
-    assert not {"dataclasses", "inspect"} & set(added), added
+    heavy = {"dataclasses", "inspect", "importlib.resources", "pathlib", "zipfile"}
+    assert not heavy & set(added), added
 
 
 #: the package's modules, bottom up; errors sits below them all
